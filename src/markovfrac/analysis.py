@@ -14,11 +14,12 @@ interest is a double logarithm.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, isqrt, log, log1p
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .exact import QuadraticSurd, farey_mediant, surd_enclose
 from .markov import MarkovFraction, enumerate_tree, mu, springborn_mediant
@@ -38,6 +39,7 @@ __all__ = [
     "mcshane_partial_sum",
     "reduced_fractions_up_to",
     "saltus_mu",
+    "saltus_samples",
 ]
 
 _MAX_LYAPUNOV_STEPS = 10_000
@@ -187,11 +189,11 @@ def interval_freeness(f: MarkovFraction, denominator_bound: int) -> FreenessRepo
     return FreenessReport(f.value, denominator_bound, tuple(intruders))
 
 
-# -- interval length series ----------------------------------------------------
+# -- interval length series and the saltus representation of the transport -----
 
 
-def _length_bounds(q: int, guard_bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bounds on the interval length with relative error below 2**(1-guard).
+def _length_bounds(q: int, guard_bits: int) -> tuple[int, int, int]:
+    """Bounds [lo, hi]/2**e on the interval length with relative error below 2**(1-guard).
 
     Uses l(q) = 4 / (q * (3q + sqrt(9*q**2 - 4))), which needs no
     cancellation, with the square root scaled to guard_bits extra bits.
@@ -204,9 +206,7 @@ def _length_bounds(q: int, guard_bits: int) -> tuple[Fraction, Fraction]:
     m_hi = q * (base + root + 1)
     e = m_hi.bit_length() + guard_bits
     numerator = 1 << (e + guard_bits + 2)
-    lo = Fraction(numerator // m_hi, 1 << e)
-    hi = Fraction(-((-numerator) // m_lo), 1 << e)
-    return lo, hi
+    return numerator // m_hi, -((-numerator) // m_lo), e
 
 
 def _guard_bits(precision: int) -> int:
@@ -215,81 +215,105 @@ def _guard_bits(precision: int) -> int:
     return 4 * precision + 24
 
 
-def mcshane_partial_sum(depth: int, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of (l(1) + l(2))/2 + sum of l(q) over tree vertices to depth.
-
-    The series converges to 1/2 from below.  Bounds are guaranteed, the
-    enclosure width is below 10**-precision, and for fixed precision both
-    bounds grow strictly with depth (each vertex contributes a strictly
-    positive lower bound).
-    """
-    guard = _guard_bits(precision)
-    lo1, hi1 = _length_bounds(1, guard)
-    lo2, hi2 = _length_bounds(2, guard)
-    total_lo, total_hi = (lo1 + lo2) / 2, (hi1 + hi2) / 2
-    for _, triple in enumerate_tree(depth):
-        lo, hi = _length_bounds(triple.f3.denominator, guard)
-        total_lo += lo
-        total_hi += hi
-    return total_lo, total_hi
-
-
-# -- saltus representation of the tree transport -------------------------------
+def _dyadic_add(acc: list[int], lo: int, hi: int, e: int) -> None:
+    """acc = [lo, hi, e], meaning [lo, hi]/2**e, grows by [lo, hi]/2**e exactly."""
+    shift = e - acc[2]
+    if shift > 0:
+        acc[0] <<= shift
+        acc[1] <<= shift
+        acc[2] = e
+    else:
+        lo <<= -shift
+        hi <<= -shift
+    acc[0] += lo
+    acc[1] += hi
 
 
 def _jump_table(depth: int) -> Iterator[tuple[Fraction, int]]:
     """Interior jump locations a/b with the tree denominator of their image.
 
-    Walks the Farey tree and the reduced tree in lockstep: the vertex at a
+    Walks the Farey tree in lockstep with the reduced tree: the vertex at a
     turn word jumps by the interval length of the fraction at the same
     word.
     """
-    queue = deque([(0, Fraction(0), Fraction(1), Fraction(0), Fraction(1, 2))])
-    while queue:
-        level, flp, frp, mlp, mrp = queue.popleft()
-        fv = farey_mediant(flp, frp)
-        mv = springborn_mediant(mlp, mrp)
-        yield fv, mv.denominator
-        if level < depth:
-            queue.append((level + 1, flp, fv, mlp, mv))
-            queue.append((level + 1, fv, frp, mv, mrp))
+    farey = deque([(Fraction(0), Fraction(1))])
+    for word, triple in enumerate_tree(depth):
+        lp, rp = farey.popleft()
+        position = farey_mediant(lp, rp)
+        if len(word) < depth:
+            farey.append((lp, position))
+            farey.append((position, rp))
+        yield position, triple.f3.denominator
+
+
+def saltus_samples(
+    xs: Sequence[Fraction], depth: int, precision: int
+) -> list[tuple[Fraction, Fraction]]:
+    """Enclosures of the pure jump sum representing the tree transport at each x.
+
+    The sum is -l(1)/2 + sum over rationals a/b in [0, 1] of
+    l(q(a/b)) * H(x - a/b), where 0/1 and 1/1 carry the seed denominators
+    1 and 2 and interior jumps are truncated at the given tree depth, with
+    the symmetric Heaviside convention H(0) = 1/2.  As the depth grows the
+    value converges to the transport mu(x) for every x in [0, 1]; at x = 1
+    it is the length series converging to 1/2.
+
+    The points must increase strictly.  One walk serves them all: each
+    jump's bounds go to the first point at or right of it (half to that
+    point and half to the next where the two coincide), and the points
+    take prefix sums.  Every bound is an exact dyadic sum, the enclosure
+    width is below 10**-precision, and no table of jumps is kept.
+    """
+    for x in xs:
+        if not 0 <= x <= 1:
+            raise ValueError(f"saltus is evaluated on [0, 1]; got {x}")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("saltus sample points must increase strictly")
+    guard = _guard_bits(precision)
+    slots = [[0, 0, 0] for _ in xs]
+
+    def add(i: int, lo: int, hi: int, e: int) -> None:
+        if i < len(slots):
+            _dyadic_add(slots[i], lo, hi, e)
+
+    # The seeds add l(1)/2 at every x > 0 and l(2)/2 at x = 1 only.
+    lo, hi, e = _length_bounds(1, guard)
+    add(bisect_right(xs, 0), lo, hi, e + 1)
+    lo, hi, e = _length_bounds(2, guard)
+    add(bisect_left(xs, 1), lo, hi, e + 1)
+    for position, q in _jump_table(depth):
+        i = bisect_left(xs, position)
+        if i == len(slots):
+            continue
+        lo, hi, e = _length_bounds(q, guard)
+        if xs[i] == position:
+            add(i, lo, hi, e + 1)
+            add(i + 1, lo, hi, e + 1)
+        else:
+            add(i, lo, hi, e)
+    total = [0, 0, 0]
+    samples = []
+    for slot in slots:
+        _dyadic_add(total, *slot)
+        lo, hi, e = total
+        samples.append((Fraction(lo, 1 << e), Fraction(hi, 1 << e)))
+    return samples
+
+
+def mcshane_partial_sum(depth: int, precision: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of (l(1) + l(2))/2 + sum of l(q) over tree vertices to depth.
+
+    This is the jump sum at x = 1.  The series converges to 1/2 from
+    below.  Bounds are guaranteed, the enclosure width is below
+    10**-precision, and for fixed precision both bounds grow strictly with
+    depth (each vertex contributes a strictly positive lower bound).
+    """
+    return saltus_samples([Fraction(1)], depth, precision)[0]
 
 
 def saltus_mu(x: Fraction, depth: int, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of the pure jump sum representing the tree transport at x.
-
-    The sum is -l(1)/2 + sum over rationals a/b of l(q(a/b)) * H(x - a/b),
-    truncated at the given tree depth, with the symmetric Heaviside
-    convention H(0) = 1/2.  As the depth grows the value converges to the
-    transport mu(x) for every x in [0, 1].
-    """
-    if not Fraction(0) <= x <= Fraction(1):
-        raise ValueError(f"saltus is evaluated on [0, 1]; got {x}")
-    guard = _guard_bits(precision)
-    total_lo, total_hi = Fraction(0), Fraction(0)
-
-    def add(q: int, weight: Fraction) -> None:
-        nonlocal total_lo, total_hi
-        lo, hi = _length_bounds(q, guard)
-        if weight > 0:
-            total_lo += lo * weight
-            total_hi += hi * weight
-        elif weight < 0:
-            total_lo += hi * weight
-            total_hi += lo * weight
-
-    def heaviside(t: Fraction) -> Fraction:
-        if t > 0:
-            return Fraction(1)
-        return Fraction(1, 2) if t == 0 else Fraction(0)
-
-    add(1, heaviside(x) - Fraction(1, 2))
-    add(2, heaviside(x - 1))
-    for position, q in _jump_table(depth):
-        weight = heaviside(x - position)
-        if weight:
-            add(q, weight)
-    return total_lo, total_hi
+    """Enclosure of the truncated jump sum at one point; see saltus_samples."""
+    return saltus_samples([x], depth, precision)[0]
 
 
 # -- endpoint irrationalities ---------------------------------------------------

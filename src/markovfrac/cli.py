@@ -10,10 +10,6 @@ parses back to the exact internal value.
 Exit status: 0 on success, 1 on domain errors (a fraction outside an
 operation's domain, an unsupported equation, a failing `verify` run),
 2 on usage errors such as malformed literals.
-
-The optional `--threads` flag is accepted on every subcommand for
-interface compatibility; all computation is single-threaded and the flag
-never changes output bytes.
 """
 
 from __future__ import annotations
@@ -29,15 +25,13 @@ from fractions import Fraction
 from itertools import cycle, repeat
 
 from .analysis import (
-    _guard_bits,
-    _jump_table,
-    _length_bounds,
     approx_constant_detail,
     interval_freeness,
     lyapunov_estimate,
     markov_interval,
     mcshane_partial_sum,
     saltus_mu,
+    saltus_samples,
 )
 from .exact import DyadicRational, QuadraticSurd, surd_enclose
 from .farey import (
@@ -435,36 +429,11 @@ _PLOT_DIGITS = 12
 def _cmd_plot_mu(args: argparse.Namespace) -> Handled:
     if args.grid < 2:
         raise ValueError(f"grid must have at least 2 sample points; got {args.grid}")
-    if args.depth < 0:
-        raise ValueError("depth must be nonnegative")
-    guard = _guard_bits(_PLOT_DIGITS)
-    jumps = sorted(
-        (pos, *_length_bounds(q, guard)) for pos, q in _jump_table(args.depth)
-    )
-    seed_lo, seed_hi = _length_bounds(1, guard)
-    end_lo, end_hi = _length_bounds(2, guard)
+    xs = [Fraction(i, args.grid - 1) for i in range(args.grid)]
     rows: list[list[object]] = []
     points = []
-    cum_lo, cum_hi = Fraction(0), Fraction(0)
-    j = 0
-    for i in range(args.grid):
-        x = Fraction(i, args.grid - 1)
-        while j < len(jumps) and jumps[j][0] < x:
-            cum_lo += jumps[j][1]
-            cum_hi += jumps[j][2]
-            j += 1
-        lo, hi = cum_lo, cum_hi
-        if j < len(jumps) and jumps[j][0] == x:
-            # A sample on a jump takes the symmetric midpoint value.
-            lo += jumps[j][1] / 2
-            hi += jumps[j][2] / 2
-        if x > 0:
-            lo += seed_lo / 2
-            hi += seed_hi / 2
-        if x == 1:
-            lo += end_lo / 2
-            hi += end_hi / 2
-        lo, hi = _outward(lo, hi, _PLOT_DIGITS)
+    for x, bounds in zip(xs, saltus_samples(xs, args.depth, _PLOT_DIGITS)):
+        lo, hi = _outward(*bounds, _PLOT_DIGITS)
         rows.append(
             [
                 fraction_str(x),
@@ -489,16 +458,6 @@ def _cmd_plot_mu(args: argparse.Namespace) -> Handled:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="accepted for compatibility; computation is single-threaded "
-             "and output never depends on this flag",
-    )
-
     parser = argparse.ArgumentParser(
         prog="markovfrac",
         description="Exact arithmetic for the Markov fraction tree, "
@@ -508,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, handler, help_text: str, formats: tuple[str, ...] = ("plain", "json"),
             default_format: str = "plain"):
-        p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--format", choices=formats, default=default_format)
         p.set_defaults(handler=handler)
         return p
@@ -562,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equation", choices=sorted(SUPPORTED_EQUATIONS), required=True)
     p.add_argument("--depth", type=int, required=True, metavar="N")
 
-    p = add("congruence", _cmd_congruence, "Solutions of x^2 + 1 = 0 modulo Q in [0, Q/2].")
+    p = add("congruence", _cmd_congruence, "Solutions of x^2 + 1 = 0 modulo Q in [0, Q).")
     p.add_argument("modulus", type=int, metavar="Q")
 
     p = add("plot-mu", _cmd_plot_mu, "CSV samples of the transport step function.",

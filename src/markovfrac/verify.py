@@ -17,10 +17,10 @@ from fractions import Fraction
 from math import gcd
 
 from .analysis import (
-    _length_bounds,
     approx_constant,
     interval_freeness,
     markov_interval,
+    mcshane_partial_sum,
 )
 from .exact import farey_mediant, surd_compare
 from .farey import (
@@ -237,8 +237,8 @@ def check_interval_geometry(depth: int) -> CheckResult:
     capped = min(depth, 8)
     intervals = []
     checked = failures = 0
-    for _, triple in enumerate_tree(capped):
-        interval = markov_interval(mu_from_value(triple.f3))
+    for word, triple in enumerate_tree(capped):
+        interval = markov_interval(MarkovFraction(triple.f3, len(word), word))
         checked += 1
         if (interval.hi - interval.lo).compare(interval.length) != 0:
             failures += 1
@@ -251,19 +251,12 @@ def check_interval_geometry(depth: int) -> CheckResult:
     return _result("interval_geometry", checked, failures, detail=f"depth {capped}")
 
 
-def mu_from_value(value: Fraction) -> MarkovFraction:
-    """MarkovFraction for a value already known to be in the tree."""
-    if value in (Fraction(0), Fraction(1, 2)):
-        return MarkovFraction(value, 0, None)
-    return is_exceptional_slope(value).markov_fraction()
-
-
 def check_interval_freeness(bound: int = 1_000_000) -> CheckResult:
     """The intervals of the depth <= 5 fractions are free up to large denominators."""
     checked = failures = 0
-    for _, triple in enumerate_tree(5):
+    for word, triple in enumerate_tree(5):
         checked += 1
-        report = interval_freeness(mu_from_value(triple.f3), bound)
+        report = interval_freeness(MarkovFraction(triple.f3, len(word), word), bound)
         if not report.free:
             failures += 1
     return _result("interval_freeness", checked, failures, detail=f"bound {bound}")
@@ -272,23 +265,12 @@ def check_interval_freeness(bound: int = 1_000_000) -> CheckResult:
 def check_length_series(depth: int) -> CheckResult:
     """Prefix sums of interval lengths increase strictly and stay below 1/2."""
     capped = min(depth, 15)
-    guard = 80
-    lo1, hi1 = _length_bounds(1, guard)
-    lo2, hi2 = _length_bounds(2, guard)
-    level_lo = {-1: (lo1 + lo2) / 2}
-    level_hi = {-1: (hi1 + hi2) / 2}
-    for word, triple in enumerate_tree(capped):
-        lo, hi = _length_bounds(triple.f3.denominator, guard)
-        level = len(word)
-        level_lo[level] = level_lo.get(level, 0) + lo
-        level_hi[level] = level_hi.get(level, 0) + hi
     checked = failures = 0
     half = Fraction(1, 2)
-    run_lo, run_hi = level_lo[-1], level_hi[-1]
+    run_lo = run_hi = Fraction(0)
     for level in range(capped + 1):
         prev_lo, prev_hi = run_lo, run_hi
-        run_lo += level_lo[level]
-        run_hi += level_hi[level]
+        run_lo, run_hi = mcshane_partial_sum(level, 14)
         checked += 3
         if not run_lo > prev_lo or not run_hi > prev_hi:
             failures += 1

@@ -19,6 +19,7 @@ from markovfrac import (
     approx_constant,
     approx_constant_detail,
     enumerate_tree,
+    farey_node_at,
     fractions_strictly_inside,
     interval_freeness,
     lyapunov_estimate,
@@ -29,6 +30,7 @@ from markovfrac import (
     mu,
     reduced_fractions_up_to,
     saltus_mu,
+    saltus_samples,
     springborn_mediant,
     surd_compare,
 )
@@ -58,6 +60,18 @@ def _mcshane_mp(depth: int) -> mpmath.mpf:
     total = (_length_mp(1) + _length_mp(2)) / 2
     for _, t in enumerate_tree(depth):
         total += _length_mp(t.f3.denominator)
+    return total
+
+
+def _heaviside(t: F) -> mpmath.mpf:
+    return mpmath.mpf(1 if t > 0 else 0.5 if t == 0 else 0)
+
+
+def _saltus_mp(x: F, depth: int) -> mpmath.mpf:
+    """-l(1)/2 + l(1) H(x) + l(2) H(x - 1) + sum of l(q) H(x - a/b) over the tree."""
+    total = _length_mp(1) * (_heaviside(x) - 0.5) + _length_mp(2) * _heaviside(x - 1)
+    for word, t in enumerate_tree(depth):
+        total += _length_mp(t.f3.denominator) * _heaviside(x - farey_node_at(word).value)
     return total
 
 
@@ -252,6 +266,37 @@ def test_saltus_deeper_is_closer():
 def test_saltus_domain():
     with pytest.raises(ValueError):
         saltus_mu(F(3, 2), 3, 8)
+    with pytest.raises(ValueError, match="increase strictly"):
+        saltus_samples([F(1, 2), F(1, 3)], 3, 8)
+    with pytest.raises(ValueError, match="increase strictly"):
+        saltus_samples([F(1, 3), F(1, 3)], 3, 8)
+    with pytest.raises(ValueError, match="on \\[0, 1\\]"):
+        saltus_samples([F(0), F(1, 2), F(5, 4)], 3, 8)
+    with pytest.raises(ValueError, match="on \\[0, 1\\]"):
+        saltus_samples([F(-1, 4), F(1, 2)], 3, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        saltus_samples([F(1, 2)], -1, 8)
+
+
+def test_saltus_samples_match_mpmath_oracle():
+    mpmath.mp.dps = 60
+    eps = mpmath.mpf(10) ** -50
+    xs = [F(i, 8) for i in range(9)]  # hits the jumps at 1/4, 1/2 and 3/4
+    samples = saltus_samples(xs, 5, 12)
+    for x, (lo, hi) in zip(xs, samples):
+        oracle = _saltus_mp(x, 5)
+        assert _as_mpf(lo) <= oracle + eps
+        assert oracle - eps <= _as_mpf(hi)
+        assert hi - lo < F(1, 10**12)
+    assert samples[0] == (F(0), F(0))
+    assert saltus_samples([F(0)], 5, 12) == [samples[0]]
+    assert saltus_samples([F(1)], 5, 12) == [samples[-1]]
+
+
+def test_saltus_samples_equal_single_points():
+    xs = [F(0), F(1, 5), F(1, 3), F(1, 2), F(7, 11), F(1)]
+    assert saltus_samples(xs, 4, 9) == [saltus_mu(x, 4, 9) for x in xs]
+    assert saltus_samples([], 4, 9) == []
 
 
 # -- Markov irrationalities --------------------------------------------------------------

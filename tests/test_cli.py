@@ -5,13 +5,23 @@ wiring are exercised through real subprocesses.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import markovfrac
 from markovfrac.cli import main
+
+# Child interpreters import the same package as this one, installed or not.
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(markovfrac.__file__).parents[1]), os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(capsys, *args):
@@ -26,7 +36,7 @@ def run_cli(capsys, *args):
 def run_proc(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "markovfrac", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -211,6 +221,9 @@ def test_congruence_exact_output(capsys):
     assert out == "2 3\n"
     code, out, _ = run_cli(capsys, "congruence", "3")
     assert out == "\n"
+    code, out, _ = run_cli(capsys, "congruence", "--help")
+    assert code == 0
+    assert "Solutions of x^2 + 1 = 0 modulo Q in [0, Q)." in out
 
 
 def test_verify_passes(capsys):
@@ -237,6 +250,18 @@ def test_plot_mu_csv(capsys):
     assert xs == sorted(xs) and xs[0] == 0 and xs[-1] == 1
     assert all(lo <= hi for lo, hi in zip(lowers, uppers))
     assert lowers == sorted(lowers)  # a monotone step function, sampled
+    assert out == (
+        "x,mu_lower,mu_upper,x_approx,mu_approx\n"
+        "0/1,0/1,0/1,0.000000000000,0.000000000000\n"
+        "1/4,191175421659/500000000000,382350843319/1000000000000,"
+        "0.250000000000,0.382350843318\n"
+        "1/2,399997902139/1000000000000,19999895107/50000000000,"
+        "0.500000000000,0.399997902139\n"
+        "3/4,414199085571/1000000000000,103549771393/250000000000,"
+        "0.750000000000,0.414199085571\n"
+        "1/1,249998950763/500000000000,499997901527/1000000000000,"
+        "1.000000000000,0.499997901526\n"
+    )
 
 
 # -- exit codes and error reporting ---------------------------------------------
@@ -304,8 +329,7 @@ def test_byte_identical_reruns():
     assert first == second
 
 
-def test_threads_flag_does_not_change_bytes():
-    plain = run_proc("verify", "--depth", "2")
-    threaded = run_proc("verify", "--depth", "2", "--threads", "4")
-    assert plain[0] == threaded[0] == 0
-    assert plain[1] == threaded[1]
+def test_threads_flag_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "verify", "--depth", "2", "--threads", "4")
+    assert code == 2
+    assert "--threads" in err
