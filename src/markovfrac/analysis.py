@@ -15,14 +15,13 @@ interest is a double logarithm.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, isqrt, log, log1p
 from typing import Iterable, Iterator, Sequence
 
-from .exact import QuadraticSurd, farey_mediant, surd_enclose
-from .markov import MarkovFraction, enumerate_tree, mu, springborn_mediant
+from .exact import QuadraticSurd, surd_enclose
+from .markov import MarkovFraction, mu, tree_walk
 
 __all__ = [
     "FreenessReport",
@@ -37,6 +36,7 @@ __all__ = [
     "markov_interval",
     "markov_irrationality",
     "mcshane_partial_sum",
+    "mcshane_partial_sums",
     "reduced_fractions_up_to",
     "saltus_mu",
     "saltus_samples",
@@ -128,15 +128,7 @@ def reduced_fractions_up_to(denominator_bound: int) -> list[Fraction]:
     if denominator_bound < 1:
         raise ValueError("denominator bound must be positive")
     found = [f for f in (Fraction(0), Fraction(1, 2)) if f.denominator <= denominator_bound]
-    queue = deque([(Fraction(0), Fraction(1, 2))])
-    while queue:
-        f1, f2 = queue.popleft()
-        f3 = springborn_mediant(f1, f2)
-        if f3.denominator > denominator_bound:
-            continue
-        found.append(f3)
-        queue.append((f1, f3))
-        queue.append((f3, f2))
+    found += [Fraction(p, q) for (_, _, _, _, p, q), _, _ in tree_walk(None, denominator_bound)]
     return sorted(found)
 
 
@@ -229,23 +221,6 @@ def _dyadic_add(acc: list[int], lo: int, hi: int, e: int) -> None:
     acc[1] += hi
 
 
-def _jump_table(depth: int) -> Iterator[tuple[Fraction, int]]:
-    """Interior jump locations a/b with the tree denominator of their image.
-
-    Walks the Farey tree in lockstep with the reduced tree: the vertex at a
-    turn word jumps by the interval length of the fraction at the same
-    word.
-    """
-    farey = deque([(Fraction(0), Fraction(1))])
-    for word, triple in enumerate_tree(depth):
-        lp, rp = farey.popleft()
-        position = farey_mediant(lp, rp)
-        if len(word) < depth:
-            farey.append((lp, position))
-            farey.append((position, rp))
-        yield position, triple.f3.denominator
-
-
 def saltus_samples(
     xs: Sequence[Fraction], depth: int, precision: int
 ) -> list[tuple[Fraction, Fraction]]:
@@ -281,7 +256,8 @@ def saltus_samples(
     add(bisect_right(xs, 0), lo, hi, e + 1)
     lo, hi, e = _length_bounds(2, guard)
     add(bisect_left(xs, 1), lo, hi, e + 1)
-    for position, q in _jump_table(depth):
+    for (_, _, _, _, _, q), (a1, b1, a2, b2), _ in tree_walk(depth):
+        position = Fraction(a1 + a2, b1 + b2)
         i = bisect_left(xs, position)
         if i == len(slots):
             continue
@@ -291,13 +267,36 @@ def saltus_samples(
             add(i + 1, lo, hi, e + 1)
         else:
             add(i, lo, hi, e)
+    return _prefix_enclosures(slots)
+
+
+def _prefix_enclosures(slots: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """Running totals of dyadic slots [lo, hi, e], as exact fraction pairs."""
     total = [0, 0, 0]
-    samples = []
+    sums = []
     for slot in slots:
         _dyadic_add(total, *slot)
         lo, hi, e = total
-        samples.append((Fraction(lo, 1 << e), Fraction(hi, 1 << e)))
-    return samples
+        sums.append((Fraction(lo, 1 << e), Fraction(hi, 1 << e)))
+    return sums
+
+
+def mcshane_partial_sums(depth: int, precision: int) -> list[tuple[Fraction, Fraction]]:
+    """Enclosures of mcshane_partial_sum(level, precision) for levels 0..depth.
+
+    One walk serves every level: each vertex adds its length bounds to the
+    slot of its level, and the levels take prefix sums, so each entry
+    equals the single-depth enclosure exactly.
+    """
+    guard = _guard_bits(precision)
+    walk = tree_walk(depth)
+    slots = [[0, 0, 0] for _ in range(depth + 1)]
+    for q in (1, 2):
+        lo, hi, e = _length_bounds(q, guard)
+        _dyadic_add(slots[0], lo, hi, e + 1)
+    for (_, _, _, _, _, q), _, level in walk:
+        _dyadic_add(slots[level], *_length_bounds(q, guard))
+    return _prefix_enclosures(slots)
 
 
 def mcshane_partial_sum(depth: int, precision: int) -> tuple[Fraction, Fraction]:
@@ -308,7 +307,7 @@ def mcshane_partial_sum(depth: int, precision: int) -> tuple[Fraction, Fraction]
     10**-precision, and for fixed precision both bounds grow strictly with
     depth (each vertex contributes a strictly positive lower bound).
     """
-    return saltus_samples([Fraction(1)], depth, precision)[0]
+    return mcshane_partial_sums(depth, precision)[-1]
 
 
 def saltus_mu(x: Fraction, depth: int, precision: int) -> tuple[Fraction, Fraction]:

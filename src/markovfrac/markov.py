@@ -45,6 +45,7 @@ __all__ = [
     "pell_branch",
     "solve_congruence",
     "springborn_mediant",
+    "tree_walk",
     "unicity_scan",
     "vieta_mutate",
 ]
@@ -211,17 +212,100 @@ def enumerate_tree(
     return walk()
 
 
-def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS) -> Fraction:
-    """Value of the tree vertex addressed by a turn word."""
-    check_word(word)
+#: An integer vertex (p1, q1, p2, q2, p3, q3): the fraction p3/q3 with its
+#: neighbours p1/q1 < p3/q3 < p2/q2, all in lowest terms.
+Vertex = tuple[int, int, int, int, int, int]
+#: Farey parents (a1, b1, a2, b2) of the Farey-tree vertex (a1 + a2)/(b1 + b2).
+FareyPair = tuple[int, int, int, int]
+
+
+def _root(seeds: tuple[Fraction, Fraction]) -> Vertex:
+    """Integer root vertex of the tree on the seeds.
+
+    The Vieta step of :func:`_vieta_child` yields the reduced mediant below
+    any vertex satisfying the two determinant relations and the flip
+    relation of :func:`check_relations`.  The step carries the three
+    relations to both children, so checking them at the root suffices.
+    """
     f1, f2 = seeds
+    f3 = springborn_mediant(f1, f2)
+    report = check_relations(FractionTriple(f1, f2, f3))
+    if not (report.det_f2_f3_is_q1 and report.det_f3_f1_is_q2 and report.det_f2_f1_is_flip):
+        raise ValueError(f"seeds {f1} and {f2} do not span a Markov fraction tree")
+    return (f1.numerator, f1.denominator, f2.numerator, f2.denominator,
+            f3.numerator, f3.denominator)
+
+
+def _vieta_child(v: Vertex, letter: str) -> Vertex:
+    """Child of a vertex by the Vieta step: no division and no gcd.
+
+    The child keeps one neighbour and the vertex itself; its value is
+    (3*q_kept*p3 - p_dropped)/(3*q_kept*q3 - q_dropped), already in lowest
+    terms, and its denominator is the Vieta flip of the dropped one.
+    """
+    p1, q1, p2, q2, p3, q3 = v
+    if letter == "L":
+        k = 3 * q1
+        return (p1, q1, p3, q3, k * p3 - p2, k * q3 - q2)
+    k = 3 * q2
+    return (p3, q3, p2, q2, k * p3 - p1, k * q3 - q1)
+
+
+_ROOTS = {seeds: _root(seeds) for seeds in (REDUCED_SEEDS, UNIT_SEEDS)}
+
+
+def tree_walk(
+    depth: int | None, max_denominator: int | None = None
+) -> Iterator[tuple[Vertex, FareyPair, int]]:
+    """Depth-first integer walk of the reduced tree, children L before R.
+
+    Yields (vertex, farey_pair, level) for the vertices of
+    ``enumerate_tree(depth)``, in the lexicographic order of their words:
+    vertex is (p1, q1, p2, q2, p3, q3) and farey_pair the parents
+    (a1, b1, a2, b2) of the Farey-tree vertex at the same word.  Children
+    come from the Vieta step, so no vertex costs a division or a gcd.
+
+    With max_denominator, a vertex above it is skipped with its subtree
+    (denominators grow along every branch).  depth None walks until every
+    branch is cut that way, and then needs max_denominator.
+    """
+    if depth is None:
+        if max_denominator is None:
+            raise ValueError("a walk without a depth needs max_denominator")
+    else:
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        if (1 << (depth + 1)) - 1 > _MAX_SCAN_VERTICES:
+            raise ValueError(f"depth {depth} exceeds the {_MAX_SCAN_VERTICES} vertex budget")
+
+    def walk() -> Iterator[tuple[Vertex, FareyPair, int]]:
+        stack = [(_ROOTS[REDUCED_SEEDS], (0, 1, 1, 1), 0)]
+        while stack:
+            item = stack.pop()
+            v, (a1, b1, a2, b2), level = item
+            if max_denominator is not None and v[5] > max_denominator:
+                continue
+            yield item
+            if depth is None or level < depth:
+                a3, b3 = a1 + a2, b1 + b2
+                stack.append((_vieta_child(v, "R"), (a3, b3, a2, b2), level + 1))
+                stack.append((_vieta_child(v, "L"), (a1, b1, a3, b3), level + 1))
+
+    return walk()
+
+
+def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS) -> Fraction:
+    """Value of the tree vertex addressed by a turn word.
+
+    The seeds must span a Markov fraction tree, as REDUCED_SEEDS, UNIT_SEEDS
+    and their integer translates do; the descent takes one Vieta step per
+    letter.
+    """
+    check_word(word)
+    v = _ROOTS.get(tuple(seeds)) or _root(seeds)
     for ch in word:
-        f3 = springborn_mediant(f1, f2)
-        if ch == "L":
-            f2 = f3
-        else:
-            f1 = f3
-    return springborn_mediant(f1, f2)
+        v = _vieta_child(v, ch)
+    return Fraction(v[4], v[5])
 
 
 @dataclass(frozen=True)
@@ -460,18 +544,22 @@ def unicity_scan(depth: int) -> UnicityReport:
     """Check that no denominator repeats among tree fractions to the given depth.
 
     Seeds are included.  A duplicate denominator would exhibit two Markov
-    fractions sharing a Markov number; none is known, and none occurs in
-    any enumerable range.
+    fractions sharing a Markov number, reported with its fractions in
+    increasing order; none is known, and none occurs in any enumerable
+    range.  Fractions are built only for such a report.
     """
-    by_denominator: dict[int, list[Fraction]] = {1: [Fraction(0)], 2: [Fraction(1, 2)]}
+    numerators = {1: 0, 2: 1}
+    duplicates: dict[int, list[Fraction]] = {}
     count = 2
-    for _, triple in enumerate_tree(depth):
-        by_denominator.setdefault(triple.f3.denominator, []).append(triple.f3)
+    for (_, _, _, _, p, q), _, _ in tree_walk(depth):
         count += 1
-    duplicates = tuple(
-        (q, tuple(vals)) for q, vals in sorted(by_denominator.items()) if len(vals) > 1
-    )
-    return UnicityReport(depth, count, len(by_denominator), duplicates)
+        if q in numerators:
+            duplicates.setdefault(q, [Fraction(numerators[q], q)]).append(Fraction(p, q))
+        else:
+            numerators[q] = p
+    return UnicityReport(
+        depth, count, len(numerators),
+        tuple((q, tuple(sorted(vals))) for q, vals in sorted(duplicates.items())))
 
 
 # -- generalized equations ---------------------------------------------------

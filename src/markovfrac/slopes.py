@@ -25,10 +25,12 @@ from .exact import DyadicRational
 from .farey import TurnWord
 from .markov import (
     MarkovFraction,
+    REDUCED_SEEDS,
     UNIT_SEEDS,
-    enumerate_tree,
     solve_congruence,
     springborn_mediant,
+    _ROOTS,
+    _vieta_child,
 )
 
 __all__ = [
@@ -217,20 +219,18 @@ def is_exceptional_slope(x: Fraction) -> SlopeDecision:
     r = norm.reduced
     if r == 0 or 2 * r == 1:
         return SlopeDecision(True, norm)
-    f1, f2 = Fraction(0), Fraction(1, 2)
-    word = ""
+    rp, rq = r.numerator, r.denominator
+    v = _ROOTS[REDUCED_SEEDS]
+    letters: list[str] = []
     while True:
-        f3 = springborn_mediant(f1, f2)
-        if f3 == r:
-            return SlopeDecision(True, norm, witness=word)
-        if f3.denominator > r.denominator:
-            return SlopeDecision(False, norm, stopped_at_denominator=f3.denominator)
-        if r < f3:
-            f2 = f3
-            word += "L"
-        else:
-            f1 = f3
-            word += "R"
+        p3, q3 = v[4], v[5]
+        if p3 == rp and q3 == rq:
+            return SlopeDecision(True, norm, witness="".join(letters))
+        if q3 > rq:
+            return SlopeDecision(False, norm, stopped_at_denominator=q3)
+        letter = "L" if rp * q3 < p3 * rq else "R"
+        letters.append(letter)
+        v = _vieta_child(v, letter)
 
 
 @dataclass(frozen=True)

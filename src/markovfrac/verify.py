@@ -14,16 +14,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from .analysis import (
     approx_constant,
     interval_freeness,
     markov_interval,
-    mcshane_partial_sum,
+    mcshane_partial_sums,
 )
 from .exact import farey_mediant, surd_compare
 from .farey import (
+    farey_node_at,
     farey_path_to,
     question_mark_farey,
     question_mark_of_word,
@@ -41,6 +43,7 @@ from .markov import (
     pell_branch,
     solve_congruence,
     springborn_mediant,
+    tree_walk,
     unicity_scan,
     vieta_mutate,
     _congruence_brute,
@@ -79,6 +82,30 @@ def check_tree_relations(depth: int) -> CheckResult:
         if not check_relations(triple).all_hold:
             failures += 1
     return _result("tree_relations", checked, failures)
+
+
+def check_tree_walk(depth: int) -> CheckResult:
+    """The integer walk matches enumerate_tree and the Farey tree on every vertex.
+
+    enumerate_tree is the reference: it applies the gcd-reduced mediant of
+    the definition, while the walk takes Vieta steps.  Sorting the words
+    puts the breadth-first vertices in the walk's depth-first order, and
+    integers are compared, so the walk must also yield lowest terms.
+    """
+    checked = failures = 0
+    reference = sorted(enumerate_tree(depth), key=lambda item: item[0])
+    for ref, walked in zip_longest(reference, tree_walk(depth)):
+        checked += 1
+        if ref is None or walked is None:
+            failures += 1
+            continue
+        (word, triple), (vertex, farey, level) = ref, walked
+        node = farey_node_at(word)
+        fractions = (triple.f1, triple.f2, triple.f3, node.left_parent, node.right_parent)
+        expected = tuple(n for f in fractions for n in (f.numerator, f.denominator))
+        if vertex + farey != expected or level != len(word):
+            failures += 1
+    return _result("tree_walk", checked, failures)
 
 
 def check_tree_fractions(depth: int) -> CheckResult:
@@ -268,16 +295,15 @@ def check_length_series(depth: int) -> CheckResult:
     checked = failures = 0
     half = Fraction(1, 2)
     run_lo = run_hi = Fraction(0)
-    for level in range(capped + 1):
-        prev_lo, prev_hi = run_lo, run_hi
-        run_lo, run_hi = mcshane_partial_sum(level, 14)
+    for lo, hi in mcshane_partial_sums(capped, 14):
         checked += 3
-        if not run_lo > prev_lo or not run_hi > prev_hi:
+        if not lo > run_lo or not hi > run_hi:
             failures += 1
-        if not run_hi < half:
+        if not hi < half:
             failures += 1
-        if not run_lo < run_hi:
+        if not lo < hi:
             failures += 1
+        run_lo, run_hi = lo, hi
     gap = half - run_hi
     return _result("length_series", checked, failures,
                    detail=f"depth {capped}, gap above {float(gap):.3e}")
@@ -376,6 +402,7 @@ def run_all(depth: int) -> list[CheckResult]:
     """Run every check, bounded by depth where applicable; deterministic order."""
     return [
         check_tree_relations(depth),
+        check_tree_walk(depth),
         check_tree_fractions(depth),
         check_markov_triples(depth),
         check_midpoint_identity(depth),

@@ -27,6 +27,7 @@ from markovfrac import (
     markov_interval,
     markov_irrationality,
     mcshane_partial_sum,
+    mcshane_partial_sums,
     mu,
     reduced_fractions_up_to,
     saltus_mu,
@@ -239,6 +240,16 @@ def test_mcshane_depth5_close_to_half():
 def test_mcshane_rejects_bad_precision():
     with pytest.raises(ValueError):
         mcshane_partial_sum(2, 0)
+
+
+def test_mcshane_partial_sums_equal_single_depths():
+    sums = mcshane_partial_sums(6, 11)
+    assert sums == [mcshane_partial_sum(level, 11) for level in range(7)]
+    assert sums[-1] == saltus_samples([F(1)], 6, 11)[0]
+    with pytest.raises(ValueError):
+        mcshane_partial_sums(-1, 11)
+    with pytest.raises(ValueError):
+        mcshane_partial_sums(20, 11)
 
 
 # -- saltus representation ------------------------------------------------------------

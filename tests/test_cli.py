@@ -230,8 +230,8 @@ def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--depth", "2")
     assert code == 0
     lines = out.splitlines()
-    assert lines[-1] == "18/18 invariant suites passed"
-    assert sum(1 for line in lines if line.startswith("PASS ")) == 18
+    assert lines[-1] == "19/19 invariant suites passed"
+    assert sum(1 for line in lines if line.startswith("PASS ")) == 19
     assert not any(line.startswith("FAIL") for line in lines)
 
 

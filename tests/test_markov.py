@@ -6,6 +6,7 @@ Vieta-closure reimplementation for the generalized equations.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,15 +24,18 @@ from markovfrac import (
     descend_value,
     enumerate_tree,
     farey_node_at,
+    farey_path_to,
     fibonacci_branch,
     generalized_enumerate,
     mu,
     pell_branch,
     solve_congruence,
     springborn_mediant,
+    tree_walk,
     unicity_scan,
     vieta_mutate,
 )
+from markovfrac import markov
 from markovfrac.markov import _congruence_brute, _congruence_factored
 
 words = st.text(alphabet="LR", min_size=0, max_size=10)
@@ -154,6 +158,85 @@ def test_tree_invariants_to_depth6():
         assert (p3 * p3 + 1) % q3 == 0
         assert t.f1 < t.f3 < t.f2
         assert len(word) <= 6
+
+
+# -- integer walk and descent -------------------------------------------------
+
+
+def _as_integers(*fractions):
+    return tuple(n for f in fractions for n in (f.numerator, f.denominator))
+
+
+def test_tree_walk_matches_enumerate_tree_to_depth10():
+    reference = sorted(enumerate_tree(10), key=lambda item: item[0])
+    walked = list(tree_walk(10))
+    assert len(walked) == len(reference) == (1 << 11) - 1
+    for (word, t), (vertex, farey, level) in zip(reference, walked):
+        node = farey_node_at(word)
+        assert vertex == _as_integers(t.f1, t.f2, t.f3), word
+        assert farey == _as_integers(node.left_parent, node.right_parent), word
+        assert level == len(word)
+
+
+def test_tree_walk_rejects_bad_depth():
+    for bad, message in ((-1, "depth must be nonnegative"),
+                         (20, "depth 20 exceeds the 1048576 vertex budget")):
+        with pytest.raises(ValueError, match=message):
+            tree_walk(bad)
+        with pytest.raises(ValueError, match=message):
+            list(enumerate_tree(bad))
+    with pytest.raises(ValueError):
+        tree_walk(None)
+
+
+def test_tree_walk_prunes_by_denominator():
+    def vertices(depth, bound):
+        return [v for v, _, _ in tree_walk(depth, bound)]
+    reference = sorted(enumerate_tree(6), key=lambda item: item[0])
+    assert vertices(6, 1000) == [_as_integers(t.f1, t.f2, t.f3)
+                                 for _, t in reference if t.f3.denominator <= 1000]
+    # Every denominator at level 7 or deeper exceeds 1000, so depth None agrees.
+    assert vertices(None, 1000) == vertices(6, 1000)
+    assert vertices(None, 4) == []
+
+
+def _mediant_descents(word, seeds):
+    """Values at every prefix of word, one springborn_mediant per letter."""
+    f1, f2 = seeds
+    values = []
+    for ch in word:
+        f3 = springborn_mediant(f1, f2)
+        values.append(f3)
+        if ch == "L":
+            f2 = f3
+        else:
+            f1 = f3
+    values.append(springborn_mediant(f1, f2))
+    return values
+
+
+@pytest.mark.parametrize("seeds", [REDUCED_SEEDS, UNIT_SEEDS])
+def test_descend_value_matches_mediant_oracle(seeds):
+    # L^(b - 2) is the Farey word of 1/b: the ladder of mu(1/b).
+    ladder = _mediant_descents("L" * 1248, seeds)
+    for b in range(1150, 1251):
+        assert descend_value("L" * (b - 2), seeds) == ladder[b - 2]
+    assert descend_value("R" * 1200, seeds) == _mediant_descents("R" * 1200, seeds)[-1]
+    rng = random.Random(20251018)
+    for _ in range(300):
+        b = rng.randrange(2, 400)
+        a = rng.randrange(1, b)
+        if math.gcd(a, b) != 1:
+            continue
+        word = farey_path_to(F(a, b))
+        assert descend_value(word, seeds) == _mediant_descents(word, seeds)[-1], word
+
+
+def test_descend_value_seeds():
+    for word in ("", "L", "RRL", "LRLRR"):
+        assert descend_value(word, (F(1), F(3, 2))) == descend_value(word) + 1
+    with pytest.raises(ValueError, match="do not span a Markov fraction tree"):
+        descend_value("L", (F(0), F(1, 3)))
 
 
 # -- relation reports --------------------------------------------------------
@@ -353,6 +436,24 @@ def test_unicity_scan_depths():
 def test_unicity_scan_rejects_budget_overflow():
     with pytest.raises(ValueError):
         unicity_scan(21)
+
+
+def test_unicity_scan_reports_duplicates(monkeypatch):
+    # No real walk repeats a denominator, so a fake walk exercises the report.
+    def fake_walk(depth):
+        assert depth == 3
+        farey = (0, 1, 1, 1)
+        for p, q in ((3, 5), (2, 5), (5, 13), (3, 2), (4, 5)):
+            yield (0, 1, 1, 2, p, q), farey, 0
+    monkeypatch.setattr(markov, "tree_walk", fake_walk)
+    report = unicity_scan(3)
+    assert report.vertex_count == 7
+    assert report.distinct_denominators == 4
+    assert report.duplicates == (
+        (2, (F(1, 2), F(3, 2))),
+        (5, (F(2, 5), F(3, 5), F(4, 5))),
+    )
+    assert not report.all_unique
 
 
 # -- generalized equations ---------------------------------------------------------

@@ -26,6 +26,7 @@ from markovfrac import (
     normalize_slope,
     set_equivalence,
     solve_congruence,
+    springborn_mediant,
 )
 
 dyadics = st.builds(
@@ -234,6 +235,33 @@ def test_membership_rejection_is_justified():
     decision = is_exceptional_slope(F(15, 38))
     assert not decision.accepted
     assert decision.stopped_at_denominator > 38
+
+
+def _membership_oracle(r):
+    """(witness, stopped_at_denominator) of the mediant search for r in (0, 1/2)."""
+    f1, f2 = REDUCED_SEEDS
+    word = ""
+    while True:
+        f3 = springborn_mediant(f1, f2)
+        if f3 == r:
+            return word, None
+        if f3.denominator > r.denominator:
+            return None, f3.denominator
+        if r < f3:
+            f2, word = f3, word + "L"
+        else:
+            f1, word = f3, word + "R"
+
+
+def test_membership_matches_mediant_search():
+    for q in range(3, 300):
+        for p in range(1, (q + 1) // 2):
+            if math.gcd(p, q) != 1:
+                continue
+            decision = is_exceptional_slope(F(p, q))
+            witness, stopped = _membership_oracle(F(p, q))
+            assert decision.accepted == (witness is not None)
+            assert (decision.witness, decision.stopped_at_denominator) == (witness, stopped)
 
 
 # -- bundle invariants ----------------------------------------------------------------
