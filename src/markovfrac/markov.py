@@ -602,8 +602,9 @@ def generalized_enumerate(eq: GeneralizedEquation, depth: int) -> set[tuple[int,
     """Closure of (1, 1, 1) under the three Vieta flips, to a mutation depth.
 
     A flip replaces one coordinate by the second root of its quadratic,
-    e.g. x -> d*y*z/a - x; divisibility holds for the supported instances
-    and is checked for anything else.
+    e.g. x -> d*y*z/a - x.  In the supported instances a, b and c divide d,
+    so the root is an integer, and it is positive: the two roots have a
+    positive sum d*y*z/a and a positive product (b*y**2 + c*z**2)/a.
     """
     if eq not in SUPPORTED_EQUATIONS.values():
         raise ValueError(f"unsupported coefficient tuple ({eq.a}, {eq.b}, {eq.c}, {eq.d})")
@@ -616,12 +617,10 @@ def generalized_enumerate(eq: GeneralizedEquation, depth: int) -> set[tuple[int,
         next_frontier = []
         for x, y, z in frontier:
             for flipped in (
-                (eq.d * y * z // eq.a - x, y, z) if (eq.d * y * z) % eq.a == 0 else None,
-                (x, eq.d * x * z // eq.b - y, z) if (eq.d * x * z) % eq.b == 0 else None,
-                (x, y, eq.d * x * y // eq.c - z) if (eq.d * x * y) % eq.c == 0 else None,
+                (eq.d * y * z // eq.a - x, y, z),
+                (x, eq.d * x * z // eq.b - y, z),
+                (x, y, eq.d * x * y // eq.c - z),
             ):
-                if flipped is None or min(flipped) < 1:
-                    continue
                 if flipped not in seen:
                     assert eq.satisfied_by(*flipped)
                     seen.add(flipped)

@@ -50,60 +50,42 @@ _MAX_EQUIVALENCE_DEPTH = 12
 
 
 def _midpoint_value(v1: Fraction, v2: Fraction) -> Fraction:
-    """Slope recursion step for adjacent dyadic values v1 < v2."""
-    q1, q2 = v1.denominator, v2.denominator
-    denominator = v1 - v2 + 3
-    if denominator == 0:
+    """Slope recursion step for adjacent dyadic values v1 < v2.
+
+    The formula is taken over the one integer denominator
+    2*q1*q2*d, where d = (v1 - v2 + 3)*q1*q2, so the step reduces once.
+    """
+    p1, q1 = v1.numerator, v1.denominator
+    p2, q2 = v2.numerator, v2.denominator
+    d = p1 * q2 - p2 * q1 + 3 * q1 * q2
+    if d == 0:
         raise ValueError("slope recursion step is undefined: values differ by 3")
-    correction = (Fraction(1, q1 * q1) - Fraction(1, q2 * q2)) / denominator
-    return (v1 + v2 + correction) / 2
-
-
-# Values already computed for unit-interval dyadics, keyed by (m, n) in
-# lowest terms.  Concurrent lookups may race benignly: entries are pure
-# function values, so a lost update only costs a recomputation.
-_EPS_CACHE: dict[tuple[int, int], Fraction] = {
-    (0, 0): Fraction(0),
-    (1, 0): Fraction(1),
-}
-
-
-def _epsilon_unit(target: DyadicRational) -> Fraction:
-    """Slope value for a dyadic in [0, 1], walking down the midpoint tree."""
-    cached = _EPS_CACHE.get((target.m, target.n))
-    if cached is not None:
-        return cached
-    t = target.value
-    lo_d, hi_d = Fraction(0), Fraction(1)
-    lo_v, hi_v = Fraction(0), Fraction(1)
-    while True:
-        mid_d = (lo_d + hi_d) / 2
-        key = DyadicRational.from_fraction(mid_d)
-        mid_v = _EPS_CACHE.get((key.m, key.n))
-        if mid_v is None:
-            mid_v = _midpoint_value(lo_v, hi_v)
-            _EPS_CACHE[(key.m, key.n)] = mid_v
-        if t == mid_d:
-            return mid_v
-        if t < mid_d:
-            hi_d, hi_v = mid_d, mid_v
-        else:
-            lo_d, lo_v = mid_d, mid_v
+    return Fraction((p1 * q2 + p2 * q1) * d + q2 * q2 - q1 * q1, 2 * q1 * q2 * d)
 
 
 def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
     """Slope of a dyadic rational anywhere on the line.
 
-    Translation reduces the argument to [0, 1]; the unit-interval value is
-    produced by the midpoint recursion.  Results are memoized.
+    For m/2**n in lowest terms, translation splits off the whole part
+    m >> n.  The fractional part is reached from the values (0, 1) at 0 and
+    1 by n midpoint steps: bits n - 1, ..., 1 of m choose the lower or upper
+    half, and the last step lands on the fractional part itself.
     """
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, Fraction):
         x = DyadicRational.from_fraction(x)
-    whole = x.m >> x.n
-    frac = DyadicRational(x.m - (whole << x.n), x.n)
-    return whole + _epsilon_unit(frac)
+    m, n = x.m, x.n
+    if n == 0:
+        return Fraction(m)
+    lo, hi = Fraction(0), Fraction(1)
+    for i in range(n - 1, 0, -1):
+        mid = _midpoint_value(lo, hi)
+        if m >> i & 1:
+            lo = mid
+        else:
+            hi = mid
+    return (m >> n) + _midpoint_value(lo, hi)
 
 
 def identity_check(f1: Fraction, f2: Fraction) -> bool:

@@ -11,7 +11,6 @@ everything else.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -23,7 +22,7 @@ from .analysis import (
     markov_interval,
     mcshane_partial_sums,
 )
-from .exact import farey_mediant, surd_compare
+from .exact import surd_compare
 from .farey import (
     farey_node_at,
     farey_path_to,
@@ -229,16 +228,11 @@ def check_transport_mediants(depth: int) -> CheckResult:
     """mu maps Farey mediants to tree mediants on every Farey-tree vertex."""
     capped = min(depth, 10)
     checked = failures = 0
-    queue = deque([(0, Fraction(0), Fraction(1))])
-    while queue:
-        level, a, b = queue.popleft()
-        v = farey_mediant(a, b)
+    for _, (a1, b1, a2, b2), _ in tree_walk(capped):
         checked += 1
-        if mu(v).value != springborn_mediant(mu(a).value, mu(b).value):
+        image = springborn_mediant(mu(Fraction(a1, b1)).value, mu(Fraction(a2, b2)).value)
+        if mu(Fraction(a1 + a2, b1 + b2)).value != image:
             failures += 1
-        if level < capped:
-            queue.append((level + 1, a, v))
-            queue.append((level + 1, v, b))
     return _result("transport_mediants", checked, failures, detail=f"depth {capped}")
 
 

@@ -7,6 +7,7 @@ no code, so their agreement pins down both.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,7 @@ from markovfrac import (
     solve_congruence,
     springborn_mediant,
 )
+from markovfrac.slopes import _midpoint_value
 
 dyadics = st.builds(
     DyadicRational,
@@ -75,10 +77,16 @@ def test_epsilon_accepts_dyadic_fractions():
 
 
 def test_epsilon_matches_descent_oracle():
-    for n in range(0, 9):
-        for m in range(0, (1 << n) + 1):
-            d = DyadicRational(m, n)
-            assert epsilon(d) == _epsilon_oracle(d)
+    inputs = [DyadicRational(m, n) for n in range(0, 9) for m in range(0, (1 << n) + 1)]
+    # Boundary branches only at large n: inner dyadics have astronomically large slopes.
+    for n in (32, 64, 128):
+        inputs += [DyadicRational(1, n), DyadicRational((1 << n) - 1, n)]
+    rng = random.Random(20)
+    for _ in range(200):
+        n = rng.randint(9, 16)
+        inputs.append(DyadicRational(2 * rng.randrange(1 << (n - 1)) + 1, n))
+    for d in inputs:
+        assert epsilon(d) == _epsilon_oracle(d)
 
 
 @given(dyadics, st.integers(-5, 5))
@@ -104,6 +112,25 @@ def test_epsilon_strictly_increasing_on_level7():
 
 
 # -- the identity behind the equivalence -------------------------------------
+
+
+@given(
+    st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    st.booleans(),
+)
+def test_midpoint_value_matches_literal_formula(v1, v2, on_pole):
+    # Any pair: negative, unordered, off-tree, and half the time the pole.
+    if on_pole:
+        v1 = v2 - 3
+    divisor = v1 - v2 + 3
+    if divisor == 0:
+        with pytest.raises(ValueError):
+            _midpoint_value(v1, v2)
+        return
+    q1, q2 = v1.denominator, v2.denominator
+    literal = (v1 + v2 + (F(1, q1 * q1) - F(1, q2 * q2)) / divisor) / 2
+    assert _midpoint_value(v1, v2) == literal
 
 
 def test_identity_check_spot():
