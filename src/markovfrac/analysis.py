@@ -190,12 +190,22 @@ def _length_bounds(q: int, guard_bits: int) -> tuple[int, int, int]:
     Uses l(q) = 4 / (q * (3q + sqrt(9*q**2 - 4))), which needs no
     cancellation, with the square root scaled to guard_bits extra bits.
     Dyadic denominators keep long sums cheap to accumulate exactly.
+
+    With R = 3q * 2**guard_bits, the scaled root isqrt((9q**2 - 4) * 4**guard_bits)
+    equals R - 1 whenever 3q > 2**(guard_bits + 1): the radicand is
+    R**2 - 4**(guard_bits + 1), which lies in [(R - 1)**2, R**2) because
+    2R - 1 >= 4**(guard_bits + 1) there.  So isqrt runs only below that
+    threshold, for a few hundred vertices of a deep walk.
     """
-    d = 9 * q * q - 4
-    root = isqrt(d << (2 * guard_bits))
-    base = 3 * q << guard_bits
-    m_lo = q * (base + root)       # scaled denominator, in units of 2**-guard_bits
-    m_hi = q * (base + root + 1)
+    # Scaled denominators q * (R + root) and q * (R + root + 1), in units
+    # of 2**-guard_bits; with root = R - 1 the upper one is 6q**2 * 2**guard_bits.
+    if 3 * q > 2 << guard_bits:
+        m_hi = 6 * (q * q) << guard_bits
+        m_lo = m_hi - q
+    else:
+        root = isqrt((9 * q * q - 4) << (2 * guard_bits))
+        m_lo = q * ((3 * q << guard_bits) + root)
+        m_hi = m_lo + q
     e = m_hi.bit_length() + guard_bits
     numerator = 1 << (e + guard_bits + 2)
     return numerator // m_hi, -((-numerator) // m_lo), e
@@ -233,10 +243,10 @@ def saltus_samples(
     value converges to the transport mu(x) for every x in [0, 1]; at x = 1
     it is the length series converging to 1/2.
 
-    The points must increase strictly.  One walk serves them all: each
-    jump's bounds go to the first point at or right of it (half to that
-    point and half to the next where the two coincide), and the points
-    take prefix sums.  Every bound is an exact dyadic sum, the enclosure
+    The points, ints or Fractions, must increase strictly.  One walk
+    serves them all: each jump's bounds go to the first point at or right
+    of it (half to that point and half to the next where the two
+    coincide), and the points take prefix sums.  Every bound is an exact dyadic sum, the enclosure
     width is below 10**-precision, and no table of jumps is kept.
     """
     for x in xs:
@@ -245,24 +255,36 @@ def saltus_samples(
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise ValueError("saltus sample points must increase strictly")
     guard = _guard_bits(precision)
-    slots = [[0, 0, 0] for _ in xs]
+    points = [Fraction(x) for x in xs]
+    nums = [x.numerator for x in points]
+    dens = [x.denominator for x in points]
+    n = len(points)
+    slots = [[0, 0, 0] for _ in points]
 
     def add(i: int, lo: int, hi: int, e: int) -> None:
-        if i < len(slots):
+        if i < n:
             _dyadic_add(slots[i], lo, hi, e)
 
     # The seeds add l(1)/2 at every x > 0 and l(2)/2 at x = 1 only.
     lo, hi, e = _length_bounds(1, guard)
-    add(bisect_right(xs, 0), lo, hi, e + 1)
+    add(bisect_right(points, 0), lo, hi, e + 1)
     lo, hi, e = _length_bounds(2, guard)
-    add(bisect_left(xs, 1), lo, hi, e + 1)
+    add(bisect_left(points, 1), lo, hi, e + 1)
     for (_, _, _, _, _, q), (a1, b1, a2, b2), _ in tree_walk(depth):
-        position = Fraction(a1 + a2, b1 + b2)
-        i = bisect_left(xs, position)
-        if i == len(slots):
+        # Bisect for the first point at or right of the jump a/b on integer
+        # cross products, so no vertex pays for a Fraction.
+        a, b = a1 + a2, b1 + b2
+        i, j = 0, n
+        while i < j:
+            k = (i + j) >> 1
+            if nums[k] * b < a * dens[k]:
+                i = k + 1
+            else:
+                j = k
+        if i == n:
             continue
         lo, hi, e = _length_bounds(q, guard)
-        if xs[i] == position:
+        if nums[i] * b == a * dens[i]:
             add(i, lo, hi, e + 1)
             add(i + 1, lo, hi, e + 1)
         else:

@@ -58,6 +58,7 @@ __all__ = ["OutputRecord", "main"]
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _DYADIC_RE = re.compile(r"^([+-]?\d+)/2\^(\d+)$")
+_NEGATIVE_LITERAL_RE = re.compile(r"^-\d")
 
 
 def fraction_str(f: Fraction) -> str:
@@ -424,11 +425,15 @@ def _cmd_congruence(args: argparse.Namespace) -> Handled:
 
 
 _PLOT_DIGITS = 12
+# Sample budget of plot-mu, equal to the vertex budget of the tree scans.
+_MAX_PLOT_POINTS = 1 << 20
 
 
 def _cmd_plot_mu(args: argparse.Namespace) -> Handled:
     if args.grid < 2:
         raise ValueError(f"grid must have at least 2 sample points; got {args.grid}")
+    if args.grid > _MAX_PLOT_POINTS:
+        raise ValueError(f"grid {args.grid} exceeds the {_MAX_PLOT_POINTS} sample point budget")
     xs = [Fraction(i, args.grid - 1) for i in range(args.grid)]
     rows: list[list[object]] = []
     points = []
@@ -457,8 +462,24 @@ def _cmd_plot_mu(args: argparse.Namespace) -> Handled:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads -1/4 and -77/2^9 as values, not options.
+
+    argparse treats a token that starts with '-' as an option unless it is
+    a plain negative number, so negative slash literals would need '--'.
+    No option starts with '-' and a digit, so every such token is a value
+    and a malformed one is reported by its literal parser.  Subparsers
+    inherit the class.
+    """
+
+    def _parse_optional(self, arg_string: str):
+        if _NEGATIVE_LITERAL_RE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="markovfrac",
         description="Exact arithmetic for the Markov fraction tree, "
                     "exceptional bundle slopes, and their invariants.",
@@ -526,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("plot-mu", _cmd_plot_mu, "CSV samples of the transport step function.",
             formats=("csv", "json"), default_format="csv")
-    p.add_argument("--grid", type=int, required=True, metavar="K")
+    p.add_argument("--grid", type=int, required=True, metavar="K",
+                   help=f"number of sample points, from 2 to {_MAX_PLOT_POINTS}")
     p.add_argument("--depth", type=int, required=True, metavar="N")
 
     return parser

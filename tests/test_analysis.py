@@ -7,11 +7,12 @@ descent for the Lyapunov trajectory at small step counts.
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovfrac import (
@@ -35,6 +36,7 @@ from markovfrac import (
     springborn_mediant,
     surd_compare,
 )
+from markovfrac.analysis import _guard_bits, _length_bounds
 
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -199,6 +201,37 @@ def test_reduced_fractions_up_to_1000():
 # -- jump-length partial sums ------------------------------------------------------
 
 
+def _length_bounds_oracle(q: int, guard: int) -> tuple[int, int, int]:
+    """The enclosure of l(q) with one isqrt and two full products per call."""
+    root = math.isqrt((9 * q * q - 4) << (2 * guard))
+    base = 3 * q << guard
+    m_lo = q * (base + root)
+    m_hi = q * (base + root + 1)
+    e = m_hi.bit_length() + guard
+    numerator = 1 << (e + guard + 2)
+    return numerator // m_hi, -((-numerator) // m_lo), e
+
+
+def test_length_bounds_match_isqrt_oracle_at_threshold():
+    # isqrt is skipped once 3q > 2**(guard + 1); every q within 64 of that
+    # threshold, on both sides, must give the oracle's tuple.
+    for precision in range(1, 41):
+        guard = _guard_bits(precision)
+        threshold = (2 << guard) // 3
+        for q in range(threshold - 64, threshold + 65):
+            assert _length_bounds(q, guard) == _length_bounds_oracle(q, guard), (precision, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**4000), st.integers(1, 40))
+@example(1, 1)
+@example(2, 40)
+@example(2**4000, 12)
+def test_length_bounds_match_isqrt_oracle(q, precision):
+    guard = _guard_bits(precision)
+    assert _length_bounds(q, guard) == _length_bounds_oracle(q, guard)
+
+
 def test_mcshane_matches_mpmath_oracle():
     mpmath.mp.dps = 60
     for depth in (0, 1, 3, 5):
@@ -308,6 +341,52 @@ def test_saltus_samples_equal_single_points():
     xs = [F(0), F(1, 5), F(1, 3), F(1, 2), F(7, 11), F(1)]
     assert saltus_samples(xs, 4, 9) == [saltus_mu(x, 4, 9) for x in xs]
     assert saltus_samples([], 4, 9) == []
+
+
+def _saltus_samples_reference(xs, depth: int, precision: int) -> list[tuple[F, F]]:
+    """The jump sum by Fraction positions, bisect and Fraction accumulation."""
+    guard = _guard_bits(precision)
+    slots = [[F(0), F(0)] for _ in range(len(xs) + 1)]  # the last slot is dropped
+
+    def add(i, q, weight):
+        lo, hi, e = _length_bounds(q, guard)
+        slots[i][0] += weight * F(lo, 1 << e)
+        slots[i][1] += weight * F(hi, 1 << e)
+
+    add(bisect_right(xs, 0), 1, F(1, 2))
+    add(bisect_left(xs, 1), 2, F(1, 2))
+    for word, t in enumerate_tree(depth):
+        position = farey_node_at(word).value
+        i = bisect_left(xs, position)
+        if i < len(xs) and xs[i] == position:
+            add(i, t.f3.denominator, F(1, 2))
+            add(i + 1, t.f3.denominator, F(1, 2))
+        else:
+            add(i, t.f3.denominator, 1)
+    sums, lo, hi = [], F(0), F(0)
+    for slot_lo, slot_hi in slots[:-1]:
+        lo, hi = lo + slot_lo, hi + slot_hi
+        sums.append((lo, hi))
+    return sums
+
+
+def test_saltus_samples_match_fraction_reference():
+    # Mixed coprime denominators, five points on jumps of levels 0-4, and
+    # the ints 0 and 1.
+    xs = [0, F(1, 7), F(2, 11), F(1, 3), F(3, 8), F(5, 13), F(2, 5), F(1, 2),
+          F(4, 7), F(7, 9), F(10, 11), 1]
+    for depth, precision in ((0, 5), (4, 9), (6, 12)):
+        assert saltus_samples(xs, depth, precision) == _saltus_samples_reference(
+            xs, depth, precision)
+    assert saltus_samples([1], 5, 9) == _saltus_samples_reference([1], 5, 9)
+    assert saltus_samples([0], 5, 9) == [(F(0), F(0))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.fractions(0, 1, max_denominator=40), max_size=12))
+def test_saltus_samples_match_fraction_reference_on_random_points(points):
+    xs = sorted(points)
+    assert saltus_samples(xs, 5, 8) == _saltus_samples_reference(xs, 5, 8)
 
 
 # -- Markov irrationalities --------------------------------------------------------------

@@ -298,6 +298,54 @@ def test_domain_error_json_record(capsys):
     assert "error:" in err
 
 
+# Each subcommand that takes a fraction, with a negative literal and the
+# exit code it gives; the literal must read as a value, not as an option.
+_NEGATIVE_LITERALS = [
+    ("mu", "-1/2", (), 1),
+    ("epsilon", "-1/4", (), 0),
+    ("epsilon", "-77/2^9", (), 0),
+    ("slope", "-7/5", (), 0),
+    ("qmark", "-1/3", ("--method", "salem"), 1),
+    ("approx-const", "-2/5", (), 0),
+    ("interval", "-2/5", (), 0),
+    ("saltus", "-1/2", ("--depth", "3", "--precision", "4"), 1),
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("command,literal,flags,expected", _NEGATIVE_LITERALS)
+def test_negative_slash_literal_matches_dash_dash_form(capsys, command, literal, flags,
+                                                       expected, fmt):
+    given = run_cli(capsys, command, literal, "--format", fmt, *flags)
+    escaped = run_cli(capsys, command, "--format", fmt, *flags, "--", literal)
+    assert given == escaped
+    assert given[0] == expected
+
+
+def test_negative_slash_literal_values(capsys):
+    assert run_cli(capsys, "epsilon", "-1/4") == (0, "value: -2/5\n", "")
+    code, out, _ = run_cli(capsys, "approx-const", "-2/5")
+    assert code == 0 and out.startswith("constant: 2/5\n")
+    code, _, err = run_cli(capsys, "mu", "-1/2")
+    assert code == 1 and "mu is defined on [0, 1]; got -1/2" in err
+    code, _, err = run_cli(capsys, "mu", "-1/x")
+    assert code == 2 and "'-1/x'" in err
+    code, _, err = run_cli(capsys, "epsilon", "-1/3")
+    assert code == 2 and "power-of-two" in err
+
+
+def test_plot_mu_grid_budget(capsys):
+    code, out, err = run_cli(capsys, "plot-mu", "--grid", str(2**20 + 1), "--depth", "3")
+    assert code == 1 and out == ""
+    assert "exceeds the 1048576 sample point budget" in err
+    # A grid far beyond memory fails the same way: nothing is allocated first.
+    code, out, err = run_cli(capsys, "plot-mu", "--grid", str(10**30), "--depth", "3",
+                             "--format", "json")
+    assert code == 1
+    assert json.loads(out)["status"] == "error"
+    assert "sample point budget" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
