@@ -51,33 +51,30 @@ _MAX_LYAPUNOV_STEPS = 10_000
 def approx_constant_detail(f: Fraction) -> tuple[Fraction, Fraction]:
     """The constant inf b**2 * |f - a/b| over rationals a/b != f, with a witness.
 
-    For each b the minimum of |p*b - a*q| over integers a is computed
-    directly, and every value for denominator b is at least b/q, so the
-    scan stops once b/q exceeds the best value found.  Returns the
-    constant and the first rational attaining it (smallest b, then the
-    lower of the two nearest candidates).
+    By Legendre's theorem a fraction in lowest terms, as every minimiser
+    is, with b**2 * |f - a/b| < 1/2 is a convergent of f, while the b = 1
+    neighbours floor(f) and floor(f) + 1 reach 1/2 or less.  So the
+    minimum is over those two and the convergents other than f, found in
+    one Euclidean pass: O(len CF) steps, not a scan linear in q.  A
+    candidate a/b is ranked by the integer key b * |p*b - a*q| over the
+    common denominator q; for a convergent h/k that is k times the
+    Euclidean remainder after it.  Returns the constant and the first
+    rational attaining it (smallest b, then the lower candidate); an
+    integer f reports f + 1.
     """
     p, q = f.numerator, f.denominator
-    best: Fraction | None = None
-    witness = f
-    b = 1
-    while best is None or Fraction(b, q) <= best:
-        r = (p * b) % q
-        if r == 0:
-            # The nearest distinct rational with this denominator sits a
-            # full 1/b away; report the one above f.
-            value = Fraction(b)
-            a = (p * b) // q + 1
-        elif 2 * r <= q:
-            value = Fraction(b * r, q)
-            a = (p * b - r) // q
-        else:
-            value = Fraction(b * (q - r), q)
-            a = (p * b + (q - r)) // q
-        if best is None or value < best:
-            best, witness = value, Fraction(a, b)
-        b += 1
-    return best, witness
+    a0, r = divmod(p, q)
+    candidates = [(q - r, 1, a0 + 1)]
+    u, v = q, r
+    h_prev, k_prev, h, k = 1, 0, a0, 1
+    while v:
+        candidates.append((k * v, k, h))
+        t, w = divmod(u, v)
+        u, v = v, w
+        h_prev, h = h, t * h + h_prev
+        k_prev, k = k, t * k + k_prev
+    key, b, a = min(candidates)
+    return Fraction(key, q), Fraction(a, b)
 
 
 def approx_constant(f: Fraction) -> Fraction:

@@ -18,6 +18,7 @@ from math import gcd
 
 from .analysis import (
     approx_constant,
+    approx_constant_detail,
     interval_freeness,
     markov_interval,
     mcshane_partial_sums,
@@ -35,6 +36,8 @@ from .markov import (
     MarkovTriple,
     UNIT_SEEDS,
     check_relations,
+    congruence_brute,
+    congruence_factored,
     descend_value,
     enumerate_tree,
     fibonacci_branch,
@@ -45,8 +48,6 @@ from .markov import (
     tree_walk,
     unicity_scan,
     vieta_mutate,
-    _congruence_brute,
-    _congruence_factored,
 )
 from .slopes import (
     bundle_invariants,
@@ -236,15 +237,51 @@ def check_transport_mediants(depth: int) -> CheckResult:
     return _result("transport_mediants", checked, failures, detail=f"depth {capped}")
 
 
+def _approx_scan(f: Fraction) -> tuple[Fraction, Fraction]:
+    """Oracle for approx_constant_detail: a scan over every denominator b.
+
+    For each b the minimum of |p*b - a*q| over integers a is computed
+    directly, and every value for denominator b is at least b/q, so the
+    scan stops once b/q exceeds the best value found.  Its cost is linear
+    in q.  Returns the constant and the first rational attaining it
+    (smallest b, then the lower of the two nearest candidates).
+    """
+    p, q = f.numerator, f.denominator
+    best: Fraction | None = None
+    witness = f
+    b = 1
+    while best is None or Fraction(b, q) <= best:
+        r = (p * b) % q
+        if r == 0:
+            # The nearest distinct rational with this denominator sits a
+            # full 1/b away; report the one above f.
+            value = Fraction(b)
+            a = (p * b) // q + 1
+        elif 2 * r <= q:
+            value = Fraction(b * r, q)
+            a = (p * b - r) // q
+        else:
+            value = Fraction(b * (q - r), q)
+            a = (p * b + (q - r)) // q
+        if best is None or value < best:
+            best, witness = value, Fraction(a, b)
+        b += 1
+    return best, witness
+
+
 def check_approximation(bound: int = 1000) -> CheckResult:
-    """Best-approximation constants of Markov fractions with q <= bound are >= 1/3."""
+    """Approximation constants of Markov fractions with q <= bound are >= 1/3.
+
+    Each value and witness must also equal those of the scan oracle.
+    """
     checked = failures = 0
     fractions = [Fraction(0), Fraction(1, 2)]
     fractions += [t.f3 for _, t in enumerate_tree(8) if t.f3.denominator <= bound]
     third = Fraction(1, 3)
     for f in fractions:
         checked += 1
-        if approx_constant(f) < third:
+        detail = approx_constant_detail(f)
+        if detail[0] < third or detail != _approx_scan(f):
             failures += 1
     checked += 2
     failures += approx_constant(Fraction(0)) != 1
@@ -324,7 +361,7 @@ def check_congruence() -> CheckResult:
             failures += 1
     for q in (13, 169, 290, 1325, 9077, 37666, 99970, 985 * 433):
         checked += 1
-        if _congruence_brute(q) != _congruence_factored(q):
+        if congruence_brute(q) != congruence_factored(q):
             failures += 1
     checked += 1
     decision = is_exceptional_slope(Fraction(15571, 37666))

@@ -35,24 +35,31 @@ from markovfrac import (
     saltus_samples,
     springborn_mediant,
     surd_compare,
+    tree_walk,
 )
 from markovfrac.analysis import _guard_bits, _length_bounds
 
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 
-def _approx_brute(f: F) -> F:
-    """Oracle: scan every denominator up to 3q and take the true minimum."""
+def _approx_brute(f: F) -> tuple[F, F]:
+    """Oracle: scan every denominator b <= q, where b/q already exceeds 1/2.
+
+    Returns the minimum and the first candidate attaining it, in the order
+    (b, a): smallest b, then the lower of the two nearest numerators.  For
+    a multiple b of q only the numerator above counts, as for b = 1 at an
+    integer.
+    """
+    p, q = f.numerator, f.denominator
     best = None
-    for b in range(1, 3 * f.denominator + 1):
-        a = round(f * b)
-        for cand in (a - 1, a, a + 1):
-            if F(cand, b) == f:
-                continue
-            value = b * b * abs(f - F(cand, b))
-            if best is None or value < best:
-                best = value
-    return best
+    for b in range(1, q + 1):
+        a = p * b // q
+        for cand in (a, a + 1):
+            gap = abs(p * b - cand * q)
+            if gap and (best is None or b * gap < best[0]):
+                best = (b * gap, b, cand)
+    key, b, a = best
+    return F(key, q), F(a, b)
 
 
 def _length_mp(q: int) -> mpmath.mpf:
@@ -100,12 +107,19 @@ def test_approx_constant_witness_attains_value():
         assert b * b * abs(f - witness) == value
 
 
+def test_approx_constant_ties():
+    assert approx_constant_detail(F(0)) == (1, 1)
+    for n in range(-5, 6):
+        assert approx_constant_detail(F(n)) == (1, n + 1)
+        assert approx_constant_detail(F(2 * n + 1, 2)) == (F(1, 2), n)
+
+
 def test_approx_constant_matches_brute_force():
     for q in range(1, 30):
         for p in range(0, q + 1):
             f = F(p, q)
             if f.denominator == q:
-                assert approx_constant(f) == _approx_brute(f)
+                assert approx_constant_detail(f) == _approx_brute(f)
 
 
 def test_approx_constant_markov_bound_to_q200():
@@ -115,10 +129,22 @@ def test_approx_constant_markov_bound_to_q200():
             assert approx_constant(t.f3) >= third
 
 
-@settings(max_examples=60)
-@given(st.fractions(min_value=0, max_value=1, max_denominator=40))
+def test_approx_constant_markov_bound_on_tree_walk9():
+    third = F(1, 3)
+    for (_, _, _, _, p, q), _, _ in tree_walk(9):
+        f = F(p, q)
+        value, witness = approx_constant_detail(f)
+        b = witness.denominator
+        assert value >= third
+        assert b * b * abs(f - witness) == value
+
+
+@settings(max_examples=200)
+@given(st.fractions(min_value=-10, max_value=10, max_denominator=2000))
+@example(F(7, 2))
+@example(F(-3))
 def test_approx_constant_brute_force_property(f):
-    assert approx_constant(f) == _approx_brute(f)
+    assert approx_constant_detail(f) == _approx_brute(f)
 
 
 # -- maximal free intervals -----------------------------------------------------

@@ -153,6 +153,27 @@ def test_approx_const(capsys):
     assert "at_least_one_third: no" in out
 
 
+@pytest.mark.parametrize("branch, k, constant, witness", [
+    (markovfrac.fibonacci_branch, 93,
+     "538522340430300790495419781092981030533/1409869790947669143312035591975596518914",
+     "0/1"),
+    (markovfrac.pell_branch, 52,
+     "1885300540204092261466875493193552572178/5494168403412088213319314492946575384825",
+     "1/2"),
+])
+def test_approx_const_on_40_digit_tree_fractions(capsys, branch, k, constant, witness):
+    x = branch(k).value
+    assert len(str(x.denominator)) >= 40
+    code, out, _ = run_cli(capsys, "approx-const", str(x))
+    assert code == 0
+    assert out == (f"constant: {constant}\nwitness: {witness}\n"
+                   "at_least_one_third: yes\n")
+    code, out, _ = run_cli(capsys, "approx-const", str(x), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["outputs"] == {
+        "constant": constant, "witness": witness, "at_least_one_third": True}
+
+
 def test_interval_with_freeness(capsys):
     code, out, _ = run_cli(capsys, "interval", "2/5", "--freeness-bound", "1000")
     assert code == 0

@@ -36,7 +36,7 @@ from markovfrac import (
     vieta_mutate,
 )
 from markovfrac import markov
-from markovfrac.markov import _congruence_brute, _congruence_factored
+from markovfrac.markov import congruence_brute, congruence_factored
 
 words = st.text(alphabet="LR", min_size=0, max_size=10)
 
@@ -394,15 +394,27 @@ def test_congruence_matches_sympy_oracle():
 
 
 def test_congruence_factored_path_matches_sympy():
-    # beyond 10^7 the implementation must switch to factorization + lifting
+    # beyond 10^4 the implementation switches to factorization + lifting
     for q in (5**11, 2 * 5**10, 13**7, 10**7 + 19):
-        assert q > 10**7
+        assert q > 10**4
         assert solve_congruence(q) == _sqrt_mod_oracle(q)
 
 
 def test_congruence_brute_and_factored_agree():
     for q in (13, 169, 290, 1325, 9077, 37666, 99970, 433 * 985):
-        assert _congruence_brute(q) == _congruence_factored(q)
+        assert congruence_brute(q) == congruence_factored(q)
+
+
+def test_congruence_brute_oracle_on_both_sides_of_the_limit():
+    # moduli the brute-force path serves, then seeded ones it no longer serves
+    for q in range(1, 3001):
+        assert congruence_brute(q) == congruence_factored(q), q
+    # half of them x**2 + 1, so that roots exist
+    rng = random.Random(20261018)
+    moduli = [rng.randrange(10**4, 10**6) for _ in range(10)]
+    moduli += [x * x + 1 for x in (rng.randrange(100, 1000) for _ in range(10))]
+    for q in moduli:
+        assert solve_congruence(q) == congruence_brute(q) == congruence_factored(q), q
 
 
 @settings(max_examples=80)
