@@ -61,6 +61,21 @@ UNIT_SEEDS = (Fraction(0), Fraction(1))
 _MAX_SCAN_VERTICES = 1 << 20
 
 
+def _check_scan_depth(depth: int, root_branches: int = 2) -> None:
+    """Reject a negative depth, or one whose scan would pass the vertex budget.
+
+    Below the root, which has root_branches children, every scanned vertex
+    has at most two, so depth d visits at most 1 + root_branches*(2**d - 1)
+    vertices: 2**(d+1) - 1 for the fraction trees.  A depth past the
+    budget's bit length is rejected before any power of two is formed.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if (depth >= _MAX_SCAN_VERTICES.bit_length()
+            or 1 + root_branches * ((1 << depth) - 1) > _MAX_SCAN_VERTICES):
+        raise ValueError(f"depth {depth} exceeds the {_MAX_SCAN_VERTICES} vertex budget")
+
+
 def springborn_mediant(f1: Fraction, f2: Fraction) -> Fraction:
     """Mediant variant generating the Markov fraction tree; requires f1 < f2."""
     if not f1 < f2:
@@ -196,10 +211,7 @@ def enumerate_tree(
 
     Yields 2**(depth + 1) - 1 pairs (word, triple); the root has word ''.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if (1 << (depth + 1)) - 1 > _MAX_SCAN_VERTICES:
-        raise ValueError(f"depth {depth} exceeds the {_MAX_SCAN_VERTICES} vertex budget")
+    _check_scan_depth(depth)
 
     def walk() -> Iterator[tuple[TurnWord, FractionTriple]]:
         queue: deque[tuple[TurnWord, Fraction, Fraction]] = deque([("", seeds[0], seeds[1])])
@@ -275,10 +287,7 @@ def tree_walk(
         if max_denominator is None:
             raise ValueError("a walk without a depth needs max_denominator")
     else:
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        if (1 << (depth + 1)) - 1 > _MAX_SCAN_VERTICES:
-            raise ValueError(f"depth {depth} exceeds the {_MAX_SCAN_VERTICES} vertex budget")
+        _check_scan_depth(depth)
 
     def walk() -> Iterator[tuple[Vertex, FareyPair, int]]:
         stack = [(_ROOTS[REDUCED_SEEDS], (0, 1, 1, 1), 0)]
@@ -618,22 +627,31 @@ def generalized_enumerate(eq: GeneralizedEquation, depth: int) -> set[tuple[int,
     e.g. x -> d*y*z/a - x.  In the supported instances a, b and c divide d,
     so the root is an integer, and it is positive: the two roots have a
     positive sum d*y*z/a and a positive product (b*y**2 + c*z**2)/a.
+
+    Each flip is an involution, so past (1, 1, 1) one flip of every triple
+    leads back to where it was reached from and at most two are new.  The
+    closure at depth d thus has at most 1 + r*(2**d - 1) triples, with r
+    the number of distinct flips of (1, 1, 1): 3*2**d - 2 for the Markov
+    equation and 2**(d+1) - 1 for the other two.  A depth whose bound
+    passes the vertex budget of the tree scans is rejected up front.
     """
     if eq not in SUPPORTED_EQUATIONS.values():
         raise ValueError(f"unsupported coefficient tuple ({eq.a}, {eq.b}, {eq.c}, {eq.d})")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+
+    def flips(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+        x, y, z = t
+        return ((eq.d * y * z // eq.a - x, y, z),
+                (x, eq.d * x * z // eq.b - y, z),
+                (x, y, eq.d * x * y // eq.c - z))
+
     start = (1, 1, 1)
+    _check_scan_depth(depth, len(set(flips(start)) - {start}))
     seen = {start}
     frontier = [start]
     for _ in range(depth):
         next_frontier = []
-        for x, y, z in frontier:
-            for flipped in (
-                (eq.d * y * z // eq.a - x, y, z),
-                (x, eq.d * x * z // eq.b - y, z),
-                (x, y, eq.d * x * y // eq.c - z),
-            ):
+        for triple in frontier:
+            for flipped in flips(triple):
                 if flipped not in seen:
                     assert eq.satisfied_by(*flipped)
                     seen.add(flipped)

@@ -4,9 +4,13 @@ Each check walks a finite slice of the structures and counts exact
 verifications; together they form the reproducible evidence behind the
 package.  The CLI `verify` subcommand prints one line per check.
 
-Checks cap their own range where a larger depth would change the cost
-class (the caps are noted per check); the depth argument bounds
-everything else.
+The Fraction reference `enumerate_tree(depth)` is built once per run and
+read by the two suites that check it: `tree_relations` checks its
+neighbour relations and `tree_walk` checks the integer walk against it
+vertex by vertex.  Suites that only read vertex properties then read the
+integer walk.  Checks cap their own range where a larger depth would
+change the cost class (the caps are noted per check); the depth argument
+bounds everything else, and the fixed ranges are module constants.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .analysis import (
 )
 from .exact import surd_compare
 from .farey import (
+    TurnWord,
     farey_node_at,
     farey_path_to,
     question_mark_farey,
@@ -32,6 +37,8 @@ from .farey import (
     question_mark_salem,
 )
 from .markov import (
+    SUPPORTED_EQUATIONS,
+    FractionTriple,
     MarkovFraction,
     MarkovTriple,
     UNIT_SEEDS,
@@ -41,6 +48,7 @@ from .markov import (
     descend_value,
     enumerate_tree,
     fibonacci_branch,
+    generalized_enumerate,
     mu,
     pell_branch,
     solve_congruence,
@@ -60,6 +68,16 @@ from .slopes import (
 
 __all__ = ["CheckResult", "run_all"]
 
+#: Fixed ranges of the suites whose cost does not grow with the depth.
+_TRANSPORT_DMAX = 100          # slope_transport: denominators of x
+_QMARK_DMAX = 50               # question_mark: denominators of x
+_BRANCH_KMAX = 15              # boundary_branches: branch indices
+_APPROX_BOUND = 1000           # approximation_bound: denominators of tree fractions
+_FREENESS_BOUND = 1_000_000    # interval_freeness: denominators searched
+
+#: enumerate_tree's (word, triple) pairs, sorted by word.
+Reference = list[tuple[TurnWord, FractionTriple]]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -74,26 +92,34 @@ def _result(name: str, checked: int, failures: int, detail: str = "") -> CheckRe
     return CheckResult(name, failures == 0, checked, failures, detail)
 
 
-def check_tree_relations(depth: int) -> CheckResult:
-    """Every vertex satisfies the five exact neighbour relations."""
+def _reference_tree(depth: int) -> Reference:
+    """enumerate_tree(depth), sorted by word.
+
+    Sorting the words puts the breadth-first vertices in the depth-first
+    order of tree_walk.
+    """
+    return sorted(enumerate_tree(depth), key=lambda item: item[0])
+
+
+def check_tree_relations(reference: Reference) -> CheckResult:
+    """Every reference vertex satisfies the five exact neighbour relations."""
     checked = failures = 0
-    for _, triple in enumerate_tree(depth):
+    for _, triple in reference:
         checked += 1
         if not check_relations(triple).all_hold:
             failures += 1
     return _result("tree_relations", checked, failures)
 
 
-def check_tree_walk(depth: int) -> CheckResult:
-    """The integer walk matches enumerate_tree and the Farey tree on every vertex.
+def check_tree_walk(depth: int, reference: Reference) -> CheckResult:
+    """The integer walk matches the reference and the Farey tree on every vertex.
 
-    enumerate_tree is the reference: it applies the gcd-reduced mediant of
-    the definition, while the walk takes Vieta steps.  Sorting the words
-    puts the breadth-first vertices in the walk's depth-first order, and
-    integers are compared, so the walk must also yield lowest terms.
+    The reference applies the gcd-reduced mediant of the definition, while
+    the walk takes Vieta steps.  Integers are compared, so the walk must
+    also yield lowest terms.  This is what lets the property suites below
+    read the walk instead of the reference.
     """
     checked = failures = 0
-    reference = sorted(enumerate_tree(depth), key=lambda item: item[0])
     for ref, walked in zip_longest(reference, tree_walk(depth)):
         checked += 1
         if ref is None or walked is None:
@@ -109,17 +135,19 @@ def check_tree_walk(depth: int) -> CheckResult:
 
 
 def check_tree_fractions(depth: int) -> CheckResult:
-    """Reduced values, strict betweenness, numerator congruence, growing denominators."""
+    """Reduced values, strict betweenness, numerator congruence, growing denominators.
+
+    Betweenness p1/q1 < p/q < p2/q2 is compared by cross-multiplying.
+    """
     checked = failures = 0
-    for _, triple in enumerate_tree(depth):
+    for (p1, q1, p2, q2, p, q), _, _ in tree_walk(depth):
         checked += 1
-        f1, f2, f3 = triple.f1, triple.f2, triple.f3
-        p, q = f3.numerator, f3.denominator
         ok = (
             gcd(p, q) == 1
-            and f1 < f3 < f2
+            and p1 * q < p * q1
+            and p * q2 < p2 * q
             and (p * p + 1) % q == 0
-            and q > max(f1.denominator, f2.denominator)
+            and q > max(q1, q2)
         )
         if not ok:
             failures += 1
@@ -129,9 +157,8 @@ def check_tree_fractions(depth: int) -> CheckResult:
 def check_markov_triples(depth: int) -> CheckResult:
     """Denominator triples solve the Markov equation and are pairwise coprime."""
     checked = failures = 0
-    for _, triple in enumerate_tree(depth):
+    for (_, a, _, b, _, c), _, _ in tree_walk(depth):
         checked += 1
-        a, b, c = (triple.f1.denominator, triple.f2.denominator, triple.f3.denominator)
         ok = (a * a + b * b + c * c == 3 * a * b * c
               and gcd(a, b) == gcd(b, c) == gcd(a, c) == 1)
         if not ok:
@@ -158,10 +185,10 @@ def check_slope_image(depth: int) -> CheckResult:
                    detail=f"depth {capped}")
 
 
-def check_slope_transport(dmax: int = 100) -> CheckResult:
+def check_slope_transport() -> CheckResult:
     """epsilon(?(x)) equals the tree transport of x for denominators <= 100."""
     checked = failures = 0
-    for b in range(1, dmax + 1):
+    for b in range(1, _TRANSPORT_DMAX + 1):
         for a in range(0, b + 1):
             if gcd(a, b) != 1:
                 continue
@@ -178,11 +205,11 @@ def check_slope_transport(dmax: int = 100) -> CheckResult:
     return _result("slope_transport", checked, failures)
 
 
-def check_question_mark(dmax: int = 50) -> CheckResult:
+def check_question_mark() -> CheckResult:
     """Three question-mark routes agree; strict monotonicity; symmetry at 1/2."""
     checked = failures = 0
     values = []
-    for b in range(1, dmax + 1):
+    for b in range(1, _QMARK_DMAX + 1):
         for a in range(0, b + 1):
             if gcd(a, b) != 1:
                 continue
@@ -203,10 +230,10 @@ def check_question_mark(dmax: int = 50) -> CheckResult:
     return _result("question_mark", checked, failures)
 
 
-def check_branches(kmax: int = 15) -> CheckResult:
+def check_branches() -> CheckResult:
     """Closed-form boundary branches match tree descent; Pell pairs solve x^2-2y^2=+-1."""
     checked = failures = 0
-    for k in range(1, kmax + 1):
+    for k in range(1, _BRANCH_KMAX + 1):
         checked += 2
         if fibonacci_branch(k).value != descend_value("L" * (k - 1)):
             failures += 1
@@ -215,7 +242,7 @@ def check_branches(kmax: int = 15) -> CheckResult:
     x1, x2 = 1, 3
     y1, y2 = 1, 2
     sign = -1
-    for _ in range(2 * kmax):
+    for _ in range(2 * _BRANCH_KMAX):
         checked += 1
         if x1 * x1 - 2 * y1 * y1 != sign:
             failures += 1
@@ -269,14 +296,15 @@ def _approx_scan(f: Fraction) -> tuple[Fraction, Fraction]:
     return best, witness
 
 
-def check_approximation(bound: int = 1000) -> CheckResult:
-    """Approximation constants of Markov fractions with q <= bound are >= 1/3.
+def check_approximation() -> CheckResult:
+    """Approximation constants of Markov fractions with q <= 1000 are >= 1/3.
 
-    Each value and witness must also equal those of the scan oracle.
+    Each value and witness must also equal those of the scan oracle.  The
+    walk prunes at the bound; no fraction below depth 8 is that small.
     """
     checked = failures = 0
     fractions = [Fraction(0), Fraction(1, 2)]
-    fractions += [t.f3 for _, t in enumerate_tree(8) if t.f3.denominator <= bound]
+    fractions += [Fraction(v[4], v[5]) for v, _, _ in tree_walk(8, _APPROX_BOUND)]
     third = Fraction(1, 3)
     for f in fractions:
         checked += 1
@@ -309,15 +337,17 @@ def check_interval_geometry(depth: int) -> CheckResult:
     return _result("interval_geometry", checked, failures, detail=f"depth {capped}")
 
 
-def check_interval_freeness(bound: int = 1_000_000) -> CheckResult:
+def check_interval_freeness() -> CheckResult:
     """The intervals of the depth <= 5 fractions are free up to large denominators."""
     checked = failures = 0
     for word, triple in enumerate_tree(5):
         checked += 1
-        report = interval_freeness(MarkovFraction(triple.f3, len(word), word), bound)
+        report = interval_freeness(MarkovFraction(triple.f3, len(word), word),
+                                   _FREENESS_BOUND)
         if not report.free:
             failures += 1
-    return _result("interval_freeness", checked, failures, detail=f"bound {bound}")
+    return _result("interval_freeness", checked, failures,
+                   detail=f"bound {_FREENESS_BOUND}")
 
 
 def check_length_series(depth: int) -> CheckResult:
@@ -372,7 +402,6 @@ def check_congruence() -> CheckResult:
 
 def check_generalized(depth: int) -> CheckResult:
     """Closures of (1,1,1) under Vieta flips for the three supported equations."""
-    from .markov import SUPPORTED_EQUATIONS, generalized_enumerate
     capped = min(depth, 10)
     checked = failures = 0
     for name, eq in sorted(SUPPORTED_EQUATIONS.items()):
@@ -388,38 +417,40 @@ def check_generalized(depth: int) -> CheckResult:
 
 
 def check_vieta(depth: int) -> CheckResult:
-    """Double mutation is the identity on every enumerated denominator triple."""
+    """Double mutation is the identity on every denominator triple of the walk."""
     capped = min(depth, 6)
     checked = failures = 0
-    for _, triple in enumerate_tree(capped):
-        t = MarkovTriple(triple.f1.denominator, triple.f2.denominator,
-                         triple.f3.denominator)
-        for index in (1, 2, 3):
-            checked += 1
-            if vieta_mutate(vieta_mutate(t, index), index) != t:
-                failures += 1
+    for (_, a, _, b, _, c), _, _ in tree_walk(capped):
+        checked += 3
+        try:
+            t = MarkovTriple(a, b, c)
+        except ValueError:  # not a Markov triple: no mutation can be checked
+            failures += 3
+            continue
+        failures += sum(vieta_mutate(vieta_mutate(t, index), index) != t
+                        for index in (1, 2, 3))
     return _result("vieta_involution", checked, failures, detail=f"depth {capped}")
 
 
 def check_slopes(depth: int) -> CheckResult:
-    """Membership, normalization idempotence, and invariants on tree fractions."""
+    """Membership, normalization idempotence, and invariants on tree fractions.
+
+    The invariants are read only once membership holds, since
+    bundle_invariants rejects any other slope.
+    """
     capped = min(depth, 10)
     checked = failures = 0
-    for _, triple in enumerate_tree(capped):
-        value = triple.f3
-        p, q = value.numerator, value.denominator
+    for (_, _, _, _, p, q), _, _ in tree_walk(capped):
+        value = Fraction(p, q)
         checked += 1
         norm = normalize_slope(value)
-        decision = is_exceptional_slope(value)
-        inv = bundle_invariants(value)
-        translate = is_exceptional_slope(3 - value)
         ok = (
-            decision.accepted
+            is_exceptional_slope(value).accepted
+            and is_exceptional_slope(3 - value).accepted
             and normalize_slope(norm.reduced) == norm
-            and inv.s * q == p * p + 1
+            and (inv := bundle_invariants(value)).s * q == p * p + 1
             and 2 * inv.c2 == (q - 1) * (inv.s + 1)
             and inv.form_discriminant == 9 * q * q - 4
-            and translate.accepted
         )
         if not ok:
             failures += 1
@@ -431,9 +462,11 @@ def check_slopes(depth: int) -> CheckResult:
 
 def run_all(depth: int) -> list[CheckResult]:
     """Run every check, bounded by depth where applicable; deterministic order."""
-    return [
-        check_tree_relations(depth),
-        check_tree_walk(depth),
+    reference = _reference_tree(depth)
+    results = [check_tree_relations(reference), check_tree_walk(depth, reference)]
+    # The reference is the largest structure of the run; free it before the rest.
+    del reference
+    return results + [
         check_tree_fractions(depth),
         check_markov_triples(depth),
         check_midpoint_identity(depth),

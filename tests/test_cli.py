@@ -234,6 +234,15 @@ def test_triples(capsys):
     assert "5 1 1" in out.splitlines()
 
 
+def test_triples_depth_budget(capsys):
+    code, out, err = run_cli(capsys, "triples", "--equation", "markov", "--depth", "40")
+    assert (code, out, err) == (1, "", "error: depth 40 exceeds the 1048576 vertex budget\n")
+    code, out, _ = run_cli(capsys, "triples", "--equation", "quadric", "--depth", "40",
+                           "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error_detail"] == "depth 40 exceeds the 1048576 vertex budget"
+
+
 def test_congruence_exact_output(capsys):
     code, out, _ = run_cli(capsys, "congruence", "37666")
     assert code == 0

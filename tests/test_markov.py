@@ -520,3 +520,18 @@ def test_generalized_validation():
         generalized_enumerate(GeneralizedEquation(2, 1, 1, 4), 1)  # unsupported
     with pytest.raises(ValueError):
         generalized_enumerate(GeneralizedEquation(1, 1, 1, 3), -1)
+
+
+@pytest.mark.parametrize("name, size, first_rejected", [
+    ("markov", lambda d: 3 * 2 ** d - 2, 19),
+    ("quadric", lambda d: 2 ** (d + 1) - 1, 20),
+    ("x3", lambda d: 2 ** (d + 1) - 1, 20),
+])
+def test_generalized_closure_size_and_budget(name, size, first_rejected):
+    eq = markov.SUPPORTED_EQUATIONS[name]
+    assert [len(generalized_enumerate(eq, d)) for d in range(9)] == [size(d) for d in range(9)]
+    assert size(first_rejected - 1) <= 1 << 20 < size(first_rejected)
+    # Rejected up front: neither depth is ever expanded.
+    for depth in (first_rejected, 10 ** 12):
+        with pytest.raises(ValueError, match=f"depth {depth} exceeds the 1048576 vertex budget"):
+            generalized_enumerate(eq, depth)
