@@ -20,6 +20,7 @@ import io
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, repeat
@@ -33,7 +34,7 @@ from .analysis import (
     saltus_mu,
     saltus_samples,
 )
-from .exact import DyadicRational, QuadraticSurd, surd_enclose
+from .exact import MAX_VALUE_BITS, DyadicRational, QuadraticSurd, surd_enclose
 from .farey import (
     farey_path_to,
     question_mark_farey,
@@ -554,18 +555,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Decimal digits of an integer of MAX_VALUE_BITS bits, rounded up (log10(2) < 0.30103).
+_BUDGET_DIGITS = MAX_VALUE_BITS * 30103 // 100000 + 1
+
+
+@contextmanager
+def _budget_digits():
+    """Let str() convert every integer within the value budget, then restore the limit.
+
+    Python 3.10.7 and later refuse int/str conversions above
+    sys.get_int_max_str_digits() digits (4300 by default).  An answer can
+    add the budget to the digits of its input, which parsed within the
+    limit, so the limit is raised by that much while a command runs.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit == 0:
+        yield
+        return
+    sys.set_int_max_str_digits(limit + _BUDGET_DIGITS)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        record, text = args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        detail = str(exc)
-        if args.format == "json":
-            print(OutputRecord(args.command, {}, {}, "error", detail).to_json())
-        print(f"error: {detail}", file=sys.stderr)
-        return 1
-    print(record.to_json() if args.format == "json" else text)
+    with _budget_digits():
+        try:
+            record, text = args.handler(args)
+        except (ValueError, ZeroDivisionError) as exc:
+            detail = str(exc)
+            if args.format == "json":
+                print(OutputRecord(args.command, {}, {}, "error", detail).to_json())
+            print(f"error: {detail}", file=sys.stderr)
+            return 1
+        print(record.to_json() if args.format == "json" else text)
     return 0 if record.status == "ok" else 1
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "ContinuedFraction",
     "DyadicRational",
     "Fraction",
+    "MAX_VALUE_BITS",
     "QuadraticSurd",
     "farey_mediant",
     "from_continued_fraction",
@@ -28,6 +29,20 @@ __all__ = [
     "surd_enclose",
     "to_continued_fraction",
 ]
+
+
+#: Bit budget of the point queries.  mu/descend_value, epsilon and the three
+#: question mark routes raise ValueError rather than build a value whose
+#: denominator has more bits than this; farey_path_to holds turn words to
+#: the same number of letters.  2**18 bits admit mu(1/100000), whose
+#: denominator has 138,848 bits.
+MAX_VALUE_BITS = 1 << 18
+
+
+def _check_value_bits(bits: int, what: str) -> None:
+    """Raise ValueError when a denominator of the given bit length is over budget."""
+    if bits > MAX_VALUE_BITS:
+        raise ValueError(f"{what} exceeds the {MAX_VALUE_BITS}-bit value budget")
 
 
 def reduce(num: int, den: int) -> Fraction:

@@ -12,10 +12,11 @@ the turn word itself.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DyadicRational, farey_mediant, to_continued_fraction
+from .exact import DyadicRational, _check_value_bits, farey_mediant, to_continued_fraction
 
 __all__ = [
     "FareyNode",
@@ -32,10 +33,11 @@ TurnWord = str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_WORD = re.compile(r"[LR]*")
 
 
 def check_word(word: TurnWord) -> None:
-    if any(ch not in "LR" for ch in word):
+    if not _WORD.fullmatch(word):
         raise ValueError(f"turn word may only contain 'L' and 'R': {word!r}")
 
 
@@ -74,44 +76,48 @@ def farey_node_at(word: TurnWord) -> FareyNode:
 def farey_path_to(x: Fraction) -> TurnWord:
     """Turn word of the vertex with value x; requires 0 < x < 1.
 
-    The descent is a binary search by mediants, so it terminates for every
-    rational in the open unit interval.
+    The word is read off the continued fraction x = [0; a1, ..., an] in
+    runs: L^(a1 - 1) R^a2 L^a3 ..., with the last run one letter shorter.
+    The word spells ?(x) in binary, whose denominator 2**(a1 + ... + an - 1)
+    is held to the value budget, as in the question mark routes.
     """
     if not _ZERO < x < _ONE:
         raise ValueError(f"no Farey tree vertex carries {x}; need 0 < x < 1")
-    lp, rp = _ZERO, _ONE
-    letters: list[str] = []
-    while True:
-        value = farey_mediant(lp, rp)
-        if value == x:
-            return "".join(letters)
-        if x < value:
-            letters.append("L")
-            rp = value
-        else:
-            letters.append("R")
-            lp = value
+    runs = list(to_continued_fraction(x).quotients[1:])
+    _check_value_bits(sum(runs), "the turn word of x")
+    runs[0] -= 1
+    runs[-1] -= 1
+    return "".join(("R" if i % 2 else "L") * r for i, r in enumerate(runs))
 
 
 def question_mark_farey(x: Fraction) -> DyadicRational:
-    """Question mark function via the tree: mediants of parents map to midpoints."""
+    """Question mark function via the tree: mediants of parents map to midpoints.
+
+    One letter per step: the Farey parents a1/b1 < a2/b2 stay integer
+    pairs, and the image of their mediant is the midpoint m/2**n of the
+    image interval, so each step is one cross-multiplied comparison and
+    m -> 2*m - 1 or 2*m + 1.  This route does not read the continued
+    fraction, which only sets the budget check.
+    """
     if not _ZERO <= x <= _ONE:
         raise ValueError(f"question mark is evaluated on [0, 1]; got {x}")
     if x == 0:
         return DyadicRational(0, 0)
     if x == 1:
         return DyadicRational(1, 0)
-    lp, rp = _ZERO, _ONE
-    ylo, yhi = _ZERO, _ONE
+    _check_value_bits(sum(to_continued_fraction(x).quotients), "?(x)")
+    p, q = x.numerator, x.denominator
+    a1, b1, a2, b2 = 0, 1, 1, 1
+    m, n = 1, 1
     while True:
-        value = farey_mediant(lp, rp)
-        y = (ylo + yhi) / 2
-        if value == x:
-            return DyadicRational.from_fraction(y)
-        if x < value:
-            rp, yhi = value, y
+        a, b = a1 + a2, b1 + b2
+        if a == p and b == q:
+            return DyadicRational(m, n)
+        if p * b < a * q:
+            a2, b2, m = a, b, 2 * m - 1
         else:
-            lp, ylo = value, y
+            a1, b1, m = a, b, 2 * m + 1
+        n += 1
 
 
 def question_mark_salem(x: Fraction) -> DyadicRational:
@@ -122,6 +128,7 @@ def question_mark_salem(x: Fraction) -> DyadicRational:
     if not _ZERO <= x <= _ONE:
         raise ValueError(f"question mark is evaluated on [0, 1]; got {x}")
     quotients = to_continued_fraction(x).quotients
+    _check_value_bits(sum(quotients), "?(x)")
     total = Fraction(quotients[0])
     run = 0
     for i, a in enumerate(quotients[1:]):
@@ -139,5 +146,6 @@ def question_mark_of_word(word: TurnWord) -> DyadicRational:
     0.01b = 1/4.
     """
     check_word(word)
+    _check_value_bits(len(word) + 2, "the question mark of the word")
     bits = word.replace("L", "0").replace("R", "1") + "1"
     return DyadicRational(int(bits, 2), len(bits))

@@ -19,12 +19,14 @@ L moves toward smaller fractions, R toward larger ones.
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
+from .exact import _check_value_bits
 from .farey import TurnWord, check_word, farey_path_to
 
 __all__ = [
@@ -305,18 +307,56 @@ def tree_walk(
     return walk()
 
 
+_RUN = re.compile(r"L+|R+")
+
+
+def _lucas_pair(k: int, r: int) -> tuple[int, int]:
+    """(u(r+1), u(r)) for u(0) = 0, u(1) = 1, u(j+1) = k*u(j) - u(j-1).
+
+    These fill the matrix power [[k, -1], [1, 0]]**r =
+    [[u(r+1), -u(r)], [u(r), -u(r-1)]], which is found by doubling over
+    the bits of r: u(2j) = u(j)*(2*u(j+1) - k*u(j)) and
+    u(2j+1) = u(j+1)**2 - u(j)**2.
+    """
+    u1, u0 = 1, 0
+    for bit in bin(r)[2:]:
+        u1, u0 = u1 * u1 - u0 * u0, u0 * (2 * u1 - k * u0)
+        if bit == "1":
+            u1, u0 = k * u1 - u0, u1
+    return u1, u0
+
+
 def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS) -> Fraction:
     """Value of the tree vertex addressed by a turn word.
 
     The seeds must span a Markov fraction tree, as REDUCED_SEEDS, UNIT_SEEDS
-    and their integer translates do; the descent takes one Vieta step per
-    letter.
+    and their integer translates do.  The descent takes one step per run
+    of equal letters.  Along a run the kept neighbour a/c stays fixed, so
+    the Vieta step x(j+1) = k*x(j) - x(j-1) with k = 3*c is linear in the
+    numerators and in the denominators: a run of length r is one power of
+    the matrix [[k, -1], [1, 0]] (see _lucas_pair), O(log r)
+    multiplications.  The denominator is held to the value budget; each
+    step at least multiplies it by k - 1 >= 2, which bounds a run's growth
+    from below before its power is taken.
     """
     check_word(word)
-    v = _ROOTS.get(tuple(seeds)) or _root(seeds)
-    for ch in word:
-        v = _vieta_child(v, ch)
-    return Fraction(v[4], v[5])
+    p1, q1, p2, q2, p3, q3 = _ROOTS.get(tuple(seeds)) or _root(seeds)
+    for run in _RUN.finditer(word):
+        r = run.end() - run.start()
+        left = word[run.start()] == "L"
+        k = 3 * (q1 if left else q2)
+        _check_value_bits(q3.bit_length() + r * ((k - 1).bit_length() - 1), "the tree vertex")
+        u1, u0 = _lucas_pair(k, r)
+        um = k * u0 - u1
+        # M**r takes (vertex, dropped neighbour) to (new vertex, its neighbour on that side).
+        if left:
+            p2, q2, p3, q3 = (u0 * p3 - um * p2, u0 * q3 - um * q2,
+                              u1 * p3 - u0 * p2, u1 * q3 - u0 * q2)
+        else:
+            p1, q1, p3, q3 = (u0 * p3 - um * p1, u0 * q3 - um * q1,
+                              u1 * p3 - u0 * p1, u1 * q3 - u0 * q1)
+        _check_value_bits(q3.bit_length(), "the tree vertex")
+    return Fraction(p3, q3)
 
 
 @dataclass(frozen=True)
@@ -347,6 +387,8 @@ def mu(x: Fraction) -> MarkovFraction:
     The endpoints map to the seeds (0 -> 0/1, 1 -> 1/2); an interior
     rational maps to the reduced-tree vertex at its Farey turn word, so
     mediants of Farey neighbours map to tree mediants of their images.
+    The cost is one Euclidean pass for the word and one matrix power per
+    run of its letters; the value budget bounds both.
     """
     if not Fraction(0) <= x <= Fraction(1):
         raise ValueError(f"mu is defined on [0, 1]; got {x}")

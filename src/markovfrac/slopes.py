@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import DyadicRational
+from .exact import DyadicRational, _check_value_bits
 from .farey import TurnWord
 from .markov import (
     MarkovFraction,
@@ -63,13 +63,27 @@ def _midpoint_value(v1: Fraction, v2: Fraction) -> Fraction:
     return Fraction((p1 * q2 + p2 * q1) * d + q2 * q2 - q1 * q1, 2 * q1 * q2 * d)
 
 
+def _budgeted_midpoint(lo: Fraction, hi: Fraction) -> Fraction:
+    """_midpoint_value of adjacent dyadic values, held to the value budget.
+
+    The values are neighbouring tree vertices, so the step's denominator
+    is at least 2*q_lo*q_hi: a step whose inputs' bit lengths already sum
+    past the budget is refused before it is taken.
+    """
+    _check_value_bits(lo.denominator.bit_length() + hi.denominator.bit_length(), "epsilon(x)")
+    mid = _midpoint_value(lo, hi)
+    _check_value_bits(mid.denominator.bit_length(), "epsilon(x)")
+    return mid
+
+
 def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
     """Slope of a dyadic rational anywhere on the line.
 
     For m/2**n in lowest terms, translation splits off the whole part
     m >> n.  The fractional part is reached from the values (0, 1) at 0 and
     1 by n midpoint steps: bits n - 1, ..., 1 of m choose the lower or upper
-    half, and the last step lands on the fractional part itself.
+    half, and the last step lands on the fractional part itself.  The
+    denominators are held to the value budget digit by digit.
     """
     if isinstance(x, int):
         return Fraction(x)
@@ -80,12 +94,12 @@ def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
         return Fraction(m)
     lo, hi = Fraction(0), Fraction(1)
     for i in range(n - 1, 0, -1):
-        mid = _midpoint_value(lo, hi)
+        mid = _budgeted_midpoint(lo, hi)
         if m >> i & 1:
             lo = mid
         else:
             hi = mid
-    return (m >> n) + _midpoint_value(lo, hi)
+    return (m >> n) + _budgeted_midpoint(lo, hi)
 
 
 def identity_check(f1: Fraction, f2: Fraction) -> bool:

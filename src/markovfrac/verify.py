@@ -30,7 +30,6 @@ from .analysis import (
 from .exact import surd_compare
 from .farey import (
     TurnWord,
-    farey_node_at,
     farey_path_to,
     question_mark_farey,
     question_mark_of_word,
@@ -116,19 +115,30 @@ def check_tree_walk(depth: int, reference: Reference) -> CheckResult:
 
     The reference applies the gcd-reduced mediant of the definition, while
     the walk takes Vieta steps.  Integers are compared, so the walk must
-    also yield lowest terms.  This is what lets the property suites below
-    read the walk instead of the reference.
+    also yield lowest terms.  The Farey parents are carried down the
+    sorted reference, where a word's parent word comes before it: a last
+    letter L replaces the right parent by the parent vertex's mediant, an
+    R the left one.  This is what lets the property suites below read the
+    walk instead of the reference.
     """
     checked = failures = 0
+    pairs = []  # pairs[n]: Farey parents of the latest reference word of length n
     for ref, walked in zip_longest(reference, tree_walk(depth)):
         checked += 1
         if ref is None or walked is None:
             failures += 1
             continue
         (word, triple), (vertex, farey, level) = ref, walked
-        node = farey_node_at(word)
-        fractions = (triple.f1, triple.f2, triple.f3, node.left_parent, node.right_parent)
-        expected = tuple(n for f in fractions for n in (f.numerator, f.denominator))
+        if word:
+            a1, b1, a2, b2 = pairs[len(word) - 1]
+            a3, b3 = a1 + a2, b1 + b2
+            pair = (a1, b1, a3, b3) if word[-1] == "L" else (a3, b3, a2, b2)
+        else:
+            pair = (0, 1, 1, 1)
+        del pairs[len(word):]
+        pairs.append(pair)
+        fractions = (triple.f1, triple.f2, triple.f3)
+        expected = tuple(n for f in fractions for n in (f.numerator, f.denominator)) + pair
         if vertex + farey != expected or level != len(word):
             failures += 1
     return _result("tree_walk", checked, failures)

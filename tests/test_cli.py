@@ -15,6 +15,7 @@ import pytest
 
 import markovfrac
 from markovfrac.cli import main
+from markovfrac.markov import mu
 
 # Child interpreters import the same package as this one, installed or not.
 _CHILD_ENV = {
@@ -411,3 +412,88 @@ def test_threads_flag_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--depth", "2", "--threads", "4")
     assert code == 2
     assert "--threads" in err
+
+
+# -- value budget and long answers -------------------------------------------------
+
+
+@pytest.fixture
+def digits_unlimited():
+    """Lift the int/str digit limit for building expected strings, if Python has one."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+    def lift():
+        if limit:
+            sys.set_int_max_str_digits(0)
+
+    yield lift
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_mu_prints_an_answer_past_4300_digits(capsys, digits_unlimited):
+    limit = _digit_limit()
+    code, out, err = run_cli(capsys, "mu", "1/100000")
+    code_json, out_json, _ = run_cli(capsys, "mu", "1/100000", "--format", "json")
+    assert _digit_limit() == limit
+    digits_unlimited()
+    image = mu(F(1, 100_000))
+    assert image.value.denominator.bit_length() == 138_848
+    value = f"{image.value.numerator}/{image.value.denominator}"
+    assert len(value) > 4300
+    assert (code, err) == (0, "")
+    assert out == f"value: {value}\nword: {'L' * 99_998}\ndepth: 99998\n"
+    assert code_json == 0
+    assert json.loads(out_json)["outputs"]["value"] == value
+
+
+@pytest.mark.parametrize("method", ["farey", "salem", "word"])
+def test_qmark_prints_an_answer_past_4300_digits(capsys, digits_unlimited, method):
+    limit = _digit_limit()
+    code, out, err = run_cli(capsys, "qmark", "1/100000", "--method", method)
+    assert _digit_limit() == limit
+    digits_unlimited()
+    assert (code, err) == (0, "")
+    assert out == f"value: 1/2^99999\nfraction: 1/{2 ** 99_999}\nmethod: {method}\n"
+
+
+def test_cli_digit_limit_is_restored_after_errors_and_kept_when_lifted(capsys, digits_unlimited):
+    limit = _digit_limit()
+    assert run_cli(capsys, "mu", "832040/1346269")[0] == 1
+    assert run_cli(capsys, "mu", "3/2")[0] == 1
+    assert _digit_limit() == limit
+    digits_unlimited()
+    assert run_cli(capsys, "mu", "1/2")[0] == 0
+    assert _digit_limit() in (0, None)
+
+
+def test_cli_runs_without_a_digit_limit_api(capsys, monkeypatch):
+    # Python before 3.10.7 has neither the limit nor the functions.
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run_cli(capsys, "mu", "1/2") == (0, "value: 2/5\nword: \ndepth: 0\n", "")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("mu", "832040/1346269"), "the tree vertex"),
+    (("epsilon", "123456789012345/2^50"), "epsilon(x)"),
+    (("mu", "1/300000"), "the turn word of x"),
+    (("qmark", "1/300000"), "?(x)"),
+    (("qmark", "1/300000", "--method", "salem"), "?(x)"),
+    (("qmark", "1/300000", "--method", "word"), "the turn word of x"),
+])
+def test_value_budget_is_a_domain_error(capsys, args, message):
+    detail = f"{message} exceeds the 262144-bit value budget"
+    assert run_cli(capsys, *args) == (1, "", f"error: {detail}\n")
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert (code, err) == (1, f"error: {detail}\n")
+    assert json.loads(out)["error_detail"] == detail
+
+
+def test_console_entry_point_exits_1_over_the_budget():
+    assert run_proc("mu", "832040/1346269") == (
+        1, "", "error: the tree vertex exceeds the 262144-bit value budget\n")

@@ -1,14 +1,15 @@
 """Farey tree addressing and the three question mark function routes.
 
-The independent oracle here is a from-scratch mediant bisection that never
-touches turn words or continued fractions: it narrows a Farey interval
-around the target while halving a dyadic interval in lockstep.
+The independent oracles here are from-scratch mediant bisections that never
+touch turn words or continued fractions: one narrows a Farey interval
+around the target letter by letter, the other also halves a dyadic interval
+in lockstep.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovfrac import (
@@ -20,8 +21,34 @@ from markovfrac import (
     question_mark_of_word,
     question_mark_salem,
 )
+from markovfrac.exact import MAX_VALUE_BITS
 
 words = st.text(alphabet="LR", min_size=0, max_size=12)
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10_000).filter(
+    lambda x: 0 < x < 1)
+
+
+def _fibonacci_ratios(count: int) -> list[F]:
+    fib = [1, 1]
+    while len(fib) < count + 2:
+        fib.append(fib[-1] + fib[-2])
+    return [F(fib[i], fib[i + 1]) for i in range(1, count + 1)]
+
+
+def _path_by_mediants(x: F) -> str:
+    """Oracle: the turn word of x, one Farey mediant per letter."""
+    lp, rp = F(0), F(1)
+    letters = []
+    while True:
+        value = farey_mediant(lp, rp)
+        if value == x:
+            return "".join(letters)
+        if x < value:
+            letters.append("L")
+            rp = value
+        else:
+            letters.append("R")
+            lp = value
 
 
 def _qmark_bisect(x: F) -> F:
@@ -73,6 +100,26 @@ def test_farey_path_rejects_outside_open_interval():
 def test_farey_node_rejects_bad_letters():
     with pytest.raises(ValueError):
         farey_node_at("LXR")
+
+
+def test_farey_path_long_runs_match_mediant_oracle():
+    ladder = [2, 3, 4, 5, 17, 100, 999, 1000, 4097, 9999, 10_000]
+    xs = [F(1, b) for b in ladder] + [F(b - 1, b) for b in ladder] + _fibonacci_ratios(25)
+    xs += [1 - x for x in _fibonacci_ratios(25)] + [F(2, 2 * b + 1) for b in ladder]
+    for x in xs:
+        assert farey_path_to(x) == _path_by_mediants(x), x
+    assert farey_path_to(F(1, 10_000)) == "L" * 9998
+    assert farey_path_to(F(9999, 10_000)) == "R" * 9998
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_fractions)
+@example(F(1, 10_000))
+@example(F(9999, 10_000))
+@example(F(6765, 10946))
+@example(F(4181, 10946))
+def test_farey_path_matches_mediant_oracle(x):
+    assert farey_path_to(x) == _path_by_mediants(x)
 
 
 @given(words)
@@ -134,6 +181,15 @@ def test_question_mark_farey_matches_bisection_oracle():
             assert question_mark_farey(x).value == _qmark_bisect(x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(unit_fractions)
+@example(F(1, 3000))
+@example(F(2999, 3000))
+@example(F(6765, 10946))
+def test_question_mark_farey_matches_bisection_oracle_property(x):
+    assert question_mark_farey(x).value == _qmark_bisect(x)
+
+
 def test_question_mark_routes_agree_up_to_denominator_50():
     for x in _reduced_in_unit_interval(50):
         assert question_mark_farey(x) == question_mark_salem(x)
@@ -161,3 +217,28 @@ def test_question_mark_symmetry_up_to_denominator_30():
 def test_question_mark_salem_equals_bisection(x):
     if 0 < x < 1:
         assert question_mark_salem(x).value == _qmark_bisect(x)
+
+
+# -- value budget -----------------------------------------------------------------
+
+
+def test_question_mark_budget_boundary():
+    # ?(1/b) = 1/2^(b - 1): a denominator of b bits, the sum of the quotients.
+    admitted, rejected = F(1, MAX_VALUE_BITS), F(1, MAX_VALUE_BITS + 1)
+    expected = DyadicRational(1, MAX_VALUE_BITS - 1)
+    assert question_mark_farey(admitted) == question_mark_salem(admitted) == expected
+    assert farey_path_to(admitted) == "L" * (MAX_VALUE_BITS - 2)
+    assert question_mark_of_word(farey_path_to(admitted)) == expected
+    for route in (question_mark_farey, question_mark_salem, farey_path_to):
+        with pytest.raises(ValueError, match="262144-bit value budget"):
+            route(rejected)
+    with pytest.raises(ValueError, match="262144-bit value budget"):
+        question_mark_of_word("L" * (MAX_VALUE_BITS - 1))
+
+
+@pytest.mark.parametrize("x", [F(1, 10 ** 12), F(10 ** 12 - 1, 10 ** 12), F(1, 3) + F(1, 10 ** 9)])
+def test_question_mark_budget_is_checked_before_the_route(x):
+    # Each of these would take minutes and gigabytes; the budget refuses them at once.
+    for route in (question_mark_farey, question_mark_salem, farey_path_to):
+        with pytest.raises(ValueError, match="value budget"):
+            route(x)

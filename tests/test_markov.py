@@ -35,8 +35,9 @@ from markovfrac import (
     unicity_scan,
     vieta_mutate,
 )
-from markovfrac import markov
-from markovfrac.markov import congruence_brute, congruence_factored
+from markovfrac import exact, markov
+from markovfrac.exact import MAX_VALUE_BITS
+from markovfrac.markov import _lucas_pair, _root, _vieta_child, congruence_brute, congruence_factored
 
 words = st.text(alphabet="LR", min_size=0, max_size=10)
 
@@ -230,6 +231,112 @@ def test_descend_value_matches_mediant_oracle(seeds):
             continue
         word = farey_path_to(F(a, b))
         assert descend_value(word, seeds) == _mediant_descents(word, seeds)[-1], word
+
+
+def _vieta_fold(word, seeds):
+    """Oracle: one _vieta_child step per letter, as tree_walk takes them."""
+    v = _root(seeds)
+    for ch in word:
+        v = _vieta_child(v, ch)
+    return F(v[4], v[5])
+
+
+def _words_with_long_runs(rng, count, max_bits):
+    """Random words of runs up to 3000 letters, grown while the fold stays below max_bits."""
+    words = []
+    for _ in range(count):
+        word, v = "", _root(REDUCED_SEEDS)
+        for _ in range(rng.randint(1, 8)):
+            letter = rng.choice("LR")
+            run = letter * rng.choice([1, 2, 3, rng.randint(4, 40), rng.randint(41, 3000)])
+            w = v
+            for ch in run:
+                w = _vieta_child(w, ch)
+                if w[5].bit_length() > max_bits:
+                    break
+            else:
+                word, v = word + run, w
+        words.append(word)
+    return words
+
+
+# Both seed pairs and integer translates of each.
+_SEED_PAIRS = [REDUCED_SEEDS, UNIT_SEEDS, (F(3), F(7, 2)), (F(-2), F(-1))]
+
+
+def test_descend_value_matches_vieta_fold_on_long_runs():
+    rng = random.Random(8)
+    for word in _words_with_long_runs(rng, 120, 20_000) + ["", "L", "R", "LR" * 9, "R" * 3000]:
+        for seeds in _SEED_PAIRS:
+            assert descend_value(word, seeds) == _vieta_fold(word, seeds), (word, seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from("LR"), st.integers(0, 2000),
+       st.lists(st.tuples(st.sampled_from("LR"), st.integers(1, 3)), max_size=3),
+       st.sampled_from(_SEED_PAIRS))
+def test_descend_value_matches_vieta_fold_property(letter, length, runs, seeds):
+    # One long run, then short ones: after a long run the multiplier k is
+    # large, so a second long run would pass the value budget.
+    word = letter * length + "".join(ch * r for ch, r in runs)
+    assert descend_value(word, seeds) == _vieta_fold(word, seeds)
+
+
+@pytest.mark.parametrize("k", [3, 6, 15, 3 * 29, 3 * 10 ** 30])
+def test_lucas_pair_is_the_matrix_power(k):
+    u = [0, 1]
+    for _ in range(200):
+        u.append(k * u[-1] - u[-2])
+    power = [[1, 0], [0, 1]]
+    for r in range(200):
+        assert _lucas_pair(k, r) == (u[r + 1], u[r])
+        assert power == [[u[r + 1], -u[r]], [u[r], -u[r - 1] if r else 1]]
+        power = [[k * power[0][0] - power[1][0], k * power[0][1] - power[1][1]], power[0]]
+
+
+def test_descend_value_budget_boundary():
+    # The branches L^n and R^n reach exactly 2**18 bits at these lengths.
+    for letter, n in (("L", 188_797), ("R", 103_079)):
+        assert descend_value(letter * n).denominator.bit_length() == MAX_VALUE_BITS
+        with pytest.raises(ValueError, match="262144-bit value budget"):
+            descend_value(letter * (n + 1))
+    assert mu(F(1, 188_799)).value.denominator.bit_length() == MAX_VALUE_BITS
+    with pytest.raises(ValueError, match="value budget"):
+        mu(F(1, 188_800))
+
+
+def test_mu_budget_on_zigzag_words():
+    # 832040/1346269 has the word (RL)^14: every run is one letter, and the bits
+    # grow like Fibonacci numbers (156,801 already at 46368/75025, word (RL)^11).
+    with pytest.raises(ValueError, match="262144-bit value budget"):
+        mu(F(832040, 1346269))
+    assert mu(F(1, 100_000)).value.denominator.bit_length() == 138_848
+
+
+def test_descend_value_refuses_a_run_before_its_power(monkeypatch):
+    def no_power(k, r):
+        raise AssertionError(f"matrix power taken for a run of {r}")
+
+    monkeypatch.setattr(markov, "_lucas_pair", no_power)
+    for word in ("L" * 10 ** 6, "R" * 10 ** 6):
+        with pytest.raises(ValueError, match="value budget"):
+            descend_value(word)
+
+
+def test_descend_value_budget_is_exact(monkeypatch):
+    # Under a budget of exactly its own bits a value is admitted; one bit less
+    # refuses it.  The root takes no step, so the empty word is not checked.
+    rng = random.Random(18)
+    words = [w for w in _words_with_long_runs(rng, 40, 3000) if w]
+    words += ["L" * n for n in range(1420, 1450)]
+    values = {(w, s): descend_value(w, s) for w in words for s in _SEED_PAIRS}
+    for (word, seeds), value in values.items():
+        budget = value.denominator.bit_length()
+        monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget)
+        assert descend_value(word, seeds) == value
+        monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget - 1)
+        with pytest.raises(ValueError, match=f" {budget - 1}-bit value budget"):
+            descend_value(word, seeds)
 
 
 def test_descend_value_seeds():

@@ -29,6 +29,7 @@ from markovfrac import (
     solve_congruence,
     springborn_mediant,
 )
+from markovfrac import exact, slopes
 from markovfrac.slopes import _midpoint_value
 
 dyadics = st.builds(
@@ -87,6 +88,37 @@ def test_epsilon_matches_descent_oracle():
         inputs.append(DyadicRational(2 * rng.randrange(1 << (n - 1)) + 1, n))
     for d in inputs:
         assert epsilon(d) == _epsilon_oracle(d)
+
+
+def test_epsilon_budget_refuses_a_long_inner_dyadic():
+    # Its slope has far more than 2**18 bits; without the budget it runs for minutes.
+    with pytest.raises(ValueError, match="epsilon\\(x\\) exceeds the 262144-bit value budget"):
+        epsilon(DyadicRational(123456789012345, 50))
+
+
+def test_epsilon_budget_is_exact(monkeypatch):
+    # Under a budget of exactly its own bits a slope is admitted, one bit
+    # less refuses it, and no step is taken whose result must pass the budget.
+    rng = random.Random(50)
+    inputs = [DyadicRational(rng.randrange(1, 1 << n, 2) + (rng.randint(-2, 2) << n), n)
+              for n in range(1, 16) for _ in range(12)]
+    values = {d: epsilon(d) for d in inputs}
+    steps = []
+
+    def recording(v1, v2):
+        steps.append((v1.denominator.bit_length() + v2.denominator.bit_length(), budget))
+        return _midpoint_value(v1, v2)
+
+    monkeypatch.setattr(slopes, "_midpoint_value", recording)
+    for d, value in values.items():
+        budget = value.denominator.bit_length()
+        monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget)
+        assert epsilon(d) == value
+        budget -= 1
+        monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget)
+        with pytest.raises(ValueError, match=f" {budget}-bit value budget"):
+            epsilon(d)
+    assert all(lower <= budget for lower, budget in steps)
 
 
 @given(dyadics, st.integers(-5, 5))

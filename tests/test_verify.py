@@ -136,6 +136,21 @@ def test_property_suites_count_a_wrong_vertex(monkeypatch):
         assert result.failures == failures, result.name
 
 
+@pytest.mark.parametrize("level", [0, 2])
+def test_tree_walk_counts_a_wrong_farey_pair(monkeypatch, level):
+    # The suite carries the Farey parents down the reference words, so a walk
+    # whose parents are off at one vertex, at the root or below, is counted.
+    real = verify.tree_walk
+
+    def walk(*args, **kwargs):
+        for vertex, (a1, b1, a2, b2), lev in real(*args, **kwargs):
+            yield vertex, ((a1, b1, a2, b2 + 1) if lev == level else (a1, b1, a2, b2)), lev
+
+    monkeypatch.setattr(verify, "tree_walk", walk)
+    result = verify.check_tree_walk(3, verify._reference_tree(3))
+    assert (result.passed, result.checked, result.failures) == (False, 15, 2 ** level)
+
+
 def test_reference_suites_count_a_wrong_vertex(monkeypatch):
     real = verify.enumerate_tree
 
