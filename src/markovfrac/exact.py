@@ -118,12 +118,11 @@ class DyadicRational:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("exponent must be nonnegative")
-        m, n = self.m, self.n
-        while n > 0 and m % 2 == 0:
-            m //= 2
-            n -= 1
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        # Strip the common factors of 2 in one shift: n may be far too
+        # large to loop over (0/2^n has no factor to stop at).
+        k = min(self.n, (self.m & -self.m).bit_length() - 1) if self.m else self.n
+        object.__setattr__(self, "m", self.m >> k)
+        object.__setattr__(self, "n", self.n - k)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "DyadicRational":

@@ -40,7 +40,6 @@ __all__ = [
     "UNIT_SEEDS",
     "check_relations",
     "congruence_brute",
-    "congruence_factored",
     "descend_value",
     "enumerate_tree",
     "fibonacci_branch",
@@ -438,23 +437,23 @@ def pell_branch(k: int) -> MarkovFraction:
 
 # -- congruence x**2 + 1 == 0 (mod q) ---------------------------------------
 
-_BRUTE_FORCE_LIMIT = 10_000
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # Deterministic for n < 3.3e24 with these witnesses; larger inputs get
-    # a Miller-Rabin test with vanishing error probability.
-    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for a in witnesses:
+    # Deterministic for n < 3.3e24, where the first 13 of these witnesses
+    # already suffice (Sorenson and Webster 2017); larger inputs get a
+    # Miller-Rabin test with vanishing error probability.
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -496,7 +495,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 
 def _factorize(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
@@ -531,33 +530,10 @@ def _sqrt_minus_one_mod_prime_power(p: int, e: int) -> list[int]:
     return sorted((x % p ** e, (-x) % p ** e))
 
 
-def congruence_factored(q: int) -> list[int]:
-    """Roots of x**2 + 1 == 0 (mod q) in [0, q), sorted, by factoring q.
-
-    Square roots of -1 modulo each odd prime power are lifted by Newton
-    steps and combined by the Chinese remainder theorem.
-    """
-    factors = _factorize(q)
-    if factors.get(2, 0) >= 2:
-        return []
-    residues = [(0, 1)]  # pairs (residue, modulus), combined by CRT
-    for p, e in sorted(factors.items()):
-        mod = p ** e
-        roots = [1] if p == 2 else _sqrt_minus_one_mod_prime_power(p, e)
-        if not roots:
-            return []
-        residues = [
-            ((r * mod * pow(mod, -1, m) + s * m * pow(m, -1, mod)) % (m * mod), m * mod)
-            for r, m in residues
-            for s in roots
-        ]
-    return sorted(r for r, _ in residues)
-
-
 def congruence_brute(q: int) -> list[int]:
     """Roots of x**2 + 1 == 0 (mod q) in [0, q), sorted, by trying every x <= q/2.
 
-    Linear in q; the oracle for congruence_factored.
+    Linear in q; the oracle for solve_congruence in tests and in verify.
     """
     if q == 1:
         return [0]
@@ -573,18 +549,29 @@ def congruence_brute(q: int) -> list[int]:
 def solve_congruence(q: int) -> list[int]:
     """All residues x in [0, q) with x**2 + 1 == 0 (mod q), sorted.
 
-    Brute force (congruence_brute) is used up to 10**4, where it costs
-    under a millisecond; beyond that the modulus is factored and solutions
-    are lifted and combined by the Chinese remainder theorem
-    (congruence_factored).
+    The modulus is factored; square roots of -1 modulo each odd prime
+    power are lifted by Newton steps and combined by the Chinese remainder
+    theorem.
     The set is nonempty exactly when q has no prime factor congruent to
     3 mod 4 and is not divisible by 4; Markov numbers always qualify.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    if q <= _BRUTE_FORCE_LIMIT:
-        return congruence_brute(q)
-    return congruence_factored(q)
+    factors = _factorize(q)
+    if factors.get(2, 0) >= 2:
+        return []
+    residues = [(0, 1)]  # pairs (residue, modulus), combined by CRT
+    for p, e in sorted(factors.items()):
+        mod = p ** e
+        roots = [1] if p == 2 else _sqrt_minus_one_mod_prime_power(p, e)
+        if not roots:
+            return []
+        residues = [
+            ((r * mod * pow(mod, -1, m) + s * m * pow(m, -1, mod)) % (m * mod), m * mod)
+            for r, m in residues
+            for s in roots
+        ]
+    return sorted(r for r, _ in residues)
 
 
 # -- exhaustive scans --------------------------------------------------------

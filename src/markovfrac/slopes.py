@@ -92,6 +92,9 @@ def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
     m, n = x.m, x.n
     if n == 0:
         return Fraction(m)
+    # Each step at least doubles the denominator, so the slope has more
+    # than n bits: refuse a long n before the first step.
+    _check_value_bits(n + 1, "epsilon(x)")
     lo, hi = Fraction(0), Fraction(1)
     for i in range(n - 1, 0, -1):
         mid = _budgeted_midpoint(lo, hi)

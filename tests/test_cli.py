@@ -111,6 +111,16 @@ def test_epsilon_json_normalizes_input(capsys):
     assert record["outputs"] == {"value": "2/5"}
 
 
+def test_epsilon_of_zero_over_a_huge_power_of_two(capsys):
+    # The exponent is stripped in one step, not one factor of 2 at a time.
+    assert run_cli(capsys, "epsilon", "0/2^99999999999999999999") == (0, "value: 0/1\n", "")
+    code, out, err = run_cli(capsys, "epsilon", "0/2^99999999999999999999", "--format", "json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["inputs"] == {"x": "0"}
+    assert record["outputs"] == {"value": "0/1"}
+
+
 def test_slope_member(capsys):
     code, out, _ = run_cli(capsys, "slope", "13/34")
     assert code == 0
@@ -485,6 +495,7 @@ def test_cli_runs_without_a_digit_limit_api(capsys, monkeypatch):
     (("qmark", "1/300000"), "?(x)"),
     (("qmark", "1/300000", "--method", "salem"), "?(x)"),
     (("qmark", "1/300000", "--method", "word"), "the turn word of x"),
+    (("epsilon", "1/2^99999999999999999999"), "epsilon(x)"),
 ])
 def test_value_budget_is_a_domain_error(capsys, args, message):
     detail = f"{message} exceeds the 262144-bit value budget"

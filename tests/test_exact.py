@@ -146,6 +146,16 @@ def test_dyadic_canonicalization():
     assert DyadicRational(6, 0).m == 6  # integers keep their factor of 2
     assert str(DyadicRational(3, 3)) == "3/2^3"
     assert str(DyadicRational(5, 0)) == "5"
+    for m in range(-64, 65):
+        for n in range(8):
+            d = DyadicRational(m, n)
+            assert d.value == F(m, 2**n)
+            assert d.n == 0 or d.m % 2 == 1
+    # exponents far too large to strip one factor of 2 at a time
+    for (m, n), want in [((0, 10**20), (0, 0)), ((3 << 100, 10**20), (3, 10**20 - 100)),
+                         ((-5 << 7, 3), (-5 << 4, 0))]:
+        d = DyadicRational(m, n)
+        assert (d.m, d.n) == want
 
 
 def test_dyadic_from_fraction():

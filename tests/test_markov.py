@@ -37,7 +37,7 @@ from markovfrac import (
 )
 from markovfrac import exact, markov
 from markovfrac.exact import MAX_VALUE_BITS
-from markovfrac.markov import _lucas_pair, _root, _vieta_child, congruence_brute, congruence_factored
+from markovfrac.markov import _is_probable_prime, _lucas_pair, _root, _vieta_child, congruence_brute
 
 words = st.text(alphabet="LR", min_size=0, max_size=10)
 
@@ -501,27 +501,45 @@ def test_congruence_matches_sympy_oracle():
 
 
 def test_congruence_factored_path_matches_sympy():
-    # beyond 10^4 the implementation switches to factorization + lifting
+    # high prime powers, the even case and a prime beyond trial division
     for q in (5**11, 2 * 5**10, 13**7, 10**7 + 19):
-        assert q > 10**4
         assert solve_congruence(q) == _sqrt_mod_oracle(q)
 
 
 def test_congruence_brute_and_factored_agree():
     for q in (13, 169, 290, 1325, 9077, 37666, 99970, 433 * 985):
-        assert congruence_brute(q) == congruence_factored(q)
+        assert congruence_brute(q) == solve_congruence(q)
 
 
-def test_congruence_brute_oracle_on_both_sides_of_the_limit():
-    # moduli the brute-force path serves, then seeded ones it no longer serves
+def test_congruence_brute_oracle_on_small_and_seeded_moduli():
     for q in range(1, 3001):
-        assert congruence_brute(q) == congruence_factored(q), q
+        assert congruence_brute(q) == solve_congruence(q), q
     # half of them x**2 + 1, so that roots exist
     rng = random.Random(20261018)
     moduli = [rng.randrange(10**4, 10**6) for _ in range(10)]
     moduli += [x * x + 1 for x in (rng.randrange(100, 1000) for _ in range(10))]
     for q in moduli:
-        assert solve_congruence(q) == congruence_brute(q) == congruence_factored(q), q
+        assert solve_congruence(q) == congruence_brute(q), q
+
+
+def test_solve_congruence_does_not_call_the_oracle(monkeypatch):
+    def refuse(q):
+        raise AssertionError(f"congruence_brute({q}) called")
+
+    monkeypatch.setattr(markov, "congruence_brute", refuse)
+    for q in [*range(1, 201), 9999, 10000]:
+        assert solve_congruence(q) == _sqrt_mod_oracle(q), q
+
+
+def test_congruence_modulo_strong_pseudoprimes_matches_sympy():
+    # The smallest strong pseudoprimes to the first 12 and 13 prime bases
+    # (Sorenson and Webster 2017), 399165290221 * 798330580441 and
+    # 1287836182261 * 2575672364521: Miller-Rabin must not pass them as
+    # primes, or half of the roots are lost.
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    for q in (psi12, 5 * psi12, psi13):
+        assert not _is_probable_prime(q)
+        assert solve_congruence(q) == _sqrt_mod_oracle(q), q
 
 
 @settings(max_examples=80)

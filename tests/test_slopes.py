@@ -30,6 +30,7 @@ from markovfrac import (
     springborn_mediant,
 )
 from markovfrac import exact, slopes
+from markovfrac.exact import MAX_VALUE_BITS
 from markovfrac.slopes import _midpoint_value
 
 dyadics = st.builds(
@@ -94,6 +95,16 @@ def test_epsilon_budget_refuses_a_long_inner_dyadic():
     # Its slope has far more than 2**18 bits; without the budget it runs for minutes.
     with pytest.raises(ValueError, match="epsilon\\(x\\) exceeds the 262144-bit value budget"):
         epsilon(DyadicRational(123456789012345, 50))
+
+
+def test_epsilon_refuses_a_long_exponent_before_the_first_step(monkeypatch):
+    def refuse(v1, v2):
+        raise AssertionError("a midpoint step was taken")
+
+    monkeypatch.setattr(slopes, "_midpoint_value", refuse)
+    for n in (MAX_VALUE_BITS, 10**20):
+        with pytest.raises(ValueError, match="epsilon\\(x\\) exceeds the 262144-bit value budget"):
+            epsilon(DyadicRational(1, n))
 
 
 def test_epsilon_budget_is_exact(monkeypatch):
