@@ -23,7 +23,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 from typing import Iterator
 
 from .exact import _check_value_bits
@@ -438,9 +439,76 @@ def pell_branch(k: int) -> MarkovFraction:
 # -- congruence x**2 + 1 == 0 (mod q) ---------------------------------------
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# psi13 (Sorenson and Webster 2017): Miller-Rabin to the first 13 of
+# _SMALL_PRIMES decides primality below it.
+_MR_PROVEN_BELOW = 3317044064679887385961981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 47.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  With n + 1 = k * 2**s, k odd, a prime n has
+    U(k) == 0 or V(k * 2**r) == 0 (mod n) for some 0 <= r < s.  A square
+    n has no such D and is rejected first.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:  # |d| < n shares a factor with n
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U(i), V(i) and Q**i mod n, over the bits of k from the top:
+    # i -> 2i by U*V and V**2 - 2Q**i, i -> i+1 by (U + V)/2 and (D*U + V)/2.
+    u, v, qi = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qi = u * v % n, (v * v - 2 * qi) % n, qi * qi % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qi = qi * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qi = (v * v - 2 * qi) % n, qi * qi % n
+        if v == 0:
+            return True
+    return False
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Primality: a proof below _MR_PROVEN_BELOW, Baillie-PSW above it.
+
+    Miller-Rabin to the 15 bases _SMALL_PRIMES decides every n below
+    psi13.  Above it composites pass all 15 bases: Arnault's 397-digit
+    number of 1995 is a strong pseudoprime to every prime base below 307.
+    There the strong Lucas test is required as well; with the base-2
+    Miller-Rabin test it is the Baillie-PSW test, to which no
+    counterexample is known.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -450,9 +518,6 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # Deterministic for n < 3.3e24, where the first 13 of these witnesses
-    # already suffice (Sorenson and Webster 2017); larger inputs get a
-    # Miller-Rabin test with vanishing error probability.
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -463,15 +528,27 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROVEN_BELOW or _is_strong_lucas_probable_prime(n)
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    # Brent's cycle-finding variant; n must be odd composite.
-    while True:
+# Brent rho iterations per cofactor before it passes to ECM.  Rho finds a
+# prime factor p in about sqrt(p) steps, so this splits off factors up to
+# about 10**8, every one that verify meets.
+_RHO_STEPS = 1 << 14
+
+
+def _pollard_rho(n: int, rng: random.Random) -> int | None:
+    """A proper factor of the odd composite n, or None after _RHO_STEPS steps.
+
+    Brent's cycle-finding variant; a round that would pass the cap is
+    not started.
+    """
+    steps = _RHO_STEPS
+    while steps > 0:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
-        while g == 1:
+        while g == 1 and 2 * r <= steps:
+            steps -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -484,6 +561,8 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
                 g = gcd(q, n)
                 k += m
             r *= 2
+        if g == 1:
+            return None
         if g == n:
             g = 1
             while g == 1:
@@ -491,32 +570,210 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
+    return None
 
 
-def _factorize(n: int) -> dict[int, int]:
+# -- elliptic-curve factoring (Lenstra 1987, Montgomery's x-only form) -------
+
+#: The factoring budget: the ECM schedule of one factorisation, as levels
+#: (B1, B2, curves) of the standard ECM table (the GMP-ECM README) for
+#: prime factors of about 15 and 20 digits, 115 curves in all.  A cofactor
+#: left unsplit after them is a ValueError.  At the budget a 40-digit
+#: cofactor costs 11-24 s and a 60-digit one 14-31 s (Python 3.11, on a
+#: shared 2-core x86-64 machine whose speed varied twofold).
+_ECM_SCHEDULE = ((2_000, 147_396, 25), (11_000, 1_873_422, 90))
+# Giant-step stride of stage 2: the 24 odd j < D/2 coprime to D = 2*3*5*7
+# reach every prime above 7 as m*D - j or m*D + j.
+_ECM_D = 210
+#: A curve of the ECM schedule: (sigma, k, m_lo, rows), see _ecm_tables.
+_Curve = tuple[int, int, int, list[tuple[int, ...]]]
+
+
+def _x_double(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """2P on the Montgomery curve with a24 = (A + 2)/4, in (X : Z) form."""
+    s, d = x + z, x - z
+    s, d = s * s % n, d * d % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _x_add(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int],
+           n: int) -> tuple[int, int]:
+    """P + Q from P, Q and P - Q, in (X : Z) form."""
+    (xp, zp), (xq, zq), (xd, zd) = p, q, diff
+    u = (xp - zp) * (xq + zq)
+    v = (xp + zp) * (xq - zq)
+    s, d = u + v, u - v
+    return zd * s * s % n, xd * d * d % n
+
+
+def _x_ladder(k: int, p: tuple[int, int], a24: int,
+              n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(kP, (k + 1)P) for k >= 1 by Montgomery's ladder.
+
+    Each bit adds the pair, whose difference stays P, and doubles one of them.
+    """
+    r0, r1 = p, _x_double(*p, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _x_add(r1, r0, p, n), _x_double(*r1, a24, n)
+        else:
+            r0, r1 = _x_double(*r0, a24, n), _x_add(r1, r0, p, n)
+    return r0, r1
+
+
+def _ecm_tables(b1: int, b2: int) -> tuple[int, int, list[tuple[int, ...]]]:
+    """Stage tables for the bounds b1 < b2: (k, m_lo, rows).
+
+    Stage 1 multiplies by k, the product of the largest powers of the
+    primes up to b1 that do not pass b1.  Stage 2 walks the giant steps
+    m*D for m = m_lo, m_lo + 1, ...; rows[m - m_lo] lists the baby steps
+    j, by index, for which m*D - j or m*D + j is a prime in (b1, b2].
+    Both share one product term, as x(m*D*Q) = x(j*Q) exactly when
+    (m*D - j)Q or (m*D + j)Q is the identity.
+    """
+    sieve = bytearray([1]) * (b2 + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(b2) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, b2 + 1, p)))
+    k = 1
+    for p in compress(range(b1 + 1), sieve):
+        power = p
+        while power * p <= b1:
+            power *= p
+        k *= power
+    half = _ECM_D // 2
+    babies = [j for j in range(1, half, 2) if gcd(j, _ECM_D) == 1]
+    index = {j: i for i, j in enumerate(babies)}
+    m_lo = (b1 + 1 + half) // _ECM_D
+    rows: list[set[int]] = [set() for _ in range((b2 + half) // _ECM_D - m_lo + 1)]
+    for p in compress(range(b1 + 1, b2 + 1), sieve[b1 + 1:]):
+        m = (p + half) // _ECM_D
+        rows[m - m_lo].add(index[abs(p - m * _ECM_D)])
+    return k, m_lo, [tuple(sorted(row)) for row in rows]
+
+
+def _affine_x(points: list[tuple[int, int]], n: int) -> tuple[int, list[int]]:
+    """(1, [X/Z mod n for each point]) with one inversion (Montgomery's trick).
+
+    (g, []) instead when g = gcd(n, product of the Z) is not 1.
+    """
+    prefix = [1]
+    for _, z in points:
+        prefix.append(prefix[-1] * z % n)
+    g = gcd(prefix[-1], n)
+    if g != 1:
+        return g, []
+    inv = pow(prefix[-1], -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, z = points[i]
+        xs[i] = x * prefix[i] * inv % n
+        inv = inv * z % n
+    return 1, xs
+
+
+def _ecm_curve(n: int, sigma: int, k: int, m_lo: int, rows: list[tuple[int, ...]]) -> int:
+    """gcd of n with what one curve's two stages find, between 1 and n.
+
+    Suyama's parametrisation: u = sigma**2 - 5 and v = 4*sigma give the
+    Montgomery curve with (A + 2)/4 = (v - u)**3 (3u + v)/(16 u**3 v) and
+    the point P of x-coordinate u**3/v**3, both brought to one denominator
+    by one inversion.  Stage 1 forms Q = kP.  Stage 2 makes the baby steps
+    jQ and the giant steps m*D*Q affine, one inversion each, and
+    multiplies the differences of the x-coordinates that the rows pair.
+    """
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    u3 = u * u * u % n
+    den = 16 * u3 * pow(v, 4, n) % n
+    g = gcd(den, n)
+    if g != 1:
+        return g
+    inv = pow(den, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(v, 3, n) * inv % n
+    q = _x_ladder(k, (16 * u3 * u3 * v * inv % n, 1), a24, n)[0]
+    g = gcd(q[1], n)
+    if g != 1:
+        return g
+    two = _x_double(*q, a24, n)
+    odd = [q, _x_add(two, q, q, n)]  # jQ for j = 1, 3, ..., D/2
+    while len(odd) <= _ECM_D // 4:
+        odd.append(_x_add(odd[-1], two, odd[-2], n))
+    g, xs = _affine_x([odd[j // 2] for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) == 1], n)
+    if g != 1:
+        return g
+    step = _x_double(*odd[-1], a24, n)  # D*Q = 2 * (D/2)Q
+    giants = list(_x_ladder(m_lo, step, a24, n))
+    while len(giants) < len(rows):
+        giants.append(_x_add(giants[-1], step, giants[-2], n))
+    g, gs = _affine_x(giants, n)
+    if g != 1:
+        return g
+    acc = 1
+    for x, row in zip(gs, rows):
+        for i in row:
+            acc = acc * (x - xs[i]) % n
+    return gcd(acc, n)
+
+
+def _ecm_curves(rng: random.Random) -> Iterator[_Curve]:
+    """(sigma, k, m_lo, rows) for each curve of _ECM_SCHEDULE, in order.
+
+    A level's tables are built when the schedule reaches it.
+    """
+    for b1, b2, count in _ECM_SCHEDULE:
+        tables = _ecm_tables(b1, b2)
+        for _ in range(count):
+            yield (rng.randrange(6, 1 << 32), *tables)
+
+
+def _ecm(n: int, curves: Iterator[_Curve]) -> int:
+    """A proper factor of the odd composite n from the next curves of the schedule."""
+    for sigma, k, m_lo, rows in curves:
+        g = _ecm_curve(n, sigma, k, m_lo, rows)
+        if 1 < g < n:
+            return g
+    budget = sum(count for _, _, count in _ECM_SCHEDULE)
+    raise ValueError(f"a {len(str(n))}-digit cofactor is left unsplit by the factoring "
+                     f"budget of {budget} elliptic curves")
+
+
+def _factorize(n: int) -> dict[int, int] | None:
+    """Prime factorisation of n, or None once a factor 3 mod 4 shows.
+
+    Trial division by _SMALL_PRIMES, then per cofactor a primality test,
+    Brent's rho for at most _RHO_STEPS steps and, if rho fails, ECM.  An
+    odd number whose prime factors are all 1 mod 4 is itself 1 mod 4, so
+    a cofactor 3 mod 4 has a prime factor 3 mod 4 and is not split.  All
+    cofactors draw their curves from one schedule, so _ECM_SCHEDULE bounds
+    the ECM work of the whole factorisation.  Output is deterministic:
+    rho and the curves draw from one fixed-seed generator.
+    """
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
+            if p % 4 == 3:
+                return None
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    rng = random.Random(0xC0FFEE)  # fixed seed: deterministic output
+    rng = random.Random(0xC0FFEE)
+    curves = _ecm_curves(rng)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
+        if m % 4 == 3:
+            return None
         if _is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, rng)
+        d = _pollard_rho(m, rng) or _ecm(m, curves)
         stack.extend((d, m // d))
     return factors
 
 
 def _sqrt_minus_one_mod_prime_power(p: int, e: int) -> list[int]:
-    """Solutions of x**2 == -1 modulo p**e for an odd prime p."""
-    if p % 4 != 1:
-        return []
+    """Solutions of x**2 == -1 modulo p**e for a prime p == 1 (mod 4)."""
     # Square root of -1 mod p via a quadratic non-residue.
     n = 2
     while pow(n, (p - 1) // 2, p) != p - 1:
@@ -549,29 +806,44 @@ def congruence_brute(q: int) -> list[int]:
 def solve_congruence(q: int) -> list[int]:
     """All residues x in [0, q) with x**2 + 1 == 0 (mod q), sorted.
 
-    The modulus is factored; square roots of -1 modulo each odd prime
-    power are lifted by Newton steps and combined by the Chinese remainder
-    theorem.
     The set is nonempty exactly when q has no prime factor congruent to
     3 mod 4 and is not divisible by 4; Markov numbers always qualify.
+    Otherwise the answer is [] as soon as that shows: at once when 4
+    divides q or the odd part of q is 3 mod 4, else at the first prime
+    factor or unsplit cofactor that is 3 mod 4.  When the roots exist, q
+    is factored (see _factorize); square roots of -1 modulo each odd prime
+    power are lifted by Newton steps and combined by the Chinese remainder
+    theorem.
+
+    Every answer is certified: the prime powers multiply back to q, each
+    root solves the congruence, and there are 2**k roots for k odd prime
+    factors; a failure raises ArithmeticError.  ValueError when a cofactor
+    survives the factoring budget, the curves of _ECM_SCHEDULE.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
+    if q % 4 == 0 or (q if q % 2 else q // 2) % 4 == 3:
+        return []
     factors = _factorize(q)
-    if factors.get(2, 0) >= 2:
+    if factors is None:
         return []
     residues = [(0, 1)]  # pairs (residue, modulus), combined by CRT
     for p, e in sorted(factors.items()):
         mod = p ** e
         roots = [1] if p == 2 else _sqrt_minus_one_mod_prime_power(p, e)
-        if not roots:
-            return []
         residues = [
             ((r * mod * pow(mod, -1, m) + s * m * pow(m, -1, mod)) % (m * mod), m * mod)
             for r, m in residues
             for s in roots
         ]
-    return sorted(r for r, _ in residues)
+    roots = sorted(r for r, _ in residues)
+    product = 1
+    for p, e in factors.items():
+        product *= p ** e
+    if (product != q or len(set(roots)) != 1 << len(factors.keys() - {2})
+            or any((x * x + 1) % q for x in roots)):
+        raise ArithmeticError(f"solve_congruence({q}) failed its certificate")
+    return roots
 
 
 # -- exhaustive scans --------------------------------------------------------

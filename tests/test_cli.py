@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import markovfrac
+from markovfrac import markov
 from markovfrac.cli import main
 from markovfrac.markov import mu
 
@@ -265,6 +266,18 @@ def test_congruence_exact_output(capsys):
     code, out, _ = run_cli(capsys, "congruence", "--help")
     assert code == 0
     assert "Solutions of x^2 + 1 = 0 modulo Q in [0, Q)." in out
+
+
+def test_congruence_factoring_budget_exits_1(capsys, monkeypatch):
+    # Two 20-digit primes 1 mod 4: past rho's cap, and past a budget of two curves.
+    monkeypatch.setattr(markov, "_ECM_SCHEDULE", ((2_000, 147_396, 2),))
+    q = str(10000000000000000097 * 20000000000000000153)
+    detail = "a 39-digit cofactor is left unsplit by the factoring budget of 2 elliptic curves"
+    assert run_cli(capsys, "congruence", q) == (1, "", f"error: {detail}\n")
+    code, out, err = run_cli(capsys, "congruence", q, "--format", "json")
+    assert (code, err) == (1, f"error: {detail}\n")
+    record = json.loads(out)
+    assert (record["status"], record["error_detail"]) == ("error", detail)
 
 
 def test_verify_passes(capsys):

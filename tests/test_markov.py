@@ -1,17 +1,21 @@
 """Markov fraction tree, triples, branches, congruence, generalized equations.
 
 Independent oracles: Fibonacci/Pell integer recurrences for the two named
-branches, sympy's sqrt_mod for the numerator congruence, and a direct
-Vieta-closure reimplementation for the generalized equations.
+branches, sympy's sqrt_mod, isprime and factorint for the numerator
+congruence, and a direct Vieta-closure reimplementation for the
+generalized equations.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.modular import crt
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from markovfrac import (
@@ -540,6 +544,127 @@ def test_congruence_modulo_strong_pseudoprimes_matches_sympy():
     for q in (psi12, 5 * psi12, psi13):
         assert not _is_probable_prime(q)
         assert solve_congruence(q) == _sqrt_mod_oracle(q), q
+
+
+# Arnault (1995): a strong pseudoprime to every prime base below 307.
+ARNAULT_P1 = int(
+    "29674495668685510550154174642905332730771991799853043350995075531276"
+    "838753171770199594238596428121188033664754218345562493168782883")
+ARNAULT = ARNAULT_P1 * (313 * (ARNAULT_P1 - 1) + 1) * (353 * (ARNAULT_P1 - 1) + 1)
+# The median 45-digit Markov number, with its prime factors and tree numerator.
+LADDER_45 = 307378121820862131242648259740198831724128857
+LADDER_45_FACTORS = (18863539913, 35228577869161, 462545697532472985449)
+LADDER_45_NUMERATOR = 127312793469548728662392224007634729410868788
+# Two 20-digit primes 1 mod 4, the first after 10**19 and 2 * 10**19.
+BUDGET_P, BUDGET_Q = 10000000000000000097, 20000000000000000153
+
+
+def _prime_1_mod_4(rng: random.Random, digits: int) -> int:
+    while True:
+        p = sympy.nextprime(rng.randrange(10 ** (digits - 1), 10 ** digits))
+        if p % 4 == 1 and p < 10 ** digits:
+            return p
+
+
+def test_arnault_number_is_composite():
+    assert len(str(ARNAULT)) == 397
+    # Miller-Rabin to the bases 2...47 passes it; the strong Lucas test does not.
+    d, s = ARNAULT - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in markov._SMALL_PRIMES:
+        x = pow(a, d, ARNAULT)
+        assert x in (1, ARNAULT - 1) or ARNAULT - 1 in (
+            pow(x, 1 << r, ARNAULT) for r in range(1, s))
+    assert not markov._is_strong_lucas_probable_prime(ARNAULT)
+    assert not _is_probable_prime(ARNAULT)
+
+
+def test_strong_lucas_test_on_known_values():
+    # Primes pass; so do the smallest strong Lucas pseudoprimes (OEIS A217255),
+    # which Miller-Rabin rejects; squares, which have no Selfridge D, fail.
+    assert all(markov._is_strong_lucas_probable_prime(p) for p in sympy.primerange(53, 3000))
+    for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
+        assert markov._is_strong_lucas_probable_prime(n) and not _is_probable_prime(n)
+    assert not any(markov._is_strong_lucas_probable_prime(p * p) for p in (53, 10**12 + 39))
+
+
+def test_probable_prime_matches_sympy_above_the_proven_bound():
+    rng = random.Random(20261018)
+    primes = [sympy.nextprime(rng.randrange(10**25, 10**60)) for _ in range(40)]
+    sample = primes + [p * sympy.nextprime(rng.randrange(10**12, 10**20)) for p in primes[:20]]
+    sample += [p * p for p in primes[:5]] + [rng.randrange(10**25, 10**60) | 1 for _ in range(200)]
+    for n in sample:
+        assert n > 10**25
+        assert _is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_congruence_stops_without_factoring_when_no_root_exists(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factored a modulus without roots")
+
+    monkeypatch.setattr(markov, "_factorize", refuse)
+    # 4 divides q; the odd part is 3 mod 4 (Arnault's number among them)
+    for q in (4 * 10**40, 2 * (4 * 10**40 + 3), ARNAULT, 2 * ARNAULT):
+        assert solve_congruence(q) == []
+
+
+def test_congruence_stops_at_a_factor_3_mod_4(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ECM ran on a modulus without roots")
+
+    monkeypatch.setattr(markov, "_ecm", refuse)
+    # q is 1 mod 4, and so is its first cofactor; a factor 3 mod 4 shows later.
+    q = 1000003 * 1000039 * 5
+    assert q % 4 == 1 and 1000003 % 4 == 1000039 % 4 == 3
+    assert solve_congruence(q) == [] == _sqrt_mod_oracle(q)
+
+
+def test_factorize_past_the_rho_cap_matches_factorint(monkeypatch):
+    # Factors of 10 to 16 digits are past the reach of rho's capped walk.
+    ecm_calls = []
+    ecm = markov._ecm
+
+    def counting(n, curves):
+        ecm_calls.append(n)
+        return ecm(n, curves)
+
+    monkeypatch.setattr(markov, "_ecm", counting)
+    rng = random.Random(20261018)
+    for _ in range(6):
+        primes = [_prime_1_mod_4(rng, rng.randint(10, 16)) for _ in range(rng.randint(2, 3))]
+        n = math.prod(primes)
+        assert markov._factorize(n) == sympy.factorint(n), primes
+    assert ecm_calls
+
+
+def test_congruence_on_the_45_digit_ladder_entry():
+    assert math.prod(LADDER_45_FACTORS) == LADDER_45
+    assert markov._factorize(LADDER_45) == {p: 1 for p in LADDER_45_FACTORS}
+    per_prime = [sqrt_mod(-1, p, all_roots=True) for p in LADDER_45_FACTORS]
+    want = sorted(crt(LADDER_45_FACTORS, combo)[0] for combo in itertools.product(*per_prime))
+    roots = solve_congruence(LADDER_45)
+    assert len(roots) == 8 and roots == want
+    assert LADDER_45_NUMERATOR in roots
+
+
+def test_factoring_budget_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(markov, "_ECM_SCHEDULE", ((2_000, 147_396, 2),))
+    q = BUDGET_P * BUDGET_Q
+    with pytest.raises(ValueError, match="^a 39-digit cofactor is left unsplit by the "
+                                         "factoring budget of 2 elliptic curves$"):
+        solve_congruence(q)
+
+
+def test_congruence_certificate_raises_arithmetic_error(monkeypatch):
+    assert solve_congruence(65) == [8, 18, 47, 57]
+    monkeypatch.setattr(markov, "_factorize", lambda n: {5: 1, 17: 1})
+    with pytest.raises(ArithmeticError, match="certificate"):
+        solve_congruence(65)  # the factors multiply to 85
+    monkeypatch.setattr(markov, "_factorize", lambda n: {5: 1, 13: 1})
+    monkeypatch.setattr(markov, "_sqrt_minus_one_mod_prime_power", lambda p, e: [2, 3, 4])
+    with pytest.raises(ArithmeticError, match="certificate"):
+        solve_congruence(65)  # wrong roots, and too many
 
 
 @settings(max_examples=80)
