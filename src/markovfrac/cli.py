@@ -49,7 +49,7 @@ from .markov import (
     solve_congruence,
     unicity_scan,
 )
-from .slopes import bundle_invariants, epsilon, is_exceptional_slope, normalize_slope
+from .slopes import epsilon, is_exceptional_slope, normalize_slope
 from .verify import run_all
 
 __all__ = ["OutputRecord", "main"]
@@ -219,7 +219,7 @@ def _cmd_slope(args: argparse.Namespace) -> Handled:
     }
     plain = dict(outputs)
     if decision.accepted:
-        inv = bundle_invariants(decision.reduced)
+        inv = decision.bundle_invariants()
         extra: dict[str, object] = {
             "word": decision.witness,
             "rank": inv.rank,

@@ -326,37 +326,52 @@ def _lucas_pair(k: int, r: int) -> tuple[int, int]:
     return u1, u0
 
 
+def _run_step(v: Vertex, letter: str, r: int, what: str | None = None) -> Vertex:
+    """The vertex r >= 1 letters down a run of equal letters from v.
+
+    Along a run the kept neighbour a/c stays fixed, so the Vieta step
+    x(j+1) = k*x(j) - x(j-1) with k = 3*c is linear in the numerators and
+    in the denominators: a run of length r is one power of the matrix
+    [[k, -1], [1, 0]] (see _lucas_pair), O(log r) multiplications, and
+    run steps compose, step(step(v, r), s) = step(v, r + s).  With a name,
+    the denominator is held to the value budget and a refusal names
+    ``what``: each letter at least multiplies it by k - 1 >= 2, which
+    bounds the run's growth from below before its power is taken.
+    """
+    p1, q1, p2, q2, p3, q3 = v
+    left = letter == "L"
+    k = 3 * (q1 if left else q2)
+    if what is not None:
+        _check_value_bits(q3.bit_length() + r * ((k - 1).bit_length() - 1), what)
+    u1, u0 = _lucas_pair(k, r)
+    um = k * u0 - u1
+    # M**r takes (vertex, dropped neighbour) to (new vertex, its neighbour on that side).
+    if left:
+        v = (p1, q1, u0 * p3 - um * p2, u0 * q3 - um * q2, u1 * p3 - u0 * p2, u1 * q3 - u0 * q2)
+    else:
+        v = (u0 * p3 - um * p1, u0 * q3 - um * q1, p2, q2, u1 * p3 - u0 * p1, u1 * q3 - u0 * q1)
+    if what is not None:
+        _check_value_bits(v[5].bit_length(), what)
+    return v
+
+
+def _descend(word: TurnWord, v: Vertex, what: str) -> Fraction:
+    """Value of the vertex a well-formed word addresses below v; refusals name ``what``."""
+    for run in _RUN.finditer(word):
+        v = _run_step(v, word[run.start()], run.end() - run.start(), what)
+    return Fraction(v[4], v[5])
+
+
 def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS) -> Fraction:
     """Value of the tree vertex addressed by a turn word.
 
     The seeds must span a Markov fraction tree, as REDUCED_SEEDS, UNIT_SEEDS
     and their integer translates do.  The descent takes one step per run
-    of equal letters.  Along a run the kept neighbour a/c stays fixed, so
-    the Vieta step x(j+1) = k*x(j) - x(j-1) with k = 3*c is linear in the
-    numerators and in the denominators: a run of length r is one power of
-    the matrix [[k, -1], [1, 0]] (see _lucas_pair), O(log r)
-    multiplications.  The denominator is held to the value budget; each
-    step at least multiplies it by k - 1 >= 2, which bounds a run's growth
-    from below before its power is taken.
+    of equal letters, one matrix power each (see _run_step), and holds the
+    denominator to the value budget before and after each run.
     """
     check_word(word)
-    p1, q1, p2, q2, p3, q3 = _ROOTS.get(tuple(seeds)) or _root(seeds)
-    for run in _RUN.finditer(word):
-        r = run.end() - run.start()
-        left = word[run.start()] == "L"
-        k = 3 * (q1 if left else q2)
-        _check_value_bits(q3.bit_length() + r * ((k - 1).bit_length() - 1), "the tree vertex")
-        u1, u0 = _lucas_pair(k, r)
-        um = k * u0 - u1
-        # M**r takes (vertex, dropped neighbour) to (new vertex, its neighbour on that side).
-        if left:
-            p2, q2, p3, q3 = (u0 * p3 - um * p2, u0 * q3 - um * q2,
-                              u1 * p3 - u0 * p2, u1 * q3 - u0 * q2)
-        else:
-            p1, q1, p3, q3 = (u0 * p3 - um * p1, u0 * q3 - um * q1,
-                              u1 * p3 - u0 * p1, u1 * q3 - u0 * q1)
-        _check_value_bits(q3.bit_length(), "the tree vertex")
-    return Fraction(p3, q3)
+    return _descend(word, _ROOTS.get(tuple(seeds)) or _root(seeds), "the tree vertex")
 
 
 @dataclass(frozen=True)

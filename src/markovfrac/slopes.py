@@ -12,7 +12,10 @@ That midpoint value coincides with the tree mediant
 separately here so the coincidence stays a checkable fact rather than a
 definition.  The image of [0, 1] dyadics is exactly the [0, 1]-seeded
 mediant tree, and a fraction is an exceptional slope precisely when its
-translate into [0, 1/2] appears in the reduced tree.
+translate into [0, 1/2] appears in the reduced tree.  ``epsilon`` therefore
+descends that tree at the binary digits of its argument, one matrix power
+per run of equal digits; the recursion itself stays as its oracle,
+``_epsilon_by_midpoints``.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from .markov import (
     MarkovFraction,
     REDUCED_SEEDS,
     UNIT_SEEDS,
+    Vertex,
     solve_congruence,
     springborn_mediant,
     _ROOTS,
+    _descend,
+    _run_step,
     _vieta_child,
 )
 
@@ -47,6 +53,8 @@ __all__ = [
 ]
 
 _MAX_EQUIVALENCE_DEPTH = 12
+#: Integer roots of the two trees, looked up once: a lookup hashes the seeds.
+_REDUCED_ROOT, _UNIT_ROOT = _ROOTS[REDUCED_SEEDS], _ROOTS[UNIT_SEEDS]
 
 
 def _midpoint_value(v1: Fraction, v2: Fraction) -> Fraction:
@@ -63,27 +71,14 @@ def _midpoint_value(v1: Fraction, v2: Fraction) -> Fraction:
     return Fraction((p1 * q2 + p2 * q1) * d + q2 * q2 - q1 * q1, 2 * q1 * q2 * d)
 
 
-def _budgeted_midpoint(lo: Fraction, hi: Fraction) -> Fraction:
-    """_midpoint_value of adjacent dyadic values, held to the value budget.
+def _epsilon_by_midpoints(x: DyadicRational | Fraction | int) -> Fraction:
+    """epsilon by its definition: one midpoint step per binary digit.
 
-    The values are neighbouring tree vertices, so the step's denominator
-    is at least 2*q_lo*q_hi: a step whose inputs' bit lengths already sum
-    past the budget is refused before it is taken.
-    """
-    _check_value_bits(lo.denominator.bit_length() + hi.denominator.bit_length(), "epsilon(x)")
-    mid = _midpoint_value(lo, hi)
-    _check_value_bits(mid.denominator.bit_length(), "epsilon(x)")
-    return mid
-
-
-def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
-    """Slope of a dyadic rational anywhere on the line.
-
-    For m/2**n in lowest terms, translation splits off the whole part
-    m >> n.  The fractional part is reached from the values (0, 1) at 0 and
-    1 by n midpoint steps: bits n - 1, ..., 1 of m choose the lower or upper
-    half, and the last step lands on the fractional part itself.  The
-    denominators are held to the value budget digit by digit.
+    From the values (0, 1) at 0 and 1, bits n - 1, ..., 1 of m choose the
+    lower or upper half, and the last step lands on the fractional part
+    itself.  It shares no step with the tree descent of ``epsilon``, which
+    it checks in the tests and in ``verify``.  Its cost is cubic in n and
+    no budget bounds it, so it is meant for short dyadics only.
     """
     if isinstance(x, int):
         return Fraction(x)
@@ -92,17 +87,41 @@ def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
     m, n = x.m, x.n
     if n == 0:
         return Fraction(m)
-    # Each step at least doubles the denominator, so the slope has more
-    # than n bits: refuse a long n before the first step.
-    _check_value_bits(n + 1, "epsilon(x)")
     lo, hi = Fraction(0), Fraction(1)
     for i in range(n - 1, 0, -1):
-        mid = _budgeted_midpoint(lo, hi)
+        mid = _midpoint_value(lo, hi)
         if m >> i & 1:
             lo = mid
         else:
             hi = mid
-    return (m >> n) + _budgeted_midpoint(lo, hi)
+    return (m >> n) + _midpoint_value(lo, hi)
+
+
+_BITS_TO_TURNS = str.maketrans("01", "LR")
+
+
+def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
+    """Slope of a dyadic rational anywhere on the line.
+
+    For m/2**n in lowest terms, translation splits off the whole part
+    m >> n.  Midpoints of adjacent dyadics go to tree mediants of their
+    values, so the fractional part goes to the vertex of the [0, 1]-seeded
+    tree whose turn word is bits n - 1, ..., 1 of m, read 0 -> L and
+    1 -> R.  That vertex is one run-length descent: a matrix power per run
+    of equal digits, held to the value budget.
+    """
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        x = DyadicRational.from_fraction(x)
+    m, n = x.m, x.n
+    if n == 0:
+        return Fraction(m)
+    # Each letter at least doubles the denominator, so the slope has more
+    # than n bits: refuse a long n before the word is built.
+    _check_value_bits(n + 1, "epsilon(x)")
+    word = format(m & ((1 << n) - 1), f"0{n}b")[:-1].translate(_BITS_TO_TURNS)
+    return (m >> n) + _descend(word, _UNIT_ROOT, "epsilon(x)")
 
 
 def identity_check(f1: Fraction, f2: Fraction) -> bool:
@@ -173,11 +192,11 @@ def normalize_slope(x: Fraction) -> SlopeNormalization:
     the fractional part is at most 1/2, so the map is idempotent on
     already-reduced slopes.
     """
-    n = x.numerator // x.denominator
-    frac = x - n
-    if 2 * frac <= 1:
-        return SlopeNormalization(n, 1, frac)
-    return SlopeNormalization(n + 1, -1, 1 - frac)
+    q = x.denominator
+    n, rem = divmod(x.numerator, q)
+    if 2 * rem <= q:
+        return SlopeNormalization(n, 1, Fraction(rem, q))
+    return SlopeNormalization(n + 1, -1, Fraction(q - rem, q))
 
 
 @dataclass(frozen=True)
@@ -206,30 +225,91 @@ class SlopeDecision:
         word = self.witness
         return MarkovFraction(self.reduced, len(word) if word else 0, word)
 
+    def bundle_invariants(self) -> BundleInvariants:
+        """Invariants of the accepted slope, computed on its reduced form.
+
+        With p/q the reduced slope: rank q, first invariant p, cofactor
+        s = (p**2 + 1)/q, second invariant c2 = (q - 1)(s + 1)/2.
+        """
+        if not self.accepted:
+            raise ValueError(f"{self.normalization.original} is not an exceptional slope")
+        p, q = self.reduced.numerator, self.reduced.denominator
+        s = (p * p + 1) // q
+        c2 = (q - 1) * (s + 1) // 2
+        return BundleInvariants(rank=q, c1=p, s=s, c2=c2, form=(q, 3 * q - 2 * p, s - 3 * p))
+
+
+#: Letters of a run that the membership search takes one Vieta step at a
+#: time before it searches the rest of the run.  A search probe costs
+#: several single steps, so runs this short cost what they did letter by
+#: letter: every run of a depth-10 word, and 95% of the runs in the words
+#: of the tree fractions below 10**45.
+_SINGLE_STEPS = 16
+
+
+def _run_end(v: Vertex, letter: str, rp: int, rq: int) -> tuple[int, Vertex]:
+    """Where the search for rp/rq leaves the run of ``letter`` that it follows at v.
+
+    Returns (j, v_j) for the least j >= 1 at which the vertex v_j is the
+    target, has passed the target's denominator, or has the target on the
+    other side.  Along a run the vertices move monotonically toward the
+    kept neighbour and their denominators grow, so the search goes on past
+    v_j exactly for j below that index: the stride doubles from 1 while it
+    does (an exponential search), then halves down to the index (a binary
+    search), each probe one run step.
+    """
+    side = -1 if letter == "L" else 1
+
+    def goes_on(w: Vertex) -> bool:
+        return w[5] <= rq and side * (rp * w[5] - w[4] * rq) > 0
+
+    taken, stride = 0, 1
+    while goes_on(w := _run_step(v, letter, stride)):
+        v, taken, stride = w, taken + stride, 2 * stride
+    # The search goes on past v and stops at w, stride letters further.
+    while stride > 1:
+        half = stride // 2
+        mid = _run_step(v, letter, half)
+        if goes_on(mid):
+            v, taken, stride = mid, taken + half, stride - half
+        else:
+            w, stride = mid, half
+    return taken + 1, w
+
 
 def is_exceptional_slope(x: Fraction) -> SlopeDecision:
     """Decide whether x is a slope of the tree, i.e. a translate of a Markov fraction.
 
     After normalization into [0, 1/2] the reduced tree is searched by its
     ordering; the search stops, rejecting, as soon as the current vertex
-    denominator exceeds the target's.
+    denominator exceeds the target's.  A run of equal turns takes single
+    Vieta steps for its first _SINGLE_STEPS letters and is then searched
+    for its end (see _run_end), so a long run costs O(log) matrix powers.
+    The input's denominator is held to the value budget.
     """
+    _check_value_bits(x.denominator.bit_length(), "the slope x")
     norm = normalize_slope(x)
-    r = norm.reduced
-    if r == 0 or 2 * r == 1:
+    rp, rq = norm.reduced.numerator, norm.reduced.denominator
+    if rp == 0 or 2 * rp == rq:
         return SlopeDecision(True, norm)
-    rp, rq = r.numerator, r.denominator
-    v = _ROOTS[REDUCED_SEEDS]
-    letters: list[str] = []
+    v = _REDUCED_ROOT
+    word: list[str] = []
+    last, run = "", 0
     while True:
         p3, q3 = v[4], v[5]
         if p3 == rp and q3 == rq:
-            return SlopeDecision(True, norm, witness="".join(letters))
+            return SlopeDecision(True, norm, witness="".join(word))
         if q3 > rq:
             return SlopeDecision(False, norm, stopped_at_denominator=q3)
         letter = "L" if rp * q3 < p3 * rq else "R"
-        letters.append(letter)
-        v = _vieta_child(v, letter)
+        run = run + 1 if letter == last else 1
+        last = letter
+        if run <= _SINGLE_STEPS:
+            word.append(letter)
+            v = _vieta_child(v, letter)
+        else:
+            length, v = _run_end(v, letter, rp, rq)
+            word.append(letter * length)
 
 
 @dataclass(frozen=True)
@@ -263,16 +343,8 @@ class BundleInvariants:
 
 
 def bundle_invariants(x: Fraction) -> BundleInvariants:
-    """Invariants of the exceptional slope x, computed on its reduced form.
+    """Invariants of the exceptional slope x; see SlopeDecision.bundle_invariants.
 
-    Raises ValueError when x is not an exceptional slope.  With p/q the
-    reduced slope: rank q, first invariant p, cofactor s = (p**2 + 1)/q,
-    second invariant c2 = (q - 1)(s + 1)/2.
+    Raises ValueError when x is not an exceptional slope.
     """
-    decision = is_exceptional_slope(x)
-    if not decision.accepted:
-        raise ValueError(f"{x} is not an exceptional slope")
-    p, q = decision.reduced.numerator, decision.reduced.denominator
-    s = (p * p + 1) // q
-    c2 = (q - 1) * (s + 1) // 2
-    return BundleInvariants(rank=q, c1=p, s=s, c2=c2, form=(q, 3 * q - 2 * p, s - 3 * p))
+    return is_exceptional_slope(x).bundle_invariants()

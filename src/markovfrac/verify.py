@@ -56,8 +56,8 @@ from .markov import (
     vieta_mutate,
 )
 from .slopes import (
+    _epsilon_by_midpoints,
     bundle_invariants,
-    epsilon,
     identity_check,
     is_exceptional_slope,
     normalize_slope,
@@ -195,7 +195,11 @@ def check_slope_image(depth: int) -> CheckResult:
 
 
 def check_slope_transport() -> CheckResult:
-    """epsilon(?(x)) equals the tree transport of x for denominators <= 100."""
+    """epsilon(?(x)) equals the tree transport of x for denominators <= 100.
+
+    epsilon itself descends the tree at the binary word of ?(x), which is
+    the Farey word of x, so the slope side is the midpoint recursion.
+    """
     checked = failures = 0
     for b in range(1, _TRANSPORT_DMAX + 1):
         for a in range(0, b + 1):
@@ -209,7 +213,7 @@ def check_slope_transport() -> CheckResult:
                 expected = Fraction(1)
             else:
                 expected = descend_value(farey_path_to(x), UNIT_SEEDS)
-            if epsilon(question_mark_farey(x)) != expected:
+            if _epsilon_by_midpoints(question_mark_farey(x)) != expected:
                 failures += 1
     return _result("slope_transport", checked, failures)
 

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import markovfrac
-from markovfrac import markov
+from markovfrac import cli, markov, slopes
 from markovfrac.cli import main
+from markovfrac.exact import MAX_VALUE_BITS
 from markovfrac.markov import mu
 
 # Child interpreters import the same package as this one, installed or not.
@@ -137,6 +138,22 @@ def test_slope_non_member(capsys):
     assert code == 0  # a rejection is an answer, not an error
     assert "member: no" in out
     assert "stopped_at_denominator: 5" in out
+
+
+def test_slope_searches_the_tree_once(capsys, monkeypatch):
+    searches = []
+    search = slopes.is_exceptional_slope
+
+    def counting(x):
+        searches.append(x)
+        return search(x)
+
+    monkeypatch.setattr(cli, "is_exceptional_slope", counting)
+    monkeypatch.setattr(slopes, "is_exceptional_slope", counting)
+    for args in (("13/34",), ("-7/5", "--format", "json")):
+        searches.clear()
+        assert run_cli(capsys, "slope", *args)[0] == 0
+        assert len(searches) == 1
 
 
 def test_qmark_methods_agree(capsys):
@@ -514,6 +531,23 @@ def test_value_budget_is_a_domain_error(capsys, args, message):
     detail = f"{message} exceeds the 262144-bit value budget"
     assert run_cli(capsys, *args) == (1, "", f"error: {detail}\n")
     code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert (code, err) == (1, f"error: {detail}\n")
+    assert json.loads(out)["error_detail"] == detail
+
+
+def test_slope_value_budget_boundary(capsys, digits_unlimited):
+    # A 2**18-bit denominator is searched; one bit more is a domain error.
+    # Its 78,914 digits parse only with the caller's digit limit lifted.
+    digits_unlimited()
+    inside, outside = f"1/{2 ** (MAX_VALUE_BITS - 1)}", f"1/{2 ** MAX_VALUE_BITS}"
+    code, out, err = run_cli(capsys, "slope", inside)
+    assert (code, err) == (0, "")
+    assert "member: no\n" in out
+    code, out, _ = run_cli(capsys, "slope", inside, "--format", "json")
+    assert code == 0 and json.loads(out)["outputs"]["member"] is False
+    detail = "the slope x exceeds the 262144-bit value budget"
+    assert run_cli(capsys, "slope", outside) == (1, "", f"error: {detail}\n")
+    code, out, err = run_cli(capsys, "slope", outside, "--format", "json")
     assert (code, err) == (1, f"error: {detail}\n")
     assert json.loads(out)["error_detail"] == detail
 

@@ -1,13 +1,15 @@
 """Exceptional-slope function, tree equivalence, membership, bundle invariants.
 
-The dual-route oracle: an exceptional slope at the dyadic m/2^n can also be
-reached by reading the binary digits of m (minus the trailing 1) as turn
-letters and descending the [0, 1]-seeded mediant tree.  The two routes share
-no code, so their agreement pins down both.
+Oracles: epsilon descends the [0, 1]-seeded tree at the binary digits of m
+(minus the trailing 1) read as turn letters; the midpoint recursion
+``_epsilon_by_midpoints`` reaches the same value one binary digit at a time
+and shares no step with it.  The run-length membership search is checked
+against the search that takes one Vieta step per letter.
 """
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,16 +24,20 @@ from markovfrac import (
     descend_value,
     enumerate_tree,
     epsilon,
+    fibonacci_branch,
     identity_check,
     is_exceptional_slope,
     normalize_slope,
+    pell_branch,
     set_equivalence,
     solve_congruence,
     springborn_mediant,
+    tree_walk,
 )
-from markovfrac import exact, slopes
+from markovfrac import exact, markov
 from markovfrac.exact import MAX_VALUE_BITS
-from markovfrac.slopes import _midpoint_value
+from markovfrac.markov import _ROOTS, _vieta_child
+from markovfrac.slopes import SlopeDecision, _epsilon_by_midpoints, _midpoint_value
 
 dyadics = st.builds(
     DyadicRational,
@@ -98,10 +104,10 @@ def test_epsilon_budget_refuses_a_long_inner_dyadic():
 
 
 def test_epsilon_refuses_a_long_exponent_before_the_first_step(monkeypatch):
-    def refuse(v1, v2):
-        raise AssertionError("a midpoint step was taken")
+    def refuse(k, r):
+        raise AssertionError("a matrix power was taken")
 
-    monkeypatch.setattr(slopes, "_midpoint_value", refuse)
+    monkeypatch.setattr(markov, "_lucas_pair", refuse)
     for n in (MAX_VALUE_BITS, 10**20):
         with pytest.raises(ValueError, match="epsilon\\(x\\) exceeds the 262144-bit value budget"):
             epsilon(DyadicRational(1, n))
@@ -113,14 +119,24 @@ def test_epsilon_budget_is_exact(monkeypatch):
     rng = random.Random(50)
     inputs = [DyadicRational(rng.randrange(1, 1 << n, 2) + (rng.randint(-2, 2) << n), n)
               for n in range(1, 16) for _ in range(12)]
+    inputs += [DyadicRational(1, n) for n in range(60, 70)]
     values = {d: epsilon(d) for d in inputs}
-    steps = []
+    run_step, lucas_pair = markov._run_step, markov._lucas_pair
+    runs, steps = [], []
 
-    def recording(v1, v2):
-        steps.append((v1.denominator.bit_length() + v2.denominator.bit_length(), budget))
-        return _midpoint_value(v1, v2)
+    def recording_run(v, letter, r, what=None):
+        runs.append((v, letter))
+        return run_step(v, letter, r, what)
 
-    monkeypatch.setattr(slopes, "_midpoint_value", recording)
+    def recording_power(k, r):
+        # A run of r letters multiplies the denominator by more than (k - 1)**r.
+        v, letter = runs[-1]
+        assert k == 3 * v[1 if letter == "L" else 3]
+        steps.append((v[5].bit_length() + r * ((k - 1).bit_length() - 1), budget))
+        return lucas_pair(k, r)
+
+    monkeypatch.setattr(markov, "_run_step", recording_run)
+    monkeypatch.setattr(markov, "_lucas_pair", recording_power)
     for d, value in values.items():
         budget = value.denominator.bit_length()
         monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget)
@@ -129,7 +145,23 @@ def test_epsilon_budget_is_exact(monkeypatch):
         monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget)
         with pytest.raises(ValueError, match=f" {budget}-bit value budget"):
             epsilon(d)
-    assert all(lower <= budget for lower, budget in steps)
+    assert steps and all(lower <= budget for lower, budget in steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 24), st.data(), st.integers(-10**6, 10**6))
+def test_epsilon_matches_midpoint_recursion(n, data, shift):
+    # Any dyadic, negative or translated: the descent equals the digit-by-digit definition.
+    d = DyadicRational(data.draw(st.integers(-(1 << n), 1 << n)) + (shift << n), n)
+    assert epsilon(d) == _epsilon_by_midpoints(d)
+
+
+def test_epsilon_cliff_is_gone():
+    # Digit by digit this took 10 s and grew cubically in the exponent.
+    start = time.perf_counter()
+    value = epsilon(DyadicRational(1, 10_000))
+    assert time.perf_counter() - start < 2.0
+    assert value == descend_value("L" * 9_999, UNIT_SEEDS)
 
 
 @given(dyadics, st.integers(-5, 5))
@@ -332,6 +364,80 @@ def test_membership_matches_mediant_search():
             witness, stopped = _membership_oracle(F(p, q))
             assert decision.accepted == (witness is not None)
             assert (decision.witness, decision.stopped_at_denominator) == (witness, stopped)
+
+
+def _membership_by_letters(x):
+    """The membership search with one Vieta step per letter."""
+    norm = normalize_slope(x)
+    r = norm.reduced
+    if r == 0 or 2 * r == 1:
+        return SlopeDecision(True, norm)
+    rp, rq = r.numerator, r.denominator
+    v = _ROOTS[REDUCED_SEEDS]
+    letters = []
+    while True:
+        p3, q3 = v[4], v[5]
+        if p3 == rp and q3 == rq:
+            return SlopeDecision(True, norm, witness="".join(letters))
+        if q3 > rq:
+            return SlopeDecision(False, norm, stopped_at_denominator=q3)
+        letter = "L" if rp * q3 < p3 * rq else "R"
+        letters.append(letter)
+        v = _vieta_child(v, letter)
+
+
+def _near(p, q):
+    """p/q and the reduced fractions at ±1 and ±2 from its numerator or denominator."""
+    out = {F(p, q)}
+    for delta in (-2, -1, 1, 2):
+        out |= {F(p + delta, q), F(p, q + delta)} if q + delta else {F(p + delta, q)}
+    return out
+
+
+def test_run_length_membership_matches_letter_search():
+    targets = set()
+    for (_, _, _, _, p, q), _, _ in tree_walk(7):
+        targets |= _near(p, q)
+    for k in range(1, 201):
+        for branch in (fibonacci_branch(k), pell_branch(k)):
+            targets |= _near(branch.value.numerator, branch.value.denominator)
+    # Long runs below short words, where a run's multiplier is large.
+    rng = random.Random(11)
+    for _ in range(60):
+        prefix = "".join(rng.choice("LR") * rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        suffix = "".join(rng.choice("LR") for _ in range(rng.randint(0, 2)))
+        value = descend_value(prefix + rng.choice("LR") * rng.choice([15, 16, 17, 40, 150]) + suffix)
+        targets |= _near(value.numerator, value.denominator)
+    for x in sorted(targets):
+        for shifted in (x, 3 - x):
+            assert is_exceptional_slope(shifted) == _membership_by_letters(shifted), shifted
+
+
+def test_membership_cliff_is_gone():
+    # Letter by letter, accepting this branch vertex took 16 s, and rejecting
+    # its neighbours (p + 1)/q and p/(q + 1) 5 s and 18 s.
+    value = descend_value("L" * 19_999)  # fibonacci_branch(20000), built in runs
+    assert value.denominator.bit_length() == 27_771
+    start = time.perf_counter()
+    decision = is_exceptional_slope(value)
+    assert time.perf_counter() - start < 5.0
+    assert decision.witness == "L" * 19_999
+    for neighbour in (F(value.numerator + 1, value.denominator),
+                      F(value.numerator, value.denominator + 1)):
+        start = time.perf_counter()
+        decision = is_exceptional_slope(neighbour)
+        assert time.perf_counter() - start < 5.0
+        assert not decision.accepted
+        assert decision.stopped_at_denominator > value.denominator
+
+
+def test_membership_value_budget():
+    # The input's denominator is held to the budget, exactly at its boundary.
+    assert not is_exceptional_slope(F(1, 2 ** (MAX_VALUE_BITS - 1))).accepted
+    with pytest.raises(ValueError, match="the slope x exceeds the 262144-bit value budget"):
+        is_exceptional_slope(F(1, 2 ** MAX_VALUE_BITS))
+    with pytest.raises(ValueError, match="the slope x exceeds"):
+        bundle_invariants(F(7, 2 ** MAX_VALUE_BITS) + 5)
 
 
 # -- bundle invariants ----------------------------------------------------------------
