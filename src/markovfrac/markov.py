@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt
+from math import floor, gcd, isqrt, log2, sqrt
 from typing import Iterator
 
 from .exact import _check_value_bits
@@ -78,13 +78,18 @@ def _check_scan_depth(depth: int, root_branches: int = 2) -> None:
         raise ValueError(f"depth {depth} exceeds the {_MAX_SCAN_VERTICES} vertex budget")
 
 
-def springborn_mediant(f1: Fraction, f2: Fraction) -> Fraction:
-    """Mediant variant generating the Markov fraction tree; requires f1 < f2."""
+def _mediant_terms(f1: Fraction, f2: Fraction) -> tuple[int, int]:
+    """Unreduced numerator and positive denominator of springborn_mediant(f1, f2)."""
     if not f1 < f2:
         raise ValueError(f"arguments must be ordered: expected {f1} < {f2}")
     p1, q1 = f1.numerator, f1.denominator
     p2, q2 = f2.numerator, f2.denominator
-    return Fraction(p1 * q1 + p2 * q2, q1 * q1 + q2 * q2)
+    return p1 * q1 + p2 * q2, q1 * q1 + q2 * q2
+
+
+def springborn_mediant(f1: Fraction, f2: Fraction) -> Fraction:
+    """Mediant variant generating the Markov fraction tree; requires f1 < f2."""
+    return Fraction(*_mediant_terms(f1, f2))
 
 
 @dataclass(frozen=True)
@@ -174,34 +179,36 @@ class RelationReport:
         }
 
 
-def _child_consistent(fa: Fraction, fb: Fraction, num: int, den: int, q: int) -> bool:
-    # The pair (num/q, den/q) must be integral and reduce to the mediant of (fa, fb).
-    if num % q or den % q:
-        return False
-    if den // q <= 0:
-        return False
-    try:
-        return Fraction(num // q, den // q) == springborn_mediant(fa, fb)
-    except ValueError:
-        return False
+def _child_consistent(ordered: bool, num: int, den: int, q: int) -> bool:
+    # (num, den) are the unreduced mediant terms of a pair, which has a mediant
+    # only when ordered.  Dividing both terms by q keeps their ratio, so an
+    # integer pair (num/q, den/q) equals the reduced mediant as a fraction:
+    # the cross product (num/q)*den == (den/q)*num holds identically.
+    return ordered and num % q == 0 and den % q == 0
 
 
 def check_relations(t: FractionTriple) -> RelationReport:
-    """Exact truth report for the neighbour relations of a candidate triple."""
+    """Exact truth report for the neighbour relations of a candidate triple.
+
+    Every relation is decided on integers: no Fraction is built and no gcd
+    is taken.  The two determinants are also the orders f3 > f1 and f2 > f3
+    that the child mediants need.
+    """
     p1, q1 = t.f1.numerator, t.f1.denominator
     p2, q2 = t.f2.numerator, t.f2.denominator
     p3, q3 = t.f3.numerator, t.f3.denominator
+    d23, d31 = p2 * q3 - p3 * q2, p3 * q1 - p1 * q3
     qq12 = q1 * q1 + q2 * q2
     flip = (qq12 % q3 == 0
             and p2 * q1 - p1 * q2 == qq12 // q3 == 3 * q1 * q2 - q3)
     return RelationReport(
-        det_f2_f3_is_q1=(p2 * q3 - p3 * q2 == q1),
-        det_f3_f1_is_q2=(p3 * q1 - p1 * q3 == q2),
+        det_f2_f3_is_q1=(d23 == q1),
+        det_f3_f1_is_q2=(d31 == q2),
         det_f2_f1_is_flip=flip,
         left_child_consistent=_child_consistent(
-            t.f1, t.f3, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2),
+            d31 > 0, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2),
         right_child_consistent=_child_consistent(
-            t.f3, t.f2, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1),
+            d23 > 0, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1),
     )
 
 
@@ -415,22 +422,45 @@ def mu(x: Fraction) -> MarkovFraction:
     return MarkovFraction(descend_value(word), len(word), word)
 
 
+def _branch_bits(n: int, alpha: float) -> int:
+    """Bit length of u(n), n >= 3, for u(n) = (alpha**n - (-1/alpha)**n)/(alpha + 1/alpha).
+
+    With alpha the golden ratio u is the Fibonacci sequence, with 1 + sqrt(2)
+    the Pell sequence.  The bit length is read off this closed form in
+    floating point, without building u(n); the tests check it against the
+    built values for every n up to the value budget.
+    """
+    return floor(n * log2(alpha) - log2(alpha + 1 / alpha)
+                 + log2(1 - (-1 / alpha ** 2) ** n)) + 1
+
+
+def _check_branch_bits(n: int, alpha: float, what: str) -> None:
+    """Refuse a branch value whose denominator u(n) passes the value budget.
+
+    Both sequences have u(n + 2) >= 2*u(n), so u(n) has at least n//2 bits:
+    that bound refuses a long n first, which keeps the closed form finite.
+    """
+    _check_value_bits(n // 2, what)
+    _check_value_bits(_branch_bits(n, alpha), what)
+
+
 def fibonacci_branch(k: int) -> MarkovFraction:
     """k-th fraction (k >= 1) of the boundary branch converging to (3 - sqrt(5))/2.
 
     Starting from 2/5 the branch repeatedly takes the mediant with the seed
     0/1, i.e. descends by the constant word 'L'.  Numerators and
-    denominators are every second Fibonacci number: p(k+1) = q(k) and
-    q(k+1) = (q(k)**2 + 1)/q(k-1), anchored by q(0) = 2, q(1) = 5.
+    denominators are every second Fibonacci number, q(k) = F(2k + 3):
+    p(k+1) = q(k) and q(k+1) = 3*q(k) - q(k-1), anchored by q(0) = 2,
+    q(1) = 5.  A k whose denominator passes the value budget is refused
+    before anything is built.
     """
     if k < 1:
         raise ValueError("branch index starts at 1")
-    prev_q, p, q = 2, 2, 5
+    _check_branch_bits(2 * k + 3, (1 + sqrt(5)) / 2, "fibonacci_branch(k)")
+    prev_q, q = 2, 5
     for _ in range(k - 1):
-        whole = q * q + 1
-        assert whole % prev_q == 0
-        prev_q, p, q = q, q, whole // prev_q
-    return MarkovFraction(Fraction(p, q), k - 1, "L" * (k - 1))
+        prev_q, q = q, 3 * q - prev_q
+    return MarkovFraction(Fraction(prev_q, q), k - 1, "L" * (k - 1))
 
 
 def pell_branch(k: int) -> MarkovFraction:
@@ -440,15 +470,16 @@ def pell_branch(k: int) -> MarkovFraction:
     1/2, i.e. descends by the constant word 'R'.  The values are ratios
     y(2k)/y(2k+1) of consecutive Pell numbers (y(1), y(2) = 1, 2 and
     y(n+1) = 2*y(n) + y(n-1)); the companion x-sequence solves
-    x**2 - 2*y**2 = +-1.
+    x**2 - 2*y**2 = +-1.  A k whose denominator passes the value budget is
+    refused before anything is built.
     """
     if k < 1:
         raise ValueError("branch index starts at 1")
-    y = [0] * (2 * k + 2)
-    y[1], y[2] = 1, 2
-    for n in range(3, 2 * k + 2):
-        y[n] = 2 * y[n - 1] + y[n - 2]
-    return MarkovFraction(Fraction(y[2 * k], y[2 * k + 1]), k - 1, "R" * (k - 1))
+    _check_branch_bits(2 * k + 1, 1 + sqrt(2), "pell_branch(k)")
+    y, next_y = 1, 2
+    for _ in range(2 * k - 1):
+        y, next_y = next_y, 2 * next_y + y
+    return MarkovFraction(Fraction(y, next_y), k - 1, "R" * (k - 1))
 
 
 # -- congruence x**2 + 1 == 0 (mod q) ---------------------------------------

@@ -35,6 +35,7 @@ from .markov import (
     springborn_mediant,
     _ROOTS,
     _descend,
+    _mediant_terms,
     _run_step,
     _vieta_child,
 )
@@ -57,18 +58,23 @@ _MAX_EQUIVALENCE_DEPTH = 12
 _REDUCED_ROOT, _UNIT_ROOT = _ROOTS[REDUCED_SEEDS], _ROOTS[UNIT_SEEDS]
 
 
-def _midpoint_value(v1: Fraction, v2: Fraction) -> Fraction:
-    """Slope recursion step for adjacent dyadic values v1 < v2.
+def _midpoint_terms(v1: Fraction, v2: Fraction) -> tuple[int, int]:
+    """Unreduced numerator and denominator of _midpoint_value(v1, v2).
 
     The formula is taken over the one integer denominator
-    2*q1*q2*d, where d = (v1 - v2 + 3)*q1*q2, so the step reduces once.
+    2*q1*q2*d, where d = (v1 - v2 + 3)*q1*q2.
     """
     p1, q1 = v1.numerator, v1.denominator
     p2, q2 = v2.numerator, v2.denominator
     d = p1 * q2 - p2 * q1 + 3 * q1 * q2
     if d == 0:
         raise ValueError("slope recursion step is undefined: values differ by 3")
-    return Fraction((p1 * q2 + p2 * q1) * d + q2 * q2 - q1 * q1, 2 * q1 * q2 * d)
+    return (p1 * q2 + p2 * q1) * d + q2 * q2 - q1 * q1, 2 * q1 * q2 * d
+
+
+def _midpoint_value(v1: Fraction, v2: Fraction) -> Fraction:
+    """Slope recursion step for adjacent dyadic values v1 < v2, reduced once."""
+    return Fraction(*_midpoint_terms(v1, v2))
 
 
 def _epsilon_by_midpoints(x: DyadicRational | Fraction | int) -> Fraction:
@@ -128,8 +134,12 @@ def identity_check(f1: Fraction, f2: Fraction) -> bool:
     """Does the midpoint formula on (f1, f2) equal their tree mediant?
 
     Both sides are evaluated independently and exactly; requires f1 < f2.
+    Their unreduced terms are compared by cross-multiplying, so neither side
+    takes a gcd.
     """
-    return _midpoint_value(f1, f2) == springborn_mediant(f1, f2)
+    num, den = _midpoint_terms(f1, f2)
+    m_num, m_den = _mediant_terms(f1, f2)
+    return num * m_den == m_num * den
 
 
 @dataclass(frozen=True)

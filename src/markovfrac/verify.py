@@ -57,7 +57,6 @@ from .markov import (
 )
 from .slopes import (
     _epsilon_by_midpoints,
-    bundle_invariants,
     identity_check,
     is_exceptional_slope,
     normalize_slope,
@@ -266,13 +265,19 @@ def check_branches() -> CheckResult:
 
 
 def check_transport_mediants(depth: int) -> CheckResult:
-    """mu maps Farey mediants to tree mediants on every Farey-tree vertex."""
+    """mu maps Farey mediants to tree mediants on every Farey-tree vertex.
+
+    mu is called once per vertex and once per seed 0/1, 1/1; its values are
+    kept by (numerator, denominator).  The Farey parents of a vertex are
+    seeds or ancestors, which the depth-first walk has already visited.
+    """
     capped = min(depth, 10)
     checked = failures = 0
+    values = {(a, 1): mu(Fraction(a)).value for a in (0, 1)}
     for _, (a1, b1, a2, b2), _ in tree_walk(capped):
         checked += 1
-        image = springborn_mediant(mu(Fraction(a1, b1)).value, mu(Fraction(a2, b2)).value)
-        if mu(Fraction(a1 + a2, b1 + b2)).value != image:
+        value = values[a1 + a2, b1 + b2] = mu(Fraction(a1 + a2, b1 + b2)).value
+        if value != springborn_mediant(values[a1, b1], values[a2, b2]):
             failures += 1
     return _result("transport_mediants", checked, failures, detail=f"depth {capped}")
 
@@ -448,8 +453,9 @@ def check_vieta(depth: int) -> CheckResult:
 def check_slopes(depth: int) -> CheckResult:
     """Membership, normalization idempotence, and invariants on tree fractions.
 
-    The invariants are read only once membership holds, since
-    bundle_invariants rejects any other slope.
+    Each vertex takes two membership searches, for x and for 3 - x.  The
+    invariants are read from the decision on x, and only once it has
+    accepted, since bundle_invariants rejects any other slope.
     """
     capped = min(depth, 10)
     checked = failures = 0
@@ -457,11 +463,12 @@ def check_slopes(depth: int) -> CheckResult:
         value = Fraction(p, q)
         checked += 1
         norm = normalize_slope(value)
+        decision = is_exceptional_slope(value)
         ok = (
-            is_exceptional_slope(value).accepted
+            decision.accepted
             and is_exceptional_slope(3 - value).accepted
             and normalize_slope(norm.reduced) == norm
-            and (inv := bundle_invariants(value)).s * q == p * p + 1
+            and (inv := decision.bundle_invariants()).s * q == p * p + 1
             and 2 * inv.c2 == (q - 1) * (inv.s + 1)
             and inv.form_discriminant == 9 * q * q - 4
         )

@@ -2,8 +2,9 @@
 
 Independent oracles: Fibonacci/Pell integer recurrences for the two named
 branches, sympy's sqrt_mod, isprime and factorint for the numerator
-congruence, and a direct Vieta-closure reimplementation for the
-generalized equations.
+congruence, a direct Vieta-closure reimplementation for the generalized
+equations, and the reduced-Fraction form of the neighbour relations, which
+check_relations decides on integers.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.modular import crt
 from sympy.ntheory.residue_ntheory import sqrt_mod
@@ -41,7 +42,14 @@ from markovfrac import (
 )
 from markovfrac import exact, markov
 from markovfrac.exact import MAX_VALUE_BITS
-from markovfrac.markov import _is_probable_prime, _lucas_pair, _root, _vieta_child, congruence_brute
+from markovfrac.markov import (
+    _branch_bits,
+    _is_probable_prime,
+    _lucas_pair,
+    _root,
+    _vieta_child,
+    congruence_brute,
+)
 
 words = st.text(alphabet="LR", min_size=0, max_size=10)
 
@@ -370,6 +378,73 @@ def test_check_relations_negative_control():
     assert d["det_f2_f1_is_flip"] is False
 
 
+def _child_consistent_oracle(fa, fb, num, den, q):
+    # The Fraction form: the pair (num/q, den/q) must be integral, and as a
+    # reduced Fraction equal to the reduced mediant of (fa, fb).
+    if num % q or den % q:
+        return False
+    if den // q <= 0:
+        return False
+    try:
+        return F(num // q, den // q) == springborn_mediant(fa, fb)
+    except ValueError:
+        return False
+
+
+def _relations_oracle(t):
+    """check_relations(t).as_dict(), with the child relations built from Fractions."""
+    p1, q1 = t.f1.numerator, t.f1.denominator
+    p2, q2 = t.f2.numerator, t.f2.denominator
+    p3, q3 = t.f3.numerator, t.f3.denominator
+    qq12 = q1 * q1 + q2 * q2
+    return {
+        "det_f2_f3_is_q1": p2 * q3 - p3 * q2 == q1,
+        "det_f3_f1_is_q2": p3 * q1 - p1 * q3 == q2,
+        "det_f2_f1_is_flip": (qq12 % q3 == 0
+                              and p2 * q1 - p1 * q2 == qq12 // q3 == 3 * q1 * q2 - q3),
+        "left_child_consistent": _child_consistent_oracle(
+            t.f1, t.f3, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2),
+        "right_child_consistent": _child_consistent_oracle(
+            t.f3, t.f2, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1),
+    }
+
+
+_TREE_TRIPLES = [t for seeds in (REDUCED_SEEDS, UNIT_SEEDS) for _, t in enumerate_tree(5, seeds)]
+_small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+
+
+@st.composite
+def _candidate_triples(draw):
+    """Tree triples, perturbed, reordered or collapsed ones, and arbitrary ones."""
+    if draw(st.booleans()):
+        return FractionTriple(*draw(st.tuples(_small_fractions, _small_fractions, _small_fractions)))
+    t = draw(st.sampled_from(_TREE_TRIPLES))
+    fractions = [t.f1, t.f2, t.f3]
+    change = draw(st.sampled_from(["none", "perturb", "permute", "collapse"]))
+    if change == "perturb":
+        i = draw(st.integers(0, 2))
+        f = fractions[i]
+        dp, dq = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        fractions[i] = F(f.numerator + dp, max(1, f.denominator + dq))
+    elif change == "permute":
+        fractions = list(draw(st.permutations(fractions)))
+    elif change == "collapse":
+        i, j = draw(st.sampled_from([(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]))
+        fractions[i] = fractions[j]
+    return FractionTriple(*fractions)
+
+
+@settings(max_examples=400)
+@given(_candidate_triples())
+@example(FractionTriple(F(0), F(1, 2), F(2, 5)))
+@example(FractionTriple(F(0), F(1, 3), F(3, 10)))
+@example(FractionTriple(F(1, 2), F(0), F(2, 5)))  # integral child terms, but unordered
+@example(FractionTriple(F(0), F(3), F(0)))
+@example(FractionTriple(F(2, 5), F(2, 5), F(2, 5)))
+def test_check_relations_matches_fraction_oracle(t):
+    assert check_relations(t).as_dict() == _relations_oracle(t)
+
+
 # -- Frobenius parametrization ----------------------------------------------
 
 
@@ -478,6 +553,50 @@ def test_branch_index_validation():
         fibonacci_branch(0)
     with pytest.raises(ValueError):
         pell_branch(0)
+
+
+def test_long_branches_match_descent():
+    # fibonacci_branch(20000) took 26 s by the recurrence with a long division.
+    assert fibonacci_branch(20_000).value == descend_value("L" * 19_999)
+    assert pell_branch(10_000).value == descend_value("R" * 9_999)
+
+
+def test_branch_bits_match_the_built_values():
+    # Every denominator up to the value budget, and one past it: the closed
+    # form's bit length decides each budget refusal.  The denominators are
+    # the Fibonacci numbers F(2k + 3) and the Pell numbers P(2k + 1), odd
+    # indices n of sequences with u(n + 2) = t*u(n) - u(n - 2).
+    for alpha, t, u, next_u in (((1 + math.sqrt(5)) / 2, 3, 2, 5), (1 + math.sqrt(2), 6, 5, 29)):
+        n = 3
+        while u.bit_length() <= MAX_VALUE_BITS:
+            assert _branch_bits(n, alpha) == u.bit_length(), n
+            n, u, next_u = n + 2, next_u, t * next_u - u
+        assert _branch_bits(n, alpha) == u.bit_length(), n
+
+
+def test_branch_budget_boundary():
+    # The words L^188797 and R^103079 address the last vertices of each
+    # branch within the budget (see test_descend_value_budget_boundary); the
+    # next index is refused, as is any index far past it, before the branch
+    # or its word is built.
+    for branch, k in ((fibonacci_branch, 188_799), (pell_branch, 103_081)):
+        for index in (k, 10 ** 18, 10 ** 400):
+            with pytest.raises(ValueError, match="262144-bit value budget"):
+                branch(index)
+
+
+def test_branch_budget_is_exact(monkeypatch):
+    # Under a budget of exactly its own bits a value is admitted; one bit less
+    # refuses it.
+    values = {(branch, k): branch(k).value
+              for branch in (fibonacci_branch, pell_branch) for k in (1, 2, 3, 50, 777, 2024)}
+    for (branch, k), value in values.items():
+        budget = value.denominator.bit_length()
+        monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget)
+        assert branch(k).value == value
+        monkeypatch.setattr(exact, "MAX_VALUE_BITS", budget - 1)
+        with pytest.raises(ValueError, match=f" {budget - 1}-bit value budget"):
+            branch(k)
 
 
 # -- numerator congruence ------------------------------------------------------

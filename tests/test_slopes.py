@@ -4,7 +4,9 @@ Oracles: epsilon descends the [0, 1]-seeded tree at the binary digits of m
 (minus the trailing 1) read as turn letters; the midpoint recursion
 ``_epsilon_by_midpoints`` reaches the same value one binary digit at a time
 and shares no step with it.  The run-length membership search is checked
-against the search that takes one Vieta step per letter.
+against the search that takes one Vieta step per letter, and
+``identity_check``, which cross-multiplies unreduced terms, against both
+sides built as reduced Fractions.
 """
 
 import math
@@ -13,7 +15,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovfrac import (
@@ -221,6 +223,51 @@ def test_identity_check_fails_off_tree():
 def test_identity_check_degenerate_pair():
     with pytest.raises(ValueError):
         identity_check(F(0, 1), F(3, 1))  # difference of 3 zeroes the divisor
+
+
+def _identity_oracle(f1, f2):
+    # Both sides as reduced Fractions; the midpoint's ValueError comes first.
+    return _midpoint_value(f1, f2) == springborn_mediant(f1, f2)
+
+
+def _outcome(check, f1, f2):
+    try:
+        return check(f1, f2)
+    except ValueError as error:
+        return str(error)
+
+
+_NEIGHBOURS = [(t.f1, t.f2) for seeds in (REDUCED_SEEDS, UNIT_SEEDS)
+               for _, t in enumerate_tree(5, seeds)]
+_pair_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=1000)
+
+
+@st.composite
+def _candidate_pairs(draw):
+    """Tree neighbours, perturbed, swapped or equal ones, pairs 3 apart, arbitrary pairs."""
+    if draw(st.booleans()):
+        return draw(_pair_fractions), draw(_pair_fractions)
+    f1, f2 = draw(st.sampled_from(_NEIGHBOURS))
+    change = draw(st.sampled_from(["none", "perturb", "swap", "equal", "pole"]))
+    if change == "perturb":
+        f2 += F(draw(st.integers(-3, 3)), draw(st.integers(1, 50)))
+    elif change == "swap":
+        f1, f2 = f2, f1
+    elif change == "equal":
+        f2 = f1
+    elif change == "pole":
+        f2 = f1 + 3
+    return f1, f2
+
+
+@settings(max_examples=400)
+@given(_candidate_pairs())
+@example((F(0, 1), F(3, 1)))
+@example((F(3, 1), F(0, 1)))
+@example((F(0, 1), F(1, 3)))
+@example((F(1, 2), F(1, 2)))
+def test_identity_check_matches_fraction_oracle(pair):
+    assert _outcome(identity_check, *pair) == _outcome(_identity_oracle, *pair)
 
 
 def test_identity_check_all_neighbors_to_depth7():

@@ -9,6 +9,7 @@ reads and require that suite to count the failure.
 import inspect
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -151,18 +152,47 @@ def test_tree_walk_counts_a_wrong_farey_pair(monkeypatch, level):
     assert (result.passed, result.checked, result.failures) == (False, 15, 2 ** level)
 
 
-def test_reference_suites_count_a_wrong_vertex(monkeypatch):
+def _corrupt_tree_root(monkeypatch, corrupt):
+    """Rewire verify's enumerate_tree so that corrupt(triple) replaces the root's triple."""
     real = verify.enumerate_tree
 
     def tree(*args, **kwargs):
         for word, triple in real(*args, **kwargs):
-            yield word, (triple if word else FractionTriple(triple.f1, triple.f2, F(1, 100)))
+            yield word, (triple if word else corrupt(triple))
 
     monkeypatch.setattr(verify, "enumerate_tree", tree)
+
+
+def test_reference_suites_count_a_wrong_vertex(monkeypatch):
+    _corrupt_tree_root(monkeypatch, lambda t: FractionTriple(t.f1, t.f2, F(1, 100)))
     reference = verify._reference_tree(2)
     for result in (verify.check_tree_relations(reference),
                    verify.check_tree_walk(2, reference)):
         assert (result.passed, result.checked, result.failures) == (False, 7, 1), result.name
+
+
+def test_midpoint_identity_counts_a_wrong_vertex(monkeypatch):
+    # The suite reads the neighbours of the [0, 1]-tree's vertices; the root's
+    # right neighbour 1/1 becomes 1/3.
+    _corrupt_tree_root(monkeypatch, lambda t: FractionTriple(t.f1, F(1, 3), t.f3))
+    result = verify.check_midpoint_identity(2)
+    assert (result.passed, result.checked, result.failures) == (False, 7, 1)
+
+
+def test_transport_mediants_counts_a_wrong_mu(monkeypatch):
+    # mu(1/3) = 5/13 moves by 10**-60, less than its distance to any image it
+    # is compared with at depth 4, so every mediant that reads it exists.  The
+    # wrong value fails at 1/3 and at the six vertices below it that have 1/3
+    # as a Farey parent: 1/4, 2/7, 3/10 and 2/5, 3/8, 4/11.
+    real = verify.mu
+
+    def mu(x):
+        image = real(x)
+        return SimpleNamespace(value=image.value + F(1, 10 ** 60)) if x == F(1, 3) else image
+
+    monkeypatch.setattr(verify, "mu", mu)
+    result = verify.check_transport_mediants(4)
+    assert (result.passed, result.checked, result.failures) == (False, 31, 7)
 
 
 def test_verify_reports_a_failing_suite(capsys, monkeypatch):
