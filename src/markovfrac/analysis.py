@@ -17,7 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, isqrt, log, log1p
+from itertools import chain
+from math import exp, floor, isqrt, log, log1p
 from typing import Iterable, Iterator, Sequence
 
 from .exact import QuadraticSurd, surd_enclose
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 _MAX_LYAPUNOV_STEPS = 10_000
+
+#: Bit budget of the freeness bound B of fractions_strictly_inside, and so of
+#: interval_freeness and `interval --freeness-bound`; the times at the budget
+#: are in fractions_strictly_inside.  It admits 10**300.
+_MAX_FREENESS_BITS = 1024
 
 
 # -- best approximation constant ---------------------------------------------
@@ -129,17 +135,97 @@ def reduced_fractions_up_to(denominator_bound: int) -> list[Fraction]:
     return sorted(found)
 
 
+def _terms(*fs: Fraction) -> tuple[int, ...]:
+    return tuple(t for f in fs for t in (f.numerator, f.denominator))
+
+
 def fractions_strictly_inside(
     lo: QuadraticSurd,
     hi: QuadraticSurd,
     denominator_bound: int,
     exclude: Fraction | None = None,
 ) -> list[Fraction]:
-    """Markov fractions (any integer translate n +- r) strictly between lo and hi.
+    """Markov fractions n + r and n - r with denominator <= B strictly between lo and hi.
 
-    The full fraction set on the line is scanned, not just the reduced
-    tree: every value n + r and n - r with r in the reduced set and n an
-    integer near the interval is tested by exact surd comparison.
+    Every such value, with r a reduced tree fraction in [0, 1/2] (the
+    seeds 0 and 1/2 included) and n an integer, is found, as by the full
+    scan of every reduced fraction.  Here r is confined to the windows
+    (lo - n, hi - n) and (n - hi, n - lo), and one walk of the tree cuts
+    every vertex whose neighbours p1/q1 < p2/q2 miss all windows, since
+    its whole subtree lies strictly between them.  So only the branches
+    that reach the interval are walked: for the Markov interval of 2/5,
+    10 vertices at B = 10**6 and 341 at 10**200.
+
+    lo and hi are enclosed once, to 2*digits(B) + 4 digits.  Tree
+    fractions pile up at the interval's ends, and a quadratic irrational
+    end stays about 1/q**2 away from p/q, so this precision cuts the
+    branches that only come near an end.  Every window bound derives from
+    the two enclosures, the cut is an integer cross product, and a
+    candidate is decided by the inner and outer bounds, with the exact
+    surd comparison only where they cannot decide.
+
+    B may have at most _MAX_FREENESS_BITS = 1024 bits; a larger one
+    raises ValueError before the walk.  At the budget a Markov interval
+    walks 525 vertices in about 0.01 s, while the worst case, a window
+    over all of [0, 1/2], cuts nothing: it returns all 91,331 reduced
+    fractions in about 3 s and 110 MB (Python 3.11, one core of a shared
+    2-core x86-64 host; 0.8 s and 38,583 fractions at 10**200).
+    """
+    if denominator_bound < 1:
+        raise ValueError("denominator bound must be positive")
+    if denominator_bound.bit_length() > _MAX_FREENESS_BITS:
+        raise ValueError(f"the freeness bound exceeds the {_MAX_FREENESS_BITS}-bit budget")
+    precision = 2 * (denominator_bound.bit_length() * 3 // 10 + 1) + 4
+    lo_out, lo_in = surd_enclose(lo, precision)
+    hi_in, hi_out = surd_enclose(hi, precision)
+    half = Fraction(1, 2)
+    # (n, sign, outer r-window, inner r-window) as integer terms: a candidate
+    # n + sign*r lies outside (lo, hi) unless r is inside the outer window,
+    # and inside it when r is inside the inner one.  With r in [0, 1/2],
+    # only floor(lo) <= n <= floor(hi) + 1 can reach the interval.
+    windows = []
+    for n in range(floor(lo_out), floor(hi_out) + 2):
+        for sign, a, b, c, d in ((1, lo_out - n, hi_out - n, lo_in - n, hi_in - n),
+                                 (-1, n - hi_out, n - lo_out, n - hi_in, n - lo_in)):
+            if a < half and b > 0:
+                windows.append((n, sign, *_terms(a, b, c, d)))
+
+    def misses_every_window(v: tuple[int, ...]) -> bool:
+        p1, q1, p2, q2 = v[:4]
+        return not any(p2 * ad > an * q2 and p1 * bd < bn * q1
+                       for _, _, an, ad, bn, bd, _, _, _, _ in windows)
+
+    seeds = [(p, q) for p, q in ((0, 1), (1, 2)) if q <= denominator_bound]
+    walked = ((v[4], v[5]) for v, _, _ in tree_walk(None, denominator_bound,
+                                                      prune=misses_every_window))
+    skip = None if exclude is None else _terms(exclude)
+    # Distinct candidates, all with denominators <= B, differ by at least
+    # 1/B**2, so floor(x * 2**shift) keys them in order, on integers alone.
+    shift = 2 * denominator_bound.bit_length() + 1
+    intruders = {}
+    for p, q in chain(seeds, walked):
+        for n, sign, an, ad, bn, bd, cn, cd, dn, dd in windows:
+            if not (an * q < p * ad and p * bd < bn * q):
+                continue
+            num = n * q + sign * p  # x = num/q in lowest terms, as p/q is
+            if (num, q) == skip:
+                continue
+            if ((cn * q < p * cd and p * dd < dn * q)
+                    or lo.compare(Fraction(num, q)) < 0 < hi.compare(Fraction(num, q))):
+                intruders[(num << shift) // q] = (num, q)
+    return [Fraction(num, q) for _, (num, q) in sorted(intruders.items())]
+
+
+def _fractions_inside_by_scan(
+    lo: QuadraticSurd,
+    hi: QuadraticSurd,
+    denominator_bound: int,
+    exclude: Fraction | None = None,
+) -> list[Fraction]:
+    """fractions_strictly_inside by the full scan, the oracle of the pruned walk.
+
+    Every value n + r and n - r with r in the reduced set and n an integer
+    near the interval is tested by exact surd comparison.
     """
     reduced = reduced_fractions_up_to(denominator_bound)
     lo_bound, _ = surd_enclose(lo, 3)

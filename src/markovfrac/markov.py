@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import floor, gcd, isqrt, log2, sqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .exact import _check_value_bits
 from .farey import TurnWord, check_word, farey_path_to
@@ -151,10 +151,12 @@ class RelationReport:
     * ``det_f3_f1_is_q2``:  p3*q1 - p1*q3 == q2
     * ``det_f2_f1_is_flip``: p2*q1 - p1*q2 == (q1**2 + q2**2)/q3 == 3*q1*q2 - q3
       (including integrality of the quotient)
-    * ``left_child_consistent``:  (p1*q1 + p3*q3)/q2 over (q1**2 + q3**2)/q2
-      is an integer pair equal to the reduced mediant of (f1, f3)
-    * ``right_child_consistent``: (p2*q2 + p3*q3)/q1 over (q2**2 + q3**2)/q1
-      is an integer pair equal to the reduced mediant of (f3, f2)
+    * ``left_child_consistent``:  f1 < f3, and (p1*q1 + p3*q3)/q2 over
+      (q1**2 + q3**2)/q2 is the integer pair (3*q1*p3 - p2, 3*q1*q3 - q2),
+      the Vieta child that is the reduced mediant of (f1, f3)
+    * ``right_child_consistent``: f3 < f2, and (p2*q2 + p3*q3)/q1 over
+      (q2**2 + q3**2)/q1 is the integer pair (3*q2*p3 - p1, 3*q2*q3 - q1),
+      the Vieta child that is the reduced mediant of (f3, f2)
     """
 
     det_f2_f3_is_q1: bool
@@ -179,12 +181,13 @@ class RelationReport:
         }
 
 
-def _child_consistent(ordered: bool, num: int, den: int, q: int) -> bool:
+def _child_consistent(ordered: bool, num: int, den: int, q: int,
+                      child_num: int, child_den: int) -> bool:
     # (num, den) are the unreduced mediant terms of a pair, which has a mediant
-    # only when ordered.  Dividing both terms by q keeps their ratio, so an
-    # integer pair (num/q, den/q) equals the reduced mediant as a fraction:
-    # the cross product (num/q)*den == (den/q)*num holds identically.
-    return ordered and num % q == 0 and den % q == 0
+    # only when ordered.  Its reduced mediant is the Vieta child
+    # child_num/child_den, so dividing both terms by q must give the child's
+    # two terms: two products, no remainder.
+    return ordered and num == q * child_num and den == q * child_den
 
 
 def check_relations(t: FractionTriple) -> RelationReport:
@@ -206,9 +209,11 @@ def check_relations(t: FractionTriple) -> RelationReport:
         det_f3_f1_is_q2=(d31 == q2),
         det_f2_f1_is_flip=flip,
         left_child_consistent=_child_consistent(
-            d31 > 0, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2),
+            d31 > 0, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2,
+            3 * q1 * p3 - p2, 3 * q1 * q3 - q2),
         right_child_consistent=_child_consistent(
-            d23 > 0, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1),
+            d23 > 0, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1,
+            3 * q2 * p3 - p1, 3 * q2 * q3 - q1),
     )
 
 
@@ -278,7 +283,10 @@ _ROOTS = {seeds: _root(seeds) for seeds in (REDUCED_SEEDS, UNIT_SEEDS)}
 
 
 def tree_walk(
-    depth: int | None, max_denominator: int | None = None
+    depth: int | None,
+    max_denominator: int | None = None,
+    *,
+    prune: Callable[[Vertex], bool] | None = None,
 ) -> Iterator[tuple[Vertex, FareyPair, int]]:
     """Depth-first integer walk of the reduced tree, children L before R.
 
@@ -290,7 +298,13 @@ def tree_walk(
 
     With max_denominator, a vertex above it is skipped with its subtree
     (denominators grow along every branch).  depth None walks until every
-    branch is cut that way, and then needs max_denominator.
+    branch is cut that way, and then needs max_denominator.  After that
+    cut, prune(vertex) returning True skips the vertex with its subtree
+    too.  Every vertex below (p1, q1, p2, q2, p3, q3) lies strictly
+    between p1/q1 and p2/q2, so a predicate that cuts on those neighbours
+    walks only the branches that reach a window: this is how
+    ``analysis.fractions_strictly_inside`` scans an interval.  A walk
+    with neither cut pays one None test per vertex.
     """
     if depth is None:
         if max_denominator is None:
@@ -298,12 +312,17 @@ def tree_walk(
     else:
         _check_scan_depth(depth)
 
+    def over(v: Vertex) -> bool:
+        return v[5] > max_denominator or (prune is not None and prune(v))
+
+    cut = prune if max_denominator is None else over
+
     def walk() -> Iterator[tuple[Vertex, FareyPair, int]]:
         stack = [(_ROOTS[REDUCED_SEEDS], (0, 1, 1, 1), 0)]
         while stack:
             item = stack.pop()
             v, (a1, b1, a2, b2), level = item
-            if max_denominator is not None and v[5] > max_denominator:
+            if cut is not None and cut(v):
                 continue
             yield item
             if depth is None or level < depth:

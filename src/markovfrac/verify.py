@@ -21,6 +21,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .analysis import (
+    _fractions_inside_by_scan,
     approx_constant,
     approx_constant_detail,
     interval_freeness,
@@ -356,13 +357,20 @@ def check_interval_geometry(depth: int) -> CheckResult:
 
 
 def check_interval_freeness() -> CheckResult:
-    """The intervals of the depth <= 5 fractions are free up to large denominators."""
+    """The intervals of the depth <= 5 fractions are free up to large denominators.
+
+    The pruned walk behind interval_freeness must also find exactly the
+    intruders of the full scan, its oracle.
+    """
     checked = failures = 0
     for word, triple in enumerate_tree(5):
         checked += 1
-        report = interval_freeness(MarkovFraction(triple.f3, len(word), word),
-                                   _FREENESS_BOUND)
-        if not report.free:
+        f = MarkovFraction(triple.f3, len(word), word)
+        report = interval_freeness(f, _FREENESS_BOUND)
+        interval = markov_interval(f)
+        oracle = _fractions_inside_by_scan(interval.lo, interval.hi, _FREENESS_BOUND,
+                                           exclude=f.value)
+        if not report.free or list(report.intruders) != oracle:
             failures += 1
     return _result("interval_freeness", checked, failures,
                    detail=f"bound {_FREENESS_BOUND}")

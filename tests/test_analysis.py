@@ -37,7 +37,9 @@ from markovfrac import (
     surd_compare,
     tree_walk,
 )
-from markovfrac.analysis import _guard_bits, _length_bounds
+from markovfrac import analysis
+from markovfrac.markov import MarkovFraction
+from markovfrac.analysis import _fractions_inside_by_scan, _guard_bits, _length_bounds
 
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -211,6 +213,104 @@ def test_fractions_strictly_inside_excludes_endpoints():
     assert F(0) not in inside
     assert F(1, 2) not in inside
     assert F(2, 5) in inside
+
+
+_TREE_VALUES = reduced_fractions_up_to(1000)
+
+
+def _irrational(draw, lo, hi):
+    """A quadratic irrational (a + b*sqrt(d))/c of either sign of b, in about [lo, hi]."""
+    d = draw(st.integers(2, 500).filter(lambda d: math.isqrt(d) ** 2 != d))
+    b = draw(st.sampled_from((-1, 1))) * draw(st.integers(1, 3))
+    c = draw(st.integers(1, 50))
+    a = draw(st.integers(lo * c, hi * c)) - math.isqrt(b * b * d) * (1 if b > 0 else -1)
+    return QuadraticSurd(a, b, c, d)
+
+
+def _on_tree(draw, lo, hi):
+    """A translate n + r or n - r of a tree fraction r up to 1000, as an exact surd."""
+    n = draw(st.integers(lo, hi))
+    r = draw(st.sampled_from(_TREE_VALUES))
+    return QuadraticSurd.from_fraction(n + draw(st.sampled_from((1, -1))) * r)
+
+
+@st.composite
+def _windows(draw):
+    """(lo, hi, bound, pick): irrational or tree-fraction ends, one integer or several.
+
+    pick is None, or the index of the intruder to pass as exclude.
+    """
+    span = draw(st.sampled_from((0, 0, 3)))
+    ends = [draw(st.sampled_from((_irrational, _on_tree)))(draw, -2, 2) for _ in range(2)]
+    ends[1] = ends[1] + span
+    lo, hi = sorted(ends, key=float)
+    if surd_compare(lo, hi) == 0:
+        hi = hi + F(1, 7)
+    bound = draw(st.one_of(st.integers(1, 40), st.integers(0, 6).map(lambda k: 10 ** k),
+                           st.integers(1, 10 ** 6)))
+    return lo, hi, bound, draw(st.one_of(st.none(), st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windows())
+@example((markov_interval(mu(F(1, 2))).lo, markov_interval(mu(F(1, 2))).hi, 10 ** 6, None))
+@example((QuadraticSurd.from_fraction(F(0)), QuadraticSurd.from_fraction(F(1, 2)), 1, None))
+@example((QuadraticSurd.from_fraction(F(-1)), QuadraticSurd.from_fraction(F(3, 2)), 2, 3))
+def test_fractions_strictly_inside_matches_full_scan(window):
+    lo, hi, bound, pick = window
+    inside = _fractions_inside_by_scan(lo, hi, bound)
+    assert fractions_strictly_inside(lo, hi, bound) == inside
+    if pick is not None:
+        exclude = inside[pick % len(inside)] if inside else F(pick)
+        assert (fractions_strictly_inside(lo, hi, bound, exclude)
+                == _fractions_inside_by_scan(lo, hi, bound, exclude)
+                == [f for f in inside if f != exclude])
+
+
+def test_fractions_strictly_inside_matches_full_scan_on_markov_intervals():
+    for word, t in enumerate_tree(5):
+        interval = markov_interval(MarkovFraction(t.f3, len(word), word))
+        for bound in (1, 2, 5, 1000, 10 ** 6):
+            for exclude in (None, t.f3):
+                assert (fractions_strictly_inside(interval.lo, interval.hi, bound, exclude)
+                        == _fractions_inside_by_scan(interval.lo, interval.hi, bound, exclude))
+
+
+def test_freeness_walk_stays_near_the_interval(monkeypatch):
+    # The full tree to 10**200 has about 38,500 vertices; the pruned walk
+    # follows the branches toward the two ends of the 2/5 interval (341).
+    visited = []
+    real = analysis.tree_walk
+
+    def counting(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            visited.append(item[0])
+            yield item
+
+    monkeypatch.setattr(analysis, "tree_walk", counting)
+    assert interval_freeness(mu(F(1, 2)), 10 ** 200).free
+    assert 0 < len(visited) < 400
+
+
+def test_freeness_bound_budget():
+    budget = analysis._MAX_FREENESS_BITS
+    assert (10 ** 200).bit_length() < budget
+    assert interval_freeness(mu(F(1, 2)), (1 << budget) - 1).free
+    message = f"the freeness bound exceeds the {budget}-bit budget"
+    with pytest.raises(ValueError, match=message):
+        interval_freeness(mu(F(1, 2)), 1 << budget)
+    with pytest.raises(ValueError, match="denominator bound must be positive"):
+        fractions_strictly_inside(QuadraticSurd.from_fraction(F(0)),
+                                  QuadraticSurd.from_fraction(F(1)), 0)
+
+
+def test_freeness_bound_refused_before_the_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked past the freeness budget")
+
+    monkeypatch.setattr(analysis, "tree_walk", no_walk)
+    with pytest.raises(ValueError, match="-bit budget"):
+        interval_freeness(mu(F(1, 2)), 10 ** 1000)
 
 
 def test_reduced_fractions_up_to_1000():

@@ -214,6 +214,22 @@ def test_interval_with_freeness(capsys):
     assert float(lines["lo_approx"]) == pytest.approx(0.3866068, abs=1e-6)
 
 
+def test_interval_freeness_to_10_200(capsys):
+    code, out, _ = run_cli(capsys, "interval", "2/5", "--freeness-bound", str(10 ** 200))
+    assert code == 0
+    assert out.endswith(f"freeness_bound: {10 ** 200}\nfree: yes\nintruders: \n")
+
+
+def test_interval_freeness_budget_exits_1(capsys):
+    detail = "the freeness bound exceeds the 1024-bit budget"
+    code, out, err = run_cli(capsys, "interval", "2/5", "--freeness-bound", str(1 << 1024))
+    assert (code, out, err) == (1, "", f"error: {detail}\n")
+    code, out, _ = run_cli(capsys, "interval", "2/5", "--freeness-bound", str(10 ** 1000),
+                           "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error_detail"] == detail
+
+
 def test_mcshane_json_enclosure(capsys):
     code, out, _ = run_cli(capsys, "mcshane", "--depth", "1", "--precision", "8",
                            "--format", "json")

@@ -213,6 +213,35 @@ def test_tree_walk_prunes_by_denominator():
     assert vertices(None, 4) == []
 
 
+def _misses(a, b):
+    """Subtree-closed cut: the neighbours p1/q1 < p2/q2 miss the window (a, b)."""
+    def cut(v):
+        p1, q1, p2, q2 = v[:4]
+        return F(p2, q2) <= a or F(p1, q1) >= b
+    return cut
+
+
+@pytest.mark.parametrize("prune", [
+    _misses(F(1, 3), F(2, 5)),
+    _misses(F(2, 5) - F(1, 10 ** 6), F(2, 5) + F(1, 10 ** 6)),
+    _misses(F(0), F(1, 100)),
+    lambda v: v[5] > 2000,
+    lambda v: True,
+    lambda v: False,
+])
+def test_tree_walk_prune_cuts_subtrees(prune):
+    # A subtree-closed predicate cuts exactly the vertices it holds for.
+    for depth, bound in ((None, 10 ** 6), (None, 1000), (7, None), (9, 10 ** 9)):
+        pruned = list(tree_walk(depth, bound, prune=prune))
+        assert pruned == [item for item in tree_walk(depth, bound) if not prune(item[0])]
+
+
+def test_tree_walk_prune_runs_after_the_denominator_cut():
+    seen = []
+    list(tree_walk(None, 1000, prune=lambda v: seen.append(v[5]) or False))
+    assert seen and max(seen) <= 1000
+
+
 def _mediant_descents(word, seeds):
     """Values at every prefix of word, one springborn_mediant per letter."""
     f1, f2 = seeds
@@ -378,17 +407,29 @@ def test_check_relations_negative_control():
     assert d["det_f2_f1_is_flip"] is False
 
 
-def _child_consistent_oracle(fa, fb, num, den, q):
-    # The Fraction form: the pair (num/q, den/q) must be integral, and as a
-    # reduced Fraction equal to the reduced mediant of (fa, fb).
-    if num % q or den % q:
-        return False
-    if den // q <= 0:
-        return False
+def test_check_relations_child_flags_need_the_vieta_child():
+    # With f2 = 1/1 and f1 = 0/1 the divisor q is 1, so both pairs of mediant
+    # terms are integral and ordered; neither is the Vieta child of 2/11.
+    report = check_relations(FractionTriple(F(0), F(1), F(2, 11)))
+    assert report.left_child_consistent is False
+    assert report.right_child_consistent is False
+    for seeds in (REDUCED_SEEDS, UNIT_SEEDS):
+        for _, t in enumerate_tree(8, seeds):
+            report = check_relations(t)
+            assert report.left_child_consistent and report.right_child_consistent, t
+
+
+def _child_consistent_oracle(fa, fb, kept, dropped, f3, num, den, q):
+    # The Fraction form: (fa, fb) must have a mediant, and (num/q, den/q),
+    # as Fractions, must be the two terms of the Vieta child of f3 that keeps
+    # the neighbour kept and drops the neighbour dropped.
     try:
-        return F(num // q, den // q) == springborn_mediant(fa, fb)
+        springborn_mediant(fa, fb)
     except ValueError:
         return False
+    k = 3 * kept.denominator
+    return (F(num, q) == k * f3.numerator - dropped.numerator
+            and F(den, q) == k * f3.denominator - dropped.denominator)
 
 
 def _relations_oracle(t):
@@ -403,9 +444,9 @@ def _relations_oracle(t):
         "det_f2_f1_is_flip": (qq12 % q3 == 0
                               and p2 * q1 - p1 * q2 == qq12 // q3 == 3 * q1 * q2 - q3),
         "left_child_consistent": _child_consistent_oracle(
-            t.f1, t.f3, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2),
+            t.f1, t.f3, t.f1, t.f2, t.f3, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2),
         "right_child_consistent": _child_consistent_oracle(
-            t.f3, t.f2, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1),
+            t.f3, t.f2, t.f2, t.f1, t.f3, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1),
     }
 
 
@@ -441,6 +482,7 @@ def _candidate_triples(draw):
 @example(FractionTriple(F(1, 2), F(0), F(2, 5)))  # integral child terms, but unordered
 @example(FractionTriple(F(0), F(3), F(0)))
 @example(FractionTriple(F(2, 5), F(2, 5), F(2, 5)))
+@example(FractionTriple(F(0), F(1), F(2, 11)))  # integral mediant terms, but not the child
 def test_check_relations_matches_fraction_oracle(t):
     assert check_relations(t).as_dict() == _relations_oracle(t)
 

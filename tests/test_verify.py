@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from markovfrac import verify
+from markovfrac import analysis, verify
 from markovfrac.cli import main
 from markovfrac.markov import FractionTriple
 
@@ -193,6 +193,29 @@ def test_transport_mediants_counts_a_wrong_mu(monkeypatch):
     monkeypatch.setattr(verify, "mu", mu)
     result = verify.check_transport_mediants(4)
     assert (result.passed, result.checked, result.failures) == (False, 31, 7)
+
+
+def _one_more_intruder(monkeypatch, module, name):
+    """Rewire module.name, a scan, to report 1/3 inside the interval of 2/5 as well."""
+    real = getattr(module, name)
+
+    def scan(lo, hi, bound, exclude=None):
+        found = real(lo, hi, bound, exclude)
+        return sorted(found + [F(1, 3)]) if exclude == F(2, 5) else found
+
+    monkeypatch.setattr(module, name, scan)
+
+
+@pytest.mark.parametrize("scan", ["fast_adds", "fast_drops"])
+def test_interval_freeness_counts_a_wrong_intruder_list(monkeypatch, scan):
+    # An intruder the pruned walk adds, or one the full-scan oracle finds
+    # and the pruned walk drops, fails the one fraction whose lists differ.
+    if scan == "fast_adds":
+        _one_more_intruder(monkeypatch, analysis, "fractions_strictly_inside")
+    else:
+        _one_more_intruder(monkeypatch, verify, "_fractions_inside_by_scan")
+    result = verify.check_interval_freeness()
+    assert (result.checked, result.failures, result.passed) == (63, 1, False)
 
 
 def test_verify_reports_a_failing_suite(capsys, monkeypatch):
