@@ -4,6 +4,11 @@ Each check walks a finite slice of the structures and counts exact
 verifications; together they form the reproducible evidence behind the
 package.  The CLI `verify` subcommand prints one line per check.
 
+A suite yields one outcome per check, and `_tally` counts them: a suite
+passes when no outcome fails.  The two report suites, `slope_image` and
+`unicity`, take their counts from a library report instead: the levels
+of `set_equivalence` and the duplicates of `unicity_scan`.
+
 The Fraction reference `enumerate_tree(depth)` is built once per run and
 read by the two suites that check it: `tree_relations` checks its
 neighbour relations and `tree_walk` checks the integer walk against it
@@ -15,9 +20,11 @@ bounds everything else, and the fixed ranges are module constants.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import gcd
 
 from .analysis import (
@@ -90,6 +97,12 @@ def _result(name: str, checked: int, failures: int, detail: str = "") -> CheckRe
     return CheckResult(name, failures == 0, checked, failures, detail)
 
 
+def _tally(name: str, outcomes: Iterable[object], detail: str = "") -> CheckResult:
+    """The result of a suite from its outcomes, one per check; a false one fails."""
+    failed = Counter(not ok for ok in outcomes)
+    return _result(name, failed[False] + failed[True], failed[True], detail)
+
+
 def _reference_tree(depth: int) -> Reference:
     """enumerate_tree(depth), sorted by word.
 
@@ -101,12 +114,8 @@ def _reference_tree(depth: int) -> Reference:
 
 def check_tree_relations(reference: Reference) -> CheckResult:
     """Every reference vertex satisfies the five exact neighbour relations."""
-    checked = failures = 0
-    for _, triple in reference:
-        checked += 1
-        if not check_relations(triple).all_hold:
-            failures += 1
-    return _result("tree_relations", checked, failures)
+    return _tally("tree_relations",
+                  (check_relations(triple).all_hold for _, triple in reference))
 
 
 def check_tree_walk(depth: int, reference: Reference) -> CheckResult:
@@ -120,27 +129,26 @@ def check_tree_walk(depth: int, reference: Reference) -> CheckResult:
     R the left one.  This is what lets the property suites below read the
     walk instead of the reference.
     """
-    checked = failures = 0
-    pairs = []  # pairs[n]: Farey parents of the latest reference word of length n
-    for ref, walked in zip_longest(reference, tree_walk(depth)):
-        checked += 1
-        if ref is None or walked is None:
-            failures += 1
-            continue
-        (word, triple), (vertex, farey, level) = ref, walked
-        if word:
-            a1, b1, a2, b2 = pairs[len(word) - 1]
-            a3, b3 = a1 + a2, b1 + b2
-            pair = (a1, b1, a3, b3) if word[-1] == "L" else (a3, b3, a2, b2)
-        else:
-            pair = (0, 1, 1, 1)
-        del pairs[len(word):]
-        pairs.append(pair)
-        fractions = (triple.f1, triple.f2, triple.f3)
-        expected = tuple(n for f in fractions for n in (f.numerator, f.denominator)) + pair
-        if vertex + farey != expected or level != len(word):
-            failures += 1
-    return _result("tree_walk", checked, failures)
+    def outcomes():
+        pairs = []  # pairs[n]: Farey parents of the latest reference word of length n
+        for ref, walked in zip_longest(reference, tree_walk(depth)):
+            if ref is None or walked is None:
+                yield False
+                continue
+            (word, triple), (vertex, farey, level) = ref, walked
+            if word:
+                a1, b1, a2, b2 = pairs[len(word) - 1]
+                a3, b3 = a1 + a2, b1 + b2
+                pair = (a1, b1, a3, b3) if word[-1] == "L" else (a3, b3, a2, b2)
+            else:
+                pair = (0, 1, 1, 1)
+            del pairs[len(word):]
+            pairs.append(pair)
+            fractions = (triple.f1, triple.f2, triple.f3)
+            expected = tuple(n for f in fractions for n in (f.numerator, f.denominator)) + pair
+            yield vertex + farey == expected and level == len(word)
+
+    return _tally("tree_walk", outcomes())
 
 
 def check_tree_fractions(depth: int) -> CheckResult:
@@ -148,41 +156,27 @@ def check_tree_fractions(depth: int) -> CheckResult:
 
     Betweenness p1/q1 < p/q < p2/q2 is compared by cross-multiplying.
     """
-    checked = failures = 0
-    for (p1, q1, p2, q2, p, q), _, _ in tree_walk(depth):
-        checked += 1
-        ok = (
-            gcd(p, q) == 1
-            and p1 * q < p * q1
-            and p * q2 < p2 * q
-            and (p * p + 1) % q == 0
-            and q > max(q1, q2)
-        )
-        if not ok:
-            failures += 1
-    return _result("tree_fractions", checked, failures)
+    return _tally("tree_fractions", (
+        gcd(p, q) == 1
+        and p1 * q < p * q1
+        and p * q2 < p2 * q
+        and (p * p + 1) % q == 0
+        and q > max(q1, q2)
+        for (p1, q1, p2, q2, p, q), _, _ in tree_walk(depth)))
 
 
 def check_markov_triples(depth: int) -> CheckResult:
     """Denominator triples solve the Markov equation and are pairwise coprime."""
-    checked = failures = 0
-    for (_, a, _, b, _, c), _, _ in tree_walk(depth):
-        checked += 1
-        ok = (a * a + b * b + c * c == 3 * a * b * c
-              and gcd(a, b) == gcd(b, c) == gcd(a, c) == 1)
-        if not ok:
-            failures += 1
-    return _result("markov_triples", checked, failures)
+    return _tally("markov_triples", (
+        a * a + b * b + c * c == 3 * a * b * c
+        and gcd(a, b) == gcd(b, c) == gcd(a, c) == 1
+        for (_, a, _, b, _, c), _, _ in tree_walk(depth)))
 
 
 def check_midpoint_identity(depth: int) -> CheckResult:
     """The midpoint formula agrees with the tree mediant on every neighbour pair."""
-    checked = failures = 0
-    for _, triple in enumerate_tree(depth, UNIT_SEEDS):
-        checked += 1
-        if not identity_check(triple.f1, triple.f2):
-            failures += 1
-    return _result("midpoint_identity", checked, failures)
+    return _tally("midpoint_identity", (identity_check(triple.f1, triple.f2)
+                                        for _, triple in enumerate_tree(depth, UNIT_SEEDS)))
 
 
 def check_slope_image(depth: int) -> CheckResult:
@@ -194,75 +188,55 @@ def check_slope_image(depth: int) -> CheckResult:
                    detail=f"depth {capped}")
 
 
+def _rationals(dmax: int) -> Iterator[Fraction]:
+    """Every reduced a/b in [0, 1] with b <= dmax, by denominator, then numerator."""
+    for b in range(1, dmax + 1):
+        for a in range(0, b + 1):
+            if gcd(a, b) == 1:
+                yield Fraction(a, b)
+
+
 def check_slope_transport() -> CheckResult:
     """epsilon(?(x)) equals the tree transport of x for denominators <= 100.
 
     epsilon itself descends the tree at the binary word of ?(x), which is
     the Farey word of x, so the slope side is the midpoint recursion.
     """
-    checked = failures = 0
-    for b in range(1, _TRANSPORT_DMAX + 1):
-        for a in range(0, b + 1):
-            if gcd(a, b) != 1:
-                continue
-            x = Fraction(a, b)
-            checked += 1
-            if x == 0:
-                expected = Fraction(0)
-            elif x == 1:
-                expected = Fraction(1)
-            else:
-                expected = descend_value(farey_path_to(x), UNIT_SEEDS)
-            if _epsilon_by_midpoints(question_mark_farey(x)) != expected:
-                failures += 1
-    return _result("slope_transport", checked, failures)
+    return _tally("slope_transport", (
+        (x if x in (0, 1) else descend_value(farey_path_to(x), UNIT_SEEDS))
+        == _epsilon_by_midpoints(question_mark_farey(x))
+        for x in _rationals(_TRANSPORT_DMAX)))
 
 
 def check_question_mark() -> CheckResult:
     """Three question-mark routes agree; strict monotonicity; symmetry at 1/2."""
-    checked = failures = 0
-    values = []
-    for b in range(1, _QMARK_DMAX + 1):
-        for a in range(0, b + 1):
-            if gcd(a, b) != 1:
-                continue
-            x = Fraction(a, b)
-            y = question_mark_farey(x)
-            checked += 3
-            if question_mark_salem(x).value != y.value:
-                failures += 1
-            if 0 < x < 1 and question_mark_of_word(farey_path_to(x)).value != y.value:
-                failures += 1
-            if question_mark_farey(1 - x).value != 1 - y.value:
-                failures += 1
-            values.append((x, y.value))
-    values.sort()
-    checked += len(values) - 1
-    failures += sum(1 for i in range(len(values) - 1)
-                    if values[i][1] >= values[i + 1][1])
-    return _result("question_mark", checked, failures)
+    def outcomes():
+        values = []
+        for x in _rationals(_QMARK_DMAX):
+            y = question_mark_farey(x).value
+            yield question_mark_salem(x).value == y
+            yield not 0 < x < 1 or question_mark_of_word(farey_path_to(x)).value == y
+            yield question_mark_farey(1 - x).value == 1 - y
+            values.append((x, y))
+        values.sort()
+        yield from (left[1] < right[1] for left, right in zip(values, values[1:]))
+
+    return _tally("question_mark", outcomes())
 
 
 def check_branches() -> CheckResult:
     """Closed-form boundary branches match tree descent; Pell pairs solve x^2-2y^2=+-1."""
-    checked = failures = 0
-    for k in range(1, _BRANCH_KMAX + 1):
-        checked += 2
-        if fibonacci_branch(k).value != descend_value("L" * (k - 1)):
-            failures += 1
-        if pell_branch(k).value != descend_value("R" * (k - 1)):
-            failures += 1
-    x1, x2 = 1, 3
-    y1, y2 = 1, 2
-    sign = -1
-    for _ in range(2 * _BRANCH_KMAX):
-        checked += 1
-        if x1 * x1 - 2 * y1 * y1 != sign:
-            failures += 1
-        x1, x2 = x2, 2 * x2 + x1
-        y1, y2 = y2, 2 * y2 + y1
-        sign = -sign
-    return _result("boundary_branches", checked, failures)
+    def outcomes():
+        for k in range(1, _BRANCH_KMAX + 1):
+            yield fibonacci_branch(k).value == descend_value("L" * (k - 1))
+            yield pell_branch(k).value == descend_value("R" * (k - 1))
+        # x + y*sqrt(2) runs over the powers of 1 + sqrt(2), whose norms alternate.
+        x, y = 1, 1
+        for n in range(2 * _BRANCH_KMAX):
+            yield x * x - 2 * y * y == (-1) ** (n + 1)
+            x, y = x + 2 * y, x + y
+
+    return _tally("boundary_branches", outcomes())
 
 
 def check_transport_mediants(depth: int) -> CheckResult:
@@ -273,14 +247,14 @@ def check_transport_mediants(depth: int) -> CheckResult:
     seeds or ancestors, which the depth-first walk has already visited.
     """
     capped = min(depth, 10)
-    checked = failures = 0
     values = {(a, 1): mu(Fraction(a)).value for a in (0, 1)}
-    for _, (a1, b1, a2, b2), _ in tree_walk(capped):
-        checked += 1
-        value = values[a1 + a2, b1 + b2] = mu(Fraction(a1 + a2, b1 + b2)).value
-        if value != springborn_mediant(values[a1, b1], values[a2, b2]):
-            failures += 1
-    return _result("transport_mediants", checked, failures, detail=f"depth {capped}")
+
+    def outcomes():
+        for _, (a1, b1, a2, b2), _ in tree_walk(capped):
+            value = values[a1 + a2, b1 + b2] = mu(Fraction(a1 + a2, b1 + b2)).value
+            yield value == springborn_mediant(values[a1, b1], values[a2, b2])
+
+    return _tally("transport_mediants", outcomes(), detail=f"depth {capped}")
 
 
 def _approx_scan(f: Fraction) -> tuple[Fraction, Fraction]:
@@ -321,39 +295,30 @@ def check_approximation() -> CheckResult:
     Each value and witness must also equal those of the scan oracle.  The
     walk prunes at the bound; no fraction below depth 8 is that small.
     """
-    checked = failures = 0
     fractions = [Fraction(0), Fraction(1, 2)]
     fractions += [Fraction(v[4], v[5]) for v, _, _ in tree_walk(8, _APPROX_BOUND)]
     third = Fraction(1, 3)
-    for f in fractions:
-        checked += 1
-        detail = approx_constant_detail(f)
-        if detail[0] < third or detail != _approx_scan(f):
-            failures += 1
-    checked += 2
-    failures += approx_constant(Fraction(0)) != 1
-    failures += approx_constant(Fraction(1, 2)) != Fraction(1, 2)
-    return _result("approximation_bound", checked, failures,
-                   detail=f"{len(fractions)} fractions")
+
+    def outcomes():
+        for f in fractions:
+            detail = approx_constant_detail(f)
+            yield detail[0] >= third and detail == _approx_scan(f)
+        yield approx_constant(Fraction(0)) == 1
+        yield approx_constant(Fraction(1, 2)) == Fraction(1, 2)
+
+    return _tally("approximation_bound", outcomes(), detail=f"{len(fractions)} fractions")
 
 
 def check_interval_geometry(depth: int) -> CheckResult:
     """Interval lengths match exactly; sorted intervals have disjoint interiors."""
     capped = min(depth, 8)
-    intervals = []
-    checked = failures = 0
-    for word, triple in enumerate_tree(capped):
-        interval = markov_interval(MarkovFraction(triple.f3, len(word), word))
-        checked += 1
-        if (interval.hi - interval.lo).compare(interval.length) != 0:
-            failures += 1
-        intervals.append(interval)
-    intervals.sort(key=lambda iv: iv.center)
-    for left, right in zip(intervals, intervals[1:]):
-        checked += 1
-        if surd_compare(left.hi, right.lo) > 0:
-            failures += 1
-    return _result("interval_geometry", checked, failures, detail=f"depth {capped}")
+    intervals = [markov_interval(MarkovFraction(triple.f3, len(word), word))
+                 for word, triple in enumerate_tree(capped)]
+    ordered = sorted(intervals, key=lambda iv: iv.center)
+    return _tally("interval_geometry", chain(
+        ((iv.hi - iv.lo).compare(iv.length) == 0 for iv in intervals),
+        (surd_compare(left.hi, right.lo) <= 0 for left, right in zip(ordered, ordered[1:]))),
+        detail=f"depth {capped}")
 
 
 def check_interval_freeness() -> CheckResult:
@@ -362,38 +327,28 @@ def check_interval_freeness() -> CheckResult:
     The pruned walk behind interval_freeness must also find exactly the
     intruders of the full scan, its oracle.
     """
-    checked = failures = 0
-    for word, triple in enumerate_tree(5):
-        checked += 1
-        f = MarkovFraction(triple.f3, len(word), word)
-        report = interval_freeness(f, _FREENESS_BOUND)
-        interval = markov_interval(f)
-        oracle = _fractions_inside_by_scan(interval.lo, interval.hi, _FREENESS_BOUND,
-                                           exclude=f.value)
-        if not report.free or list(report.intruders) != oracle:
-            failures += 1
-    return _result("interval_freeness", checked, failures,
-                   detail=f"bound {_FREENESS_BOUND}")
+    def outcomes():
+        for word, triple in enumerate_tree(5):
+            f = MarkovFraction(triple.f3, len(word), word)
+            report = interval_freeness(f, _FREENESS_BOUND)
+            interval = markov_interval(f)
+            oracle = _fractions_inside_by_scan(interval.lo, interval.hi, _FREENESS_BOUND,
+                                               exclude=f.value)
+            yield report.free and list(report.intruders) == oracle
+
+    return _tally("interval_freeness", outcomes(), detail=f"bound {_FREENESS_BOUND}")
 
 
 def check_length_series(depth: int) -> CheckResult:
     """Prefix sums of interval lengths increase strictly and stay below 1/2."""
     capped = min(depth, 15)
-    checked = failures = 0
     half = Fraction(1, 2)
-    run_lo = run_hi = Fraction(0)
-    for lo, hi in mcshane_partial_sums(capped, 14):
-        checked += 3
-        if not lo > run_lo or not hi > run_hi:
-            failures += 1
-        if not hi < half:
-            failures += 1
-        if not lo < hi:
-            failures += 1
-        run_lo, run_hi = lo, hi
-    gap = half - run_hi
-    return _result("length_series", checked, failures,
-                   detail=f"depth {capped}, gap above {float(gap):.3e}")
+    sums = mcshane_partial_sums(capped, 14)
+    steps = zip([(0, 0)] + sums, sums)
+    return _tally("length_series", (
+        ok for (run_lo, run_hi), (lo, hi) in steps
+        for ok in (lo > run_lo and hi > run_hi, hi < half, lo < hi)),
+        detail=f"depth {capped}, gap above {float(half - sums[-1][1]):.3e}")
 
 
 def check_unicity(depth: int) -> CheckResult:
@@ -406,56 +361,48 @@ def check_unicity(depth: int) -> CheckResult:
 
 def check_congruence() -> CheckResult:
     """Numerator congruence solver: fixed examples and agreement with brute force."""
-    checked = failures = 0
     expected = {
         1: [0], 2: [1], 3: [], 4: [], 5: [2, 3],
         37666: [2337, 15571, 22095, 35329],
     }
-    for q, want in expected.items():
-        checked += 1
-        if solve_congruence(q) != want:
-            failures += 1
-    for q in (13, 169, 290, 1325, 9077, 37666, 99970, 985 * 433):
-        checked += 1
-        if congruence_brute(q) != solve_congruence(q):
-            failures += 1
-    checked += 1
-    decision = is_exceptional_slope(Fraction(15571, 37666))
-    if not decision.accepted:
-        failures += 1
-    return _result("congruence", checked, failures)
+
+    def outcomes():
+        yield from (solve_congruence(q) == want for q, want in expected.items())
+        yield from (congruence_brute(q) == solve_congruence(q)
+                    for q in (13, 169, 290, 1325, 9077, 37666, 99970, 985 * 433))
+        yield is_exceptional_slope(Fraction(15571, 37666)).accepted
+
+    return _tally("congruence", outcomes())
 
 
 def check_generalized(depth: int) -> CheckResult:
     """Closures of (1,1,1) under Vieta flips for the three supported equations."""
     capped = min(depth, 10)
-    checked = failures = 0
-    for name, eq in sorted(SUPPORTED_EQUATIONS.items()):
-        triples = generalized_enumerate(eq, capped)
-        checked += len(triples)
-        failures += sum(1 for t in triples if not eq.satisfied_by(*t))
-    checked += 2
-    if (3, 1, 1) not in generalized_enumerate(SUPPORTED_EQUATIONS["quadric"], 1):
-        failures += 1
-    if (5, 1, 1) not in generalized_enumerate(SUPPORTED_EQUATIONS["x3"], 1):
-        failures += 1
-    return _result("generalized_equations", checked, failures, detail=f"depth {capped}")
+
+    def outcomes():
+        for _, eq in sorted(SUPPORTED_EQUATIONS.items()):
+            yield from (eq.satisfied_by(*t) for t in generalized_enumerate(eq, capped))
+        yield (3, 1, 1) in generalized_enumerate(SUPPORTED_EQUATIONS["quadric"], 1)
+        yield (5, 1, 1) in generalized_enumerate(SUPPORTED_EQUATIONS["x3"], 1)
+
+    return _tally("generalized_equations", outcomes(), detail=f"depth {capped}")
 
 
 def check_vieta(depth: int) -> CheckResult:
     """Double mutation is the identity on every denominator triple of the walk."""
     capped = min(depth, 6)
-    checked = failures = 0
-    for (_, a, _, b, _, c), _, _ in tree_walk(capped):
-        checked += 3
-        try:
-            t = MarkovTriple(a, b, c)
-        except ValueError:  # not a Markov triple: no mutation can be checked
-            failures += 3
-            continue
-        failures += sum(vieta_mutate(vieta_mutate(t, index), index) != t
+
+    def outcomes():
+        for (_, a, _, b, _, c), _, _ in tree_walk(capped):
+            try:
+                t = MarkovTriple(a, b, c)
+            except ValueError:  # not a Markov triple: its three mutations fail
+                yield from (False, False, False)
+                continue
+            yield from (vieta_mutate(vieta_mutate(t, index), index) == t
                         for index in (1, 2, 3))
-    return _result("vieta_involution", checked, failures, detail=f"depth {capped}")
+
+    return _tally("vieta_involution", outcomes(), detail=f"depth {capped}")
 
 
 def check_slopes(depth: int) -> CheckResult:
@@ -466,26 +413,23 @@ def check_slopes(depth: int) -> CheckResult:
     accepted, since bundle_invariants rejects any other slope.
     """
     capped = min(depth, 10)
-    checked = failures = 0
-    for (_, _, _, _, p, q), _, _ in tree_walk(capped):
-        value = Fraction(p, q)
-        checked += 1
-        norm = normalize_slope(value)
-        decision = is_exceptional_slope(value)
-        ok = (
-            decision.accepted
-            and is_exceptional_slope(3 - value).accepted
-            and normalize_slope(norm.reduced) == norm
-            and (inv := decision.bundle_invariants()).s * q == p * p + 1
-            and 2 * inv.c2 == (q - 1) * (inv.s + 1)
-            and inv.form_discriminant == 9 * q * q - 4
-        )
-        if not ok:
-            failures += 1
-    checked += 1
-    if is_exceptional_slope(Fraction(1, 3)).accepted:
-        failures += 1
-    return _result("slope_membership", checked, failures, detail=f"depth {capped}")
+
+    def outcomes():
+        for (_, _, _, _, p, q), _, _ in tree_walk(capped):
+            value = Fraction(p, q)
+            norm = normalize_slope(value)
+            decision = is_exceptional_slope(value)
+            yield (
+                decision.accepted
+                and is_exceptional_slope(3 - value).accepted
+                and normalize_slope(norm.reduced) == norm
+                and (inv := decision.bundle_invariants()).s * q == p * p + 1
+                and 2 * inv.c2 == (q - 1) * (inv.s + 1)
+                and inv.form_discriminant == 9 * q * q - 4
+            )
+        yield not is_exceptional_slope(Fraction(1, 3)).accepted
+
+    return _tally("slope_membership", outcomes(), detail=f"depth {capped}")
 
 
 def run_all(depth: int) -> list[CheckResult]:

@@ -401,6 +401,29 @@ def test_mcshane_rejects_bad_precision():
         mcshane_partial_sum(2, 0)
 
 
+def test_precision_budget():
+    budget = analysis._MAX_PRECISION_DIGITS
+    lo, hi = mcshane_partial_sum(0, budget)
+    assert 0 < hi - lo < F(1, 10 ** budget)
+    assert saltus_mu(F(1, 2), 0, budget) == saltus_samples([F(1, 2)], 0, budget)[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: mcshane_partial_sum(14, p),
+    lambda p: mcshane_partial_sums(14, p),
+    lambda p: saltus_mu(F(1, 2), 14, p),
+    lambda p: saltus_samples([F(0), F(1)], 14, p),
+], ids=["mcshane_partial_sum", "mcshane_partial_sums", "saltus_mu", "saltus_samples"])
+def test_precision_refused_before_the_walk(monkeypatch, call):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked past the precision budget")
+
+    monkeypatch.setattr(analysis, "tree_walk", no_walk)
+    budget = analysis._MAX_PRECISION_DIGITS
+    with pytest.raises(ValueError, match=f"the precision exceeds the {budget}-digit budget"):
+        call(budget + 1)
+
+
 def test_mcshane_partial_sums_equal_single_depths():
     sums = mcshane_partial_sums(6, 11)
     assert sums == [mcshane_partial_sum(level, 11) for level in range(7)]

@@ -230,6 +230,17 @@ def test_interval_freeness_budget_exits_1(capsys):
     assert json.loads(out)["error_detail"] == detail
 
 
+@pytest.mark.parametrize("command", [("mcshane",), ("saltus", "1/2")])
+def test_precision_budget_exits_1(capsys, command):
+    detail = "the precision exceeds the 100-digit budget"
+    args = (*command, "--depth", "14", "--precision", "101")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (1, "", f"error: {detail}\n")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error_detail"] == detail
+
+
 def test_mcshane_json_enclosure(capsys):
     code, out, _ = run_cli(capsys, "mcshane", "--depth", "1", "--precision", "8",
                            "--format", "json")

@@ -3,11 +3,13 @@
 Check counts follow closed forms in the depth: a tree suite capped at c
 reads 2**(c+1) - 1 vertices, and the fixed-range suites have fixed
 counts.  The negative controls corrupt one vertex of the tree a suite
-reads and require that suite to count the failure.
+reads, or one value of a function it calls, and pin the failures that
+suite counts.
 """
 
 import inspect
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -26,7 +28,7 @@ def run_cli(capsys, *args):
 
 def _gaps(depth):
     # length_series reports the gap below 1/2 left by the partial sum.
-    return {0: "5.461e-03", 1: "7.211e-04", 6: "4.465e-08"}[depth]
+    return {0: "5.461e-03", 1: "7.211e-04", 6: "4.465e-08", 12: "4.307e-13"}[depth]
 
 
 def expected_suites(d):
@@ -59,15 +61,19 @@ def expected_suites(d):
     ]
 
 
-@pytest.mark.parametrize("depth", [0, 1, 6])
+@pytest.mark.parametrize("depth", [0, 1, 6, 12])
 def test_verify_output_shape(capsys, depth):
+    # Depth 12 is the first where the caps at 6, 8 and 10 bind and the cap at
+    # 12 is reached.  Its run takes seconds, so it is made in JSON alone; the
+    # text lines are formatted from the same results.
     expected = expected_suites(depth)
-    code, out, err = run_cli(capsys, "verify", "--depth", str(depth))
-    assert (code, err) == (0, "")
-    lines = [f"PASS {name}: {checked} checks" + (f" ({detail})" if detail else "")
-             for name, checked, detail in expected]
-    lines.append("19/19 invariant suites passed")
-    assert out.splitlines() == lines
+    if depth < 12:
+        code, out, err = run_cli(capsys, "verify", "--depth", str(depth))
+        assert (code, err) == (0, "")
+        lines = [f"PASS {name}: {checked} checks" + (f" ({detail})" if detail else "")
+                 for name, checked, detail in expected]
+        lines.append("19/19 invariant suites passed")
+        assert out.splitlines() == lines
 
     code, out, err = run_cli(capsys, "verify", "--depth", str(depth), "--format", "json")
     assert (code, err) == (0, "")
@@ -216,6 +222,162 @@ def test_interval_freeness_counts_a_wrong_intruder_list(monkeypatch, scan):
         _one_more_intruder(monkeypatch, verify, "_fractions_inside_by_scan")
     result = verify.check_interval_freeness()
     assert (result.checked, result.failures, result.passed) == (63, 1, False)
+
+
+def _wrong_at(monkeypatch, name, at, wrong):
+    """Rewire verify's name so that it returns wrong(result) for the argument at."""
+    real = getattr(verify, name)
+
+    def fn(x, *args, **kwargs):
+        result = real(x, *args, **kwargs)
+        return wrong(result) if x == at else result
+
+    monkeypatch.setattr(verify, name, fn)
+
+
+def test_slope_image_counts_a_wrong_level(monkeypatch):
+    real = verify.set_equivalence
+
+    def report(depth):
+        found = real(depth)
+        return replace(found, levels_equal=(True, False) + found.levels_equal[2:])
+
+    monkeypatch.setattr(verify, "set_equivalence", report)
+    result = verify.check_slope_image(2)
+    assert (result.passed, result.checked, result.failures) == (False, 10, 1)
+    assert result.detail == "depth 2"
+
+
+def test_slope_transport_counts_a_wrong_slope(monkeypatch):
+    # epsilon read at ?(1/3) = 1/4 is one off; every other x still matches.
+    _wrong_at(monkeypatch, "_epsilon_by_midpoints", verify.question_mark_farey(F(1, 3)),
+              lambda value: value + 1)
+    result = verify.check_slope_transport()
+    assert (result.passed, result.checked, result.failures) == (False, 3045, 1)
+
+
+@pytest.mark.parametrize("name, at, failures", [
+    # The series route is off at one x.
+    ("question_mark_salem", F(1, 3), 1),
+    # The word route is off everywhere, and is read at the 773 x with 0 < x < 1
+    # of the 775; x = 0 and x = 1 count as passing checks.
+    ("question_mark_of_word", None, 773),
+])
+def test_question_mark_counts_a_wrong_route(monkeypatch, name, at, failures):
+    real = getattr(verify, name)
+
+    def route(x):
+        value = real(x)
+        wrong = at is None or x == at
+        return SimpleNamespace(value=value.value + 1) if wrong else value
+
+    monkeypatch.setattr(verify, name, route)
+    result = verify.check_question_mark()
+    assert (result.passed, result.checked, result.failures) == (False, 3099, failures)
+
+
+def test_question_mark_counts_a_monotonicity_break(monkeypatch):
+    # ?(1/3) = 1 in place of 1/4 fails five checks: the order against the next
+    # x, the series and word routes at 1/3, and the symmetry at both 1/3 and
+    # 2/3, each of which reads the other.
+    real = verify.question_mark_farey
+
+    def qmark(x):
+        return SimpleNamespace(value=F(1)) if x == F(1, 3) else real(x)
+
+    monkeypatch.setattr(verify, "question_mark_farey", qmark)
+    result = verify.check_question_mark()
+    assert (result.passed, result.checked, result.failures) == (False, 3099, 5)
+
+
+def test_boundary_branches_counts_a_wrong_branch(monkeypatch):
+    _wrong_at(monkeypatch, "pell_branch", 3, lambda f: SimpleNamespace(value=f.value + 1))
+    result = verify.check_branches()
+    assert (result.passed, result.checked, result.failures) == (False, 60, 1)
+
+
+def test_interval_geometry_counts_a_wrong_interval(monkeypatch):
+    # The upper end of 2/5's interval moves up by 1/10: its length no longer
+    # matches, and it overlaps the next interval in sorted order.
+    real = verify.markov_interval
+
+    def interval(f):
+        found = real(f)
+        return replace(found, hi=found.hi + F(1, 10)) if f.value == F(2, 5) else found
+
+    monkeypatch.setattr(verify, "markov_interval", interval)
+    result = verify.check_interval_geometry(2)
+    assert (result.passed, result.checked, result.failures) == (False, 13, 2)
+    assert result.detail == "depth 2"
+
+
+def test_length_series_counts_a_level_out_of_order(monkeypatch):
+    # Levels 1 and 2 swap: level 2 then falls below level 1, and only its
+    # monotonicity check fails.  The detail reads the last level's upper bound.
+    real = verify.mcshane_partial_sums
+
+    def sums(depth, precision):
+        found = real(depth, precision)
+        found[1], found[2] = found[2], found[1]
+        return found
+
+    monkeypatch.setattr(verify, "mcshane_partial_sums", sums)
+    result = verify.check_length_series(3)
+    gap = F(1, 2) - real(3, 14)[-1][1]
+    assert (result.passed, result.checked, result.failures) == (False, 12, 1)
+    assert result.detail == f"depth 3, gap above {float(gap):.3e}"
+
+
+def test_unicity_counts_a_duplicate(monkeypatch):
+    real = verify.unicity_scan
+
+    def scan(depth):
+        return replace(real(depth), duplicates=((5, (F(2, 5), F(3, 5))),))
+
+    monkeypatch.setattr(verify, "unicity_scan", scan)
+    result = verify.check_unicity(2)
+    assert (result.passed, result.checked, result.failures) == (False, 9, 1)
+    assert result.detail == "depth 2, 9 denominators"
+
+
+@pytest.mark.parametrize("q, failures", [
+    # 37666 is in the fixed table and in the brute-force list.
+    (37666, 2),
+    # 13 is in the brute-force list only.
+    (13, 1),
+])
+def test_congruence_counts_a_wrong_solution_list(monkeypatch, q, failures):
+    _wrong_at(monkeypatch, "solve_congruence", q, lambda roots: roots + [q])
+    result = verify.check_congruence()
+    assert (result.passed, result.checked, result.failures) == (False, 15, failures)
+
+
+def test_congruence_counts_a_rejected_slope(monkeypatch):
+    _wrong_at(monkeypatch, "is_exceptional_slope", F(15571, 37666),
+              lambda decision: SimpleNamespace(accepted=False))
+    result = verify.check_congruence()
+    assert (result.passed, result.checked, result.failures) == (False, 15, 1)
+
+
+@pytest.mark.parametrize("corrupt, checked, failures", [
+    # A non-solution joins the Markov closure at depth 2: one more check, failing.
+    (lambda name, depth, found: found | {(2, 2, 2)} if name == "markov" and depth == 2
+     else found, 27, 1),
+    # (5, 1, 1) goes missing from the x3 closure at depth 1: a fixed check fails.
+    (lambda name, depth, found: found - {(5, 1, 1)} if name == "x3" and depth == 1
+     else found, 26, 1),
+], ids=["nonsolution_added", "fixed_triple_missing"])
+def test_generalized_equations_counts_a_wrong_closure(monkeypatch, corrupt, checked, failures):
+    real = verify.generalized_enumerate
+    names = {eq: name for name, eq in verify.SUPPORTED_EQUATIONS.items()}
+
+    def closure(eq, depth):
+        return corrupt(names[eq], depth, real(eq, depth))
+
+    monkeypatch.setattr(verify, "generalized_enumerate", closure)
+    result = verify.check_generalized(2)
+    assert (result.passed, result.checked, result.failures) == (False, checked, failures)
+    assert result.detail == "depth 2"
 
 
 def test_verify_reports_a_failing_suite(capsys, monkeypatch):
