@@ -283,11 +283,15 @@ def _length_bounds(q: int, guard_bits: int) -> tuple[int, int, int]:
     equals R - 1 whenever 3q > 2**(guard_bits + 1): the radicand is
     R**2 - 4**(guard_bits + 1), which lies in [(R - 1)**2, R**2) because
     2R - 1 >= 4**(guard_bits + 1) there.  So isqrt runs only below that
-    threshold, for a few hundred vertices of a deep walk.
+    threshold, for a few hundred vertices of a deep walk.  Above it, a
+    long q is first tried on its leading bits (see _leading_length_bounds).
     """
     # Scaled denominators q * (R + root) and q * (R + root + 1), in units
     # of 2**-guard_bits; with root = R - 1 the upper one is 6q**2 * 2**guard_bits.
     if 3 * q > 2 << guard_bits:
+        bounds = _leading_length_bounds(q, guard_bits)
+        if bounds is not None:
+            return bounds
         m_hi = 6 * (q * q) << guard_bits
         m_lo = m_hi - q
     else:
@@ -299,16 +303,48 @@ def _length_bounds(q: int, guard_bits: int) -> tuple[int, int, int]:
     return numerator // m_hi, -((-numerator) // m_lo), e
 
 
+def _leading_length_bounds(q: int, guard_bits: int) -> tuple[int, int, int] | None:
+    """_length_bounds(q, guard_bits) for 3q > 2**(guard_bits + 1), from the top bits of q.
+
+    There the bounds are floor(N / m_hi) and ceil(N / m_lo), with
+    m_hi = 6q**2 * 2**g, m_lo = m_hi - q and N = 2**(e + g + 2), where
+    g = guard_bits and e = bits(6q**2) + 2g: quotients of about 2g bits.
+    With a = q >> s, about 2g + 32 bits, and c = ((a + 1) >> (s + g)) + 1,
+    both m_lo and m_hi lie strictly between (6a**2 - c) * 2**(2s + g) and
+    6(a + 1)**2 * 2**(2s + g).  Let n = 2**(bits(6a**2) + 2g + 2).  When
+    n // (6(a + 1)**2) and n // (6a**2 - c) agree on some k, no power of
+    two lies in (6a**2, 6(a + 1)**2), since it would put 2**(2g + 2)
+    between the two quotients, so bits(6q**2) = bits(6a**2) + 2s gives e;
+    then N / m_hi and N / m_lo both lie strictly between k and k + 1, so
+    the bounds are k and k + 1.  When
+    they differ (about one q in 2**28), or q has too few bits to shorten,
+    this returns None and the caller takes the full products.
+    """
+    s = q.bit_length() - 2 * guard_bits - 32
+    if s <= 0:
+        return None
+    a = q >> s
+    lo6 = 6 * a * a
+    bits = lo6.bit_length()
+    numerator = 1 << (bits + 2 * guard_bits + 2)
+    k = numerator // (6 * (a + 1) * (a + 1))
+    if k != numerator // (lo6 - ((a + 1) >> (s + guard_bits)) - 1):
+        return None
+    return k, k + 1, bits + 2 * s + 2 * guard_bits
+
+
 def _guard_bits(precision: int) -> int:
     """Guard bits of a jump sum to `precision` digits, refused past the budget.
 
-    Every vertex divides numbers of about 2*bits(q) + guard bits, so the
-    cost grows with the digits as well as with the depth: to depth 15 the
-    sums take 0.7 s at 12 digits, 1.8 s at 100 and 26 s at 1,000.  At
-    _MAX_PRECISION_DIGITS = 100 the digits stay a fraction of the cost at
-    the vertex budget: to depth 19 the sums take 159 s, against 112 s at
-    12 digits (Python 3.11, one core of a shared 2-core x86-64 host).
-    The check runs before any walk.
+    Every vertex divides numbers of about 2*bits(q) + guard bits, or of
+    about 6 * guard bits once q is longer than 2 * guard + 32 bits (see
+    _leading_length_bounds), so the cost grows with the digits as well as
+    with the depth.  The budget was set when every vertex took the full
+    products: to depth 15 the sums took 0.7 s at 12 digits, 1.8 s at 100
+    and 26 s at 1,000, and at _MAX_PRECISION_DIGITS = 100 the digits
+    stayed a fraction of the cost at the vertex budget: to depth 19 the
+    sums took 159 s, against 112 s at 12 digits (Python 3.11, one core of
+    a shared 2-core x86-64 host).  The check runs before any walk.
     """
     if precision < 1:
         raise ValueError("precision must be a positive digit count")

@@ -281,6 +281,7 @@ def _cmd_verify(args: argparse.Namespace) -> Handled:
                     "checked": r.checked,
                     "failures": r.failures,
                     "detail": r.detail,
+                    **({"seconds": r.seconds} if args.timings else {}),
                 }
                 for r in results
             ],
@@ -513,6 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "Run the full invariant suite.")
     p.add_argument("--depth", type=int, required=True, metavar="N")
+    p.add_argument("--timings", action="store_true",
+                   help="add each suite's wall seconds to the json results")
 
     p = add("approx-const", _cmd_approx_const, "Best-approximation constant of a rational.")
     p.add_argument("x", type=_parse_fraction, metavar="P/Q")
@@ -582,6 +585,8 @@ def _budget_digits():
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "timings", False) and args.format != "json":
+        parser.error("--timings needs --format json")
     with _budget_digits():
         try:
             record, text = args.handler(args)

@@ -78,18 +78,16 @@ def _check_scan_depth(depth: int, root_branches: int = 2) -> None:
         raise ValueError(f"depth {depth} exceeds the {_MAX_SCAN_VERTICES} vertex budget")
 
 
-def _mediant_terms(f1: Fraction, f2: Fraction) -> tuple[int, int]:
-    """Unreduced numerator and positive denominator of springborn_mediant(f1, f2)."""
-    if not f1 < f2:
-        raise ValueError(f"arguments must be ordered: expected {f1} < {f2}")
-    p1, q1 = f1.numerator, f1.denominator
-    p2, q2 = f2.numerator, f2.denominator
+def _mediant_terms(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
+    """Unreduced terms (p1*q1 + p2*q2, q1**2 + q2**2) of the mediant of p1/q1 and p2/q2."""
     return p1 * q1 + p2 * q2, q1 * q1 + q2 * q2
 
 
 def springborn_mediant(f1: Fraction, f2: Fraction) -> Fraction:
     """Mediant variant generating the Markov fraction tree; requires f1 < f2."""
-    return Fraction(*_mediant_terms(f1, f2))
+    if not f1 < f2:
+        raise ValueError(f"arguments must be ordered: expected {f1} < {f2}")
+    return Fraction(*_mediant_terms(f1.numerator, f1.denominator, f2.numerator, f2.denominator))
 
 
 @dataclass(frozen=True)
@@ -287,11 +285,12 @@ def tree_walk(
     max_denominator: int | None = None,
     *,
     prune: Callable[[Vertex], bool] | None = None,
+    seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS,
 ) -> Iterator[tuple[Vertex, FareyPair, int]]:
-    """Depth-first integer walk of the reduced tree, children L before R.
+    """Depth-first integer walk of the tree on the seeds, children L before R.
 
     Yields (vertex, farey_pair, level) for the vertices of
-    ``enumerate_tree(depth)``, in the lexicographic order of their words:
+    ``enumerate_tree(depth, seeds)``, in the lexicographic order of their words:
     vertex is (p1, q1, p2, q2, p3, q3) and farey_pair the parents
     (a1, b1, a2, b2) of the Farey-tree vertex at the same word.  Children
     come from the Vieta step, so no vertex costs a division or a gcd.
@@ -305,12 +304,16 @@ def tree_walk(
     walks only the branches that reach a window: this is how
     ``analysis.fractions_strictly_inside`` scans an interval.  A walk
     with neither cut pays one None test per vertex.
+
+    The seeds must span a Markov fraction tree, as for descend_value; the
+    Farey pairs do not depend on them.
     """
     if depth is None:
         if max_denominator is None:
             raise ValueError("a walk without a depth needs max_denominator")
     else:
         _check_scan_depth(depth)
+    root = _ROOTS.get(tuple(seeds)) or _root(seeds)
 
     def over(v: Vertex) -> bool:
         return v[5] > max_denominator or (prune is not None and prune(v))
@@ -318,7 +321,7 @@ def tree_walk(
     cut = prune if max_denominator is None else over
 
     def walk() -> Iterator[tuple[Vertex, FareyPair, int]]:
-        stack = [(_ROOTS[REDUCED_SEEDS], (0, 1, 1, 1), 0)]
+        stack = [(root, (0, 1, 1, 1), 0)]
         while stack:
             item = stack.pop()
             v, (a1, b1, a2, b2), level = item

@@ -58,14 +58,12 @@ _MAX_EQUIVALENCE_DEPTH = 12
 _REDUCED_ROOT, _UNIT_ROOT = _ROOTS[REDUCED_SEEDS], _ROOTS[UNIT_SEEDS]
 
 
-def _midpoint_terms(v1: Fraction, v2: Fraction) -> tuple[int, int]:
-    """Unreduced numerator and denominator of _midpoint_value(v1, v2).
+def _midpoint_terms(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
+    """Unreduced terms of the midpoint formula on the values p1/q1 and p2/q2.
 
     The formula is taken over the one integer denominator
-    2*q1*q2*d, where d = (v1 - v2 + 3)*q1*q2.
+    2*q1*q2*d, where d = (p1/q1 - p2/q2 + 3)*q1*q2.
     """
-    p1, q1 = v1.numerator, v1.denominator
-    p2, q2 = v2.numerator, v2.denominator
     d = p1 * q2 - p2 * q1 + 3 * q1 * q2
     if d == 0:
         raise ValueError("slope recursion step is undefined: values differ by 3")
@@ -74,7 +72,7 @@ def _midpoint_terms(v1: Fraction, v2: Fraction) -> tuple[int, int]:
 
 def _midpoint_value(v1: Fraction, v2: Fraction) -> Fraction:
     """Slope recursion step for adjacent dyadic values v1 < v2, reduced once."""
-    return Fraction(*_midpoint_terms(v1, v2))
+    return Fraction(*_midpoint_terms(v1.numerator, v1.denominator, v2.numerator, v2.denominator))
 
 
 def _epsilon_by_midpoints(x: DyadicRational | Fraction | int) -> Fraction:
@@ -83,8 +81,11 @@ def _epsilon_by_midpoints(x: DyadicRational | Fraction | int) -> Fraction:
     From the values (0, 1) at 0 and 1, bits n - 1, ..., 1 of m choose the
     lower or upper half, and the last step lands on the fractional part
     itself.  It shares no step with the tree descent of ``epsilon``, which
-    it checks in the tests and in ``verify``.  Its cost is cubic in n and
-    no budget bounds it, so it is meant for short dyadics only.
+    it checks in the tests.  Its cost is cubic in n and no budget bounds
+    it, so it is meant for short dyadics only.  ``verify`` does not call
+    it: its ``slope_transport`` suite takes the same last step, one
+    _midpoint_value per dyadic, from the values it has kept for the two
+    neighbours, and the tests check that memo against this oracle.
     """
     if isinstance(x, int):
         return Fraction(x)
@@ -134,11 +135,20 @@ def identity_check(f1: Fraction, f2: Fraction) -> bool:
     """Does the midpoint formula on (f1, f2) equal their tree mediant?
 
     Both sides are evaluated independently and exactly; requires f1 < f2.
-    Their unreduced terms are compared by cross-multiplying, so neither side
-    takes a gcd.
     """
-    num, den = _midpoint_terms(f1, f2)
-    m_num, m_den = _mediant_terms(f1, f2)
+    if not f1 < f2:
+        raise ValueError(f"arguments must be ordered: expected {f1} < {f2}")
+    return _identity_holds(f1.numerator, f1.denominator, f2.numerator, f2.denominator)
+
+
+def _identity_holds(p1: int, q1: int, p2: int, q2: int) -> bool:
+    """identity_check on the values p1/q1 < p2/q2, given in lowest terms.
+
+    The unreduced terms of the two sides are compared by cross-multiplying,
+    so neither side takes a gcd.
+    """
+    num, den = _midpoint_terms(p1, q1, p2, q2)
+    m_num, m_den = _mediant_terms(p1, q1, p2, q2)
     return num * m_den == m_num * den
 
 

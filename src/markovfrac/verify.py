@@ -13,19 +13,30 @@ The Fraction reference `enumerate_tree(depth)` is built once per run and
 read by the two suites that check it: `tree_relations` checks its
 neighbour relations and `tree_walk` checks the integer walk against it
 vertex by vertex.  Suites that only read vertex properties then read the
-integer walk.  Checks cap their own range where a larger depth would
-change the cost class (the caps are noted per check); the depth argument
-bounds everything else, and the fixed ranges are module constants.
+integer walk; `midpoint_identity` reads the integer walk of the [0, 1]
+tree, which the tests check against its reference.  Only
+`interval_geometry` and `interval_freeness` build a reference of their
+own, for the turn words.  Checks cap their own range where a larger
+depth would change the cost class (the caps are noted per check); the
+depth argument bounds everything else, and the fixed ranges are module
+constants.
+
+The two suites on the slope side take one midpoint step per vertex:
+`midpoint_identity` decides the identity on the integers of the walk,
+and `slope_transport` keeps epsilon by dyadic, so each value is one
+step from its two neighbours.  `run_all` records each suite's wall
+seconds in its result, which the results' equality ignores.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import gcd
+from time import perf_counter
 
 from .analysis import (
     _fractions_inside_by_scan,
@@ -35,7 +46,7 @@ from .analysis import (
     markov_interval,
     mcshane_partial_sums,
 )
-from .exact import surd_compare
+from .exact import DyadicRational, surd_compare
 from .farey import (
     TurnWord,
     farey_path_to,
@@ -64,8 +75,8 @@ from .markov import (
     vieta_mutate,
 )
 from .slopes import (
-    _epsilon_by_midpoints,
-    identity_check,
+    _identity_holds,
+    _midpoint_value,
     is_exceptional_slope,
     normalize_slope,
     set_equivalence,
@@ -91,6 +102,8 @@ class CheckResult:
     checked: int
     failures: int = 0
     detail: str = ""
+    #: Wall seconds of the suite, set by run_all; results compare without it.
+    seconds: float | None = field(default=None, compare=False)
 
 
 def _result(name: str, checked: int, failures: int, detail: str = "") -> CheckResult:
@@ -174,9 +187,14 @@ def check_markov_triples(depth: int) -> CheckResult:
 
 
 def check_midpoint_identity(depth: int) -> CheckResult:
-    """The midpoint formula agrees with the tree mediant on every neighbour pair."""
-    return _tally("midpoint_identity", (identity_check(triple.f1, triple.f2)
-                                        for _, triple in enumerate_tree(depth, UNIT_SEEDS)))
+    """The midpoint formula agrees with the tree mediant on every neighbour pair.
+
+    The pairs are read from the integer walk of the [0, 1] tree, in lowest
+    terms, and must be ordered; the identity is decided on their integers.
+    """
+    return _tally("midpoint_identity", (
+        p1 * q2 < p2 * q1 and _identity_holds(p1, q1, p2, q2)
+        for (p1, q1, p2, q2, _, _), _, _ in tree_walk(depth, seeds=UNIT_SEEDS)))
 
 
 def check_slope_image(depth: int) -> CheckResult:
@@ -196,16 +214,49 @@ def _rationals(dmax: int) -> Iterator[Fraction]:
                 yield Fraction(a, b)
 
 
+def _transported_slopes(xs: Iterable[Fraction]) -> Iterator[tuple[Fraction, Fraction | None]]:
+    """(x, epsilon(?(x))) for x in [0, 1] given after their Farey parents.
+
+    The images under ? of the Farey parents of x are the neighbours
+    (m - 1)/2**n and (m + 1)/2**n of ?(x) = m/2**n, so each value is one
+    midpoint step from two values kept by dyadic, seeded with
+    epsilon(0) = 0 and epsilon(1) = 1.  The value is None when a
+    neighbour was never kept.
+
+    A value is kept only if its denominator is at most q1**2 + q2**2,
+    that of the tree mediant of its neighbours' values: off the tree the
+    step nearly squares the denominator, and a wrong value kept would
+    square it again at every level below it.  So a wrong step fails the
+    values that read it instead of stalling the suite.
+    """
+    slopes = {(0, 0): Fraction(0), (1, 0): Fraction(1)}
+    for x in xs:
+        y = question_mark_farey(x)
+        if y.n == 0:
+            yield x, slopes.get((y.m, 0))
+            continue
+        lo, hi = DyadicRational(y.m - 1, y.n), DyadicRational(y.m + 1, y.n)
+        v1, v2 = slopes.get((lo.m, lo.n)), slopes.get((hi.m, hi.n))
+        if v1 is None or v2 is None:
+            yield x, None
+            continue
+        value = _midpoint_value(v1, v2)
+        if value.denominator <= v1.denominator ** 2 + v2.denominator ** 2:
+            slopes[y.m, y.n] = value
+        yield x, value
+
+
 def check_slope_transport() -> CheckResult:
     """epsilon(?(x)) equals the tree transport of x for denominators <= 100.
 
     epsilon itself descends the tree at the binary word of ?(x), which is
-    the Farey word of x, so the slope side is the midpoint recursion.
+    the Farey word of x, so the slope side is the midpoint recursion, one
+    step per x (see _transported_slopes: the x come by denominator).  A
+    value missing for want of a neighbour fails.
     """
     return _tally("slope_transport", (
-        (x if x in (0, 1) else descend_value(farey_path_to(x), UNIT_SEEDS))
-        == _epsilon_by_midpoints(question_mark_farey(x))
-        for x in _rationals(_TRANSPORT_DMAX)))
+        (x if x in (0, 1) else descend_value(farey_path_to(x), UNIT_SEEDS)) == value
+        for x, value in _transported_slopes(_rationals(_TRANSPORT_DMAX))))
 
 
 def check_question_mark() -> CheckResult:
@@ -432,28 +483,42 @@ def check_slopes(depth: int) -> CheckResult:
     return _tally("slope_membership", outcomes(), detail=f"depth {capped}")
 
 
+def _timed(check: Callable[..., CheckResult], *args: object) -> CheckResult:
+    """check(*args) with its wall seconds in the result."""
+    start = perf_counter()
+    result = check(*args)
+    return replace(result, seconds=perf_counter() - start)
+
+
 def run_all(depth: int) -> list[CheckResult]:
-    """Run every check, bounded by depth where applicable; deterministic order."""
+    """Run every check, bounded by depth where applicable; deterministic order.
+
+    Each result carries its suite's wall seconds.  The shared reference is
+    timed with tree_relations, the first suite that reads it.
+    """
+    start = perf_counter()
     reference = _reference_tree(depth)
-    results = [check_tree_relations(reference), check_tree_walk(depth, reference)]
+    relations = check_tree_relations(reference)
+    results = [replace(relations, seconds=perf_counter() - start),
+               _timed(check_tree_walk, depth, reference)]
     # The reference is the largest structure of the run; free it before the rest.
     del reference
     return results + [
-        check_tree_fractions(depth),
-        check_markov_triples(depth),
-        check_midpoint_identity(depth),
-        check_slope_image(depth),
-        check_slope_transport(),
-        check_question_mark(),
-        check_branches(),
-        check_transport_mediants(depth),
-        check_approximation(),
-        check_interval_geometry(depth),
-        check_interval_freeness(),
-        check_length_series(depth),
-        check_unicity(depth),
-        check_congruence(),
-        check_generalized(depth),
-        check_vieta(depth),
-        check_slopes(depth),
+        _timed(check_tree_fractions, depth),
+        _timed(check_markov_triples, depth),
+        _timed(check_midpoint_identity, depth),
+        _timed(check_slope_image, depth),
+        _timed(check_slope_transport),
+        _timed(check_question_mark),
+        _timed(check_branches),
+        _timed(check_transport_mediants, depth),
+        _timed(check_approximation),
+        _timed(check_interval_geometry, depth),
+        _timed(check_interval_freeness),
+        _timed(check_length_series, depth),
+        _timed(check_unicity, depth),
+        _timed(check_congruence),
+        _timed(check_generalized, depth),
+        _timed(check_vieta, depth),
+        _timed(check_slopes, depth),
     ]

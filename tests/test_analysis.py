@@ -39,7 +39,12 @@ from markovfrac import (
 )
 from markovfrac import analysis
 from markovfrac.markov import MarkovFraction
-from markovfrac.analysis import _fractions_inside_by_scan, _guard_bits, _length_bounds
+from markovfrac.analysis import (
+    _fractions_inside_by_scan,
+    _guard_bits,
+    _leading_length_bounds,
+    _length_bounds,
+)
 
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -348,14 +353,45 @@ def test_length_bounds_match_isqrt_oracle_at_threshold():
             assert _length_bounds(q, guard) == _length_bounds_oracle(q, guard), (precision, q)
 
 
+def _bits_straddling_q(k: int) -> int:
+    """The largest q with 6q**2 < 2**k: 6(q + 1)**2 passes 2**k, so no leading
+    bits of q decide bits(6q**2)."""
+    return math.isqrt(((1 << k) - 1) // 6)
+
+
+def _quotient_straddling_q(k: int, guard: int) -> int:
+    """A q with bits(6q**2) = k whose floor 2**(k + 2g + 2) // (6q**2) sits
+    a hair above an integer, closer than the leading bits can tell."""
+    return math.isqrt((1 << (k + 2 * guard + 2)) // (6 * ((3 << (2 * guard + 1)) + 1)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 2**4000), st.integers(1, 40))
 @example(1, 1)
 @example(2, 40)
 @example(2**4000, 12)
+@example(_bits_straddling_q(7990), 12)
+@example(_bits_straddling_q(1001), 40)
+@example(_quotient_straddling_q(7990, _guard_bits(12)), 12)
+@example(_quotient_straddling_q(1200, _guard_bits(40)) + 1, 40)
 def test_length_bounds_match_isqrt_oracle(q, precision):
     guard = _guard_bits(precision)
     assert _length_bounds(q, guard) == _length_bounds_oracle(q, guard)
+
+
+@pytest.mark.parametrize("precision", [1, 12, 40])
+@pytest.mark.parametrize("k", [1200, 7990])
+def test_length_bounds_fall_back_when_leading_bits_are_ambiguous(precision, k):
+    # The leading-bits path declines these q, and the full products give the
+    # oracle's tuple; a q of the same length away from the edges takes the
+    # short path to the same tuple.
+    guard = _guard_bits(precision)
+    for q in (_bits_straddling_q(k), _quotient_straddling_q(k, guard),
+              _quotient_straddling_q(k, guard) + 1):
+        assert _leading_length_bounds(q, guard) is None, q
+        assert _length_bounds(q, guard) == _length_bounds_oracle(q, guard), q
+    q = 5 << (k // 2 - 3)
+    assert _leading_length_bounds(q, guard) == _length_bounds_oracle(q, guard)
 
 
 def test_mcshane_matches_mpmath_oracle():

@@ -191,6 +191,34 @@ def test_tree_walk_matches_enumerate_tree_to_depth10():
         assert level == len(word)
 
 
+@pytest.mark.parametrize("seeds", [UNIT_SEEDS, REDUCED_SEEDS, (F(1), F(3, 2)), (F(1), F(2))],
+                         ids=["unit", "reduced", "reduced_plus_1", "unit_plus_1"])
+def test_tree_walk_on_seeds_matches_enumerate_tree(seeds):
+    # The [0, 1] walk is what verify's midpoint_identity reads; integer
+    # translates span trees too, and the Farey pairs follow the words alone.
+    for depth in range(9):
+        reference = sorted(enumerate_tree(depth, seeds), key=lambda item: item[0])
+        walked = list(tree_walk(depth, seeds=seeds))
+        assert len(walked) == len(reference) == (1 << (depth + 1)) - 1
+        for (word, t), (vertex, farey, level) in zip(reference, walked):
+            node = farey_node_at(word)
+            assert vertex == _as_integers(t.f1, t.f2, t.f3), (depth, word)
+            assert farey == _as_integers(node.left_parent, node.right_parent), (depth, word)
+            assert level == len(word)
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ((F(0), F(1, 3)), "do not span a Markov fraction tree"),
+    ((F(1, 2), F(0)), "arguments must be ordered"),
+])
+def test_tree_walk_rejects_bad_seeds(seeds, message):
+    # The walk raises as _root does, when it is called, before any vertex.
+    with pytest.raises(ValueError, match=message):
+        markov._root(seeds)
+    with pytest.raises(ValueError, match=message):
+        tree_walk(3, seeds=seeds)
+
+
 def test_tree_walk_rejects_bad_depth():
     for bad, message in ((-1, "depth must be nonnegative"),
                          (20, "depth 20 exceeds the 1048576 vertex budget")):

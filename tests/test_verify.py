@@ -17,7 +17,9 @@ import pytest
 
 from markovfrac import analysis, verify
 from markovfrac.cli import main
+from markovfrac.exact import DyadicRational
 from markovfrac.markov import FractionTriple
+from markovfrac.slopes import _epsilon_by_midpoints
 
 
 def run_cli(capsys, *args):
@@ -87,6 +89,29 @@ def test_verify_output_shape(capsys, depth):
     ]
 
 
+def test_verify_timings_add_only_seconds(capsys):
+    # Without the flag the JSON carries no timings; with it each result gains
+    # a float `seconds` >= 0 and is otherwise byte for byte the same.
+    code, plain, _ = run_cli(capsys, "verify", "--depth", "2", "--format", "json")
+    assert code == 0 and '"seconds"' not in plain
+    code, timed, err = run_cli(capsys, "verify", "--depth", "2", "--format", "json", "--timings")
+    assert (code, err) == (0, "")
+    record = json.loads(timed)
+    results = record["outputs"]["results"]
+    assert len(results) == 19
+    for r in results:
+        seconds = r.pop("seconds")
+        assert isinstance(seconds, float) and seconds >= 0, r["name"]
+    assert json.dumps(record, indent=2) + "\n" == plain
+
+
+def test_verify_timings_need_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--depth", "0", "--timings"])
+    assert exc.value.code == 2
+    assert "--timings needs --format json" in capsys.readouterr().err
+
+
 def test_suites_take_no_optional_parameters():
     checks = [fn for name, fn in vars(verify).items()
               if name.startswith("check_") and inspect.isfunction(fn)
@@ -97,7 +122,7 @@ def test_suites_take_no_optional_parameters():
         assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
 
 
-def test_run_all_calls_enumerate_tree_four_times(monkeypatch):
+def test_run_all_calls_enumerate_tree_three_times(monkeypatch):
     calls = []
     real = verify.enumerate_tree
 
@@ -108,8 +133,26 @@ def test_run_all_calls_enumerate_tree_four_times(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_tree", counting)
     results = verify.run_all(1)
     assert all(r.passed for r in results)
-    # The shared reference, midpoint_identity's UNIT tree, interval_geometry, interval_freeness.
-    assert len(calls) == 4
+    # The shared reference, interval_geometry, interval_freeness; midpoint_identity
+    # reads the integer walk of the [0, 1] tree.
+    assert calls == [(1,), (1,), (5,)]
+
+
+def test_run_all_times_every_suite():
+    results = verify.run_all(1)
+    assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in results)
+    # The seconds take no part in a result's equality.
+    assert results[0] == replace(results[0], seconds=None)
+
+
+def test_transported_slopes_match_the_midpoint_oracle():
+    # Every value the memo fills for denominators <= 30 is the one the
+    # recursion reaches from (0, 1), one binary digit at a time.
+    xs = list(verify._rationals(30))
+    found = list(verify._transported_slopes(xs))
+    assert [x for x, _ in found] == xs
+    for x, value in found:
+        assert value == _epsilon_by_midpoints(verify.question_mark_farey(x)), x
 
 
 # -- negative controls -----------------------------------------------------------
@@ -178,9 +221,17 @@ def test_reference_suites_count_a_wrong_vertex(monkeypatch):
 
 
 def test_midpoint_identity_counts_a_wrong_vertex(monkeypatch):
-    # The suite reads the neighbours of the [0, 1]-tree's vertices; the root's
-    # right neighbour 1/1 becomes 1/3.
-    _corrupt_tree_root(monkeypatch, lambda t: FractionTriple(t.f1, F(1, 3), t.f3))
+    # The suite reads the neighbours of the vertices of the [0, 1] tree's walk;
+    # the root's right neighbour 1/1 becomes 1/3.
+    _corrupt_root(monkeypatch, lambda item: ((0, 1, 1, 3) + item[0][4:], item[1], item[2]))
+    result = verify.check_midpoint_identity(2)
+    assert (result.passed, result.checked, result.failures) == (False, 7, 1)
+
+
+def test_midpoint_identity_counts_unordered_neighbours(monkeypatch):
+    # The root's neighbours swap: the order check fails, and the identity is
+    # not read.
+    _corrupt_root(monkeypatch, lambda item: ((1, 1, 0, 1) + item[0][4:], item[1], item[2]))
     result = verify.check_midpoint_identity(2)
     assert (result.passed, result.checked, result.failures) == (False, 7, 1)
 
@@ -249,11 +300,36 @@ def test_slope_image_counts_a_wrong_level(monkeypatch):
 
 
 def test_slope_transport_counts_a_wrong_slope(monkeypatch):
-    # epsilon read at ?(1/3) = 1/4 is one off; every other x still matches.
-    _wrong_at(monkeypatch, "_epsilon_by_midpoints", verify.question_mark_farey(F(1, 3)),
+    # The tree side at x = 1/3 is one off; every other x still matches.
+    _wrong_at(monkeypatch, "descend_value", verify.farey_path_to(F(1, 3)),
               lambda value: value + 1)
     result = verify.check_slope_transport()
     assert (result.passed, result.checked, result.failures) == (False, 3045, 1)
+
+
+def test_slope_transport_propagates_a_wrong_midpoint_step(monkeypatch):
+    # The step that fills epsilon(?(1/3)) = epsilon(1/4) = 2/5 is off by
+    # 10**-60.  Every dyadic in (0, 1/2) takes its value from 1/4 through a
+    # chain of neighbours, so all 1521 x in (0, 1/2) fail: half of the 3043
+    # in (0, 1) other than 1/2.
+    real = verify._midpoint_value
+
+    def step(v1, v2):
+        value = real(v1, v2)
+        return value + F(1, 10 ** 60) if value == F(2, 5) else value
+
+    monkeypatch.setattr(verify, "_midpoint_value", step)
+    result = verify.check_slope_transport()
+    assert (result.passed, result.checked, result.failures) == (False, 3045, 1521)
+
+
+def test_slope_transport_counts_a_wrong_question_mark(monkeypatch):
+    # ?(1/3) = 1/4 becomes 1/2**40, whose upper neighbour 1/2**39 is never
+    # kept: 1/3 fails without an exception, and so does every x whose value
+    # needs epsilon(1/4), which is never kept either.
+    _wrong_at(monkeypatch, "question_mark_farey", F(1, 3), lambda y: DyadicRational(1, 40))
+    result = verify.check_slope_transport()
+    assert (result.passed, result.checked, result.failures) == (False, 3045, 1521)
 
 
 @pytest.mark.parametrize("name, at, failures", [
