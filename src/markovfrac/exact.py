@@ -7,6 +7,15 @@ quadratic surds ``(a + b*sqrt(d))/c``.  Every ordering decision on surds is
 made by sign analysis of integer expressions, never through floating point,
 so comparisons stay correct no matter how close two values are.
 
+Values that are canonical by construction skip re-normalization.  A tree
+vertex is reduced because the relations checked at its root carry to every
+vertex below, so :func:`_coprime_fraction` builds it without the gcd of
+``Fraction(p, q)``, which is quadratic in the operand size and the largest
+cost of a deep descent.  A sum or multiple of canonical surds keeps their
+radicand, so :meth:`QuadraticSurd._from_canonical_radicand` skips the
+integer square root and the trial square divisions of the public
+constructor.  Outside input always goes through the public constructors.
+
 All types are immutable; functions are pure and safe to call concurrently.
 """
 
@@ -48,6 +57,20 @@ def _check_value_bits(bits: int, what: str) -> None:
 def reduce(num: int, den: int) -> Fraction:
     """Reduced fraction num/den; raises ZeroDivisionError when den == 0."""
     return Fraction(num, den)
+
+
+def _coprime_fraction(p: int, q: int) -> Fraction:
+    """p/q as a Fraction, without the gcd that Fraction(p, q) takes.
+
+    Precondition: gcd(p, q) == 1 and q > 0.  Nothing is checked, and a pair
+    that breaks it makes a Fraction that compares and hashes wrongly.  The
+    two slots are set as ``Fraction._from_coprime_ints`` sets them on
+    Python 3.12 and later; that method is private and absent before 3.12.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = p
+    f._denominator = q
+    return f
 
 
 def farey_mediant(f1: Fraction, f2: Fraction) -> Fraction:
@@ -211,15 +234,11 @@ class QuadraticSurd:
             raise ValueError("zero denominator")
         if d < 0:
             raise ValueError("negative radicand")
-        if c < 0:
-            a, b, c = -a, -b, -c
-        if b == 0:
-            d = 0
-        else:
+        if b != 0:
             r = isqrt(d)
             if r * r == d:
                 a += b * r
-                b, d = 0, 0
+                b = 0
             else:
                 for p in _SQUARE_PRIMES:
                     pp = p * p
@@ -228,13 +247,36 @@ class QuadraticSurd:
                     while d % pp == 0:
                         d //= pp
                         b *= p
-        g = gcd(gcd(abs(a), abs(b)), c)
+        self._set_canonical(a, b, c, d)
+
+    def _set_canonical(self, a: int, b: int, c: int, d: int) -> None:
+        """Store (a + b*sqrt(d))/c with c > 0, d = 0 when b == 0, and gcd(a, b, c) divided out."""
+        if c < 0:
+            a, b, c = -a, -b, -c
+        if b == 0:
+            d = 0
+        g = gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _from_canonical_radicand(cls, a: int, b: int, c: int, d: int) -> "QuadraticSurd":
+        """(a + b*sqrt(d))/c whose radicand is already canonical.
+
+        Precondition: c != 0 and, when b != 0, d is the radicand of a
+        canonical irrational surd: positive, not a square, and free of the
+        square factors the public constructor pulls out.  Sums and rational
+        multiples of canonical surds keep such a radicand, so this skips the
+        radicand's square root and square-factor scan and only stores the
+        surd as _set_canonical does.
+        """
+        x = object.__new__(cls)
+        x._set_canonical(a, b, c, d)
+        return x
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "QuadraticSurd":
@@ -312,14 +354,14 @@ class QuadraticSurd:
         if parts is None:
             return NotImplemented
         a2, b2, c2, d = parts
-        return QuadraticSurd(self.a * c2 + a2 * self.c,
-                             self.b * c2 + b2 * self.c,
-                             self.c * c2, d)
+        return QuadraticSurd._from_canonical_radicand(self.a * c2 + a2 * self.c,
+                                                      self.b * c2 + b2 * self.c,
+                                                      self.c * c2, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self.a, -self.b, self.c, self.d)
+        return QuadraticSurd._from_canonical_radicand(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
         result = self.__add__(-other if isinstance(other, (QuadraticSurd, Fraction, int)) else other)
@@ -333,9 +375,9 @@ class QuadraticSurd:
             other = Fraction(other)
         if not isinstance(other, Fraction):
             return NotImplemented
-        return QuadraticSurd(self.a * other.numerator,
-                             self.b * other.numerator,
-                             self.c * other.denominator, self.d)
+        return QuadraticSurd._from_canonical_radicand(self.a * other.numerator,
+                                                      self.b * other.numerator,
+                                                      self.c * other.denominator, self.d)
 
     __rmul__ = __mul__
 
@@ -357,6 +399,21 @@ def surd_compare(x: QuadraticSurd, y: "QuadraticSurd | Fraction | int") -> int:
     return x.compare(y)
 
 
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of n > 0, counted without str(n).
+
+    With 2**(k-1) <= n < 2**k, floor((k - 1)*log10(2)) + 1 digits is a
+    lower bound on the count, and the rational below lies just under
+    log10(2), so the estimate never overshoots.  The loop adds the digits
+    it is short by: one comparison with a power of ten, or two when the
+    estimate is one short.
+    """
+    digits = (n.bit_length() - 1) * 3010299956639811952 // 10 ** 19 + 1
+    while n >= 10 ** digits:
+        digits += 1
+    return digits
+
+
 def surd_enclose(x: QuadraticSurd, precision: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure lo <= x <= hi with hi - lo < 10**-precision.
 
@@ -369,7 +426,7 @@ def surd_enclose(x: QuadraticSurd, precision: int) -> tuple[Fraction, Fraction]:
     if x.b == 0:
         v = Fraction(x.a, x.c)
         return v, v
-    k = precision + len(str(abs(x.b))) + 1
+    k = precision + _decimal_digits(abs(x.b)) + 1
     scale = 10 ** k
     t = isqrt(x.d * scale * scale)
     if x.b > 0:

@@ -27,7 +27,7 @@ from itertools import compress
 from math import floor, gcd, isqrt, log2, sqrt
 from typing import Callable, Iterator
 
-from .exact import _check_value_bits
+from .exact import _check_value_bits, _coprime_fraction
 from .farey import TurnWord, check_word, farey_path_to
 
 __all__ = [
@@ -385,10 +385,16 @@ def _run_step(v: Vertex, letter: str, r: int, what: str | None = None) -> Vertex
 
 
 def _descend(word: TurnWord, v: Vertex, what: str) -> Fraction:
-    """Value of the vertex a well-formed word addresses below v; refusals name ``what``."""
+    """Value of the vertex a well-formed word addresses below v; refusals name ``what``.
+
+    v must be a _root vertex or a vertex below one: _root checks the
+    relations that the Vieta step carries to every vertex below, and those
+    make each vertex reduced with a positive denominator, so the value is
+    built without a gcd.
+    """
     for run in _RUN.finditer(word):
         v = _run_step(v, word[run.start()], run.end() - run.start(), what)
-    return Fraction(v[4], v[5])
+    return _coprime_fraction(v[4], v[5])
 
 
 def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS) -> Fraction:

@@ -183,6 +183,22 @@ def test_interval_length_is_exact_difference():
         assert surd_compare(iv.lo, iv.center) < 0 < surd_compare(iv.hi, iv.center)
 
 
+def test_interval_fields_match_the_public_constructor():
+    # Route of every surd through the public constructor: hi = center + length/2,
+    # lo = center - length/2.  9*2**2 - 4 = 32 = 4**2 * 2 has a square factor.
+    fractions = [mu(F(0)), mu(F(1))]
+    fractions += [MarkovFraction(t.f3, len(word), word) for word, t in enumerate_tree(8)]
+    for f in fractions:
+        p, q = f.value.numerator, f.value.denominator
+        length = QuadraticSurd(3 * q, -1, q, 9 * q * q - 4)
+        half = QuadraticSurd(length.a, length.b, 2 * length.c, length.d)
+        lo = QuadraticSurd(p * half.c - half.a * q, -half.b * q, q * half.c, half.d)
+        hi = QuadraticSurd(p * half.c + half.a * q, half.b * q, q * half.c, half.d)
+        iv = markov_interval(f)
+        for got, expected in ((iv.length, length), (iv.lo, lo), (iv.hi, hi)):
+            assert (got.a, got.b, got.c, got.d) == (expected.a, expected.b, expected.c, expected.d)
+
+
 def test_interval_lengths_decrease_with_denominator():
     lengths = [markov_interval(mu(x)).length
                for x in (F(0), F(1), F(1, 2), F(1, 3), F(1, 4))]  # q = 1,2,5,13,34

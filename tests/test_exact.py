@@ -4,6 +4,8 @@ Surd comparisons and enclosures are cross-checked against sympy, which
 decides signs of quadratic irrationalities by independent symbolic means.
 """
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,7 @@ from markovfrac import (
     surd_enclose,
     to_continued_fraction,
 )
+from markovfrac.exact import _decimal_digits
 
 _NONSQUARES = [2, 3, 5, 6, 7, 8, 10, 12, 13, 17, 21, 32, 48, 101, 221, 9996]
 
@@ -216,6 +219,75 @@ def test_surd_arithmetic_same_radicand():
         root5 + QuadraticSurd(0, 1, 1, 2)
 
 
+def _fields(x: QuadraticSurd) -> tuple[int, int, int, int]:
+    return x.a, x.b, x.c, x.d
+
+
+def _public_sum(x: QuadraticSurd, y) -> tuple[int, int, int, int]:
+    """Fields of x + y through the public constructor, which normalizes fully."""
+    if not isinstance(y, QuadraticSurd):
+        y = QuadraticSurd.from_fraction(F(y))
+    return _fields(QuadraticSurd(x.a * y.c + y.a * x.c, x.b * y.c + y.b * x.c,
+                                 x.c * y.c, max(x.d, y.d)))
+
+
+def _public_product(x: QuadraticSurd, f) -> tuple[int, int, int, int]:
+    f = F(f)
+    return _fields(QuadraticSurd(x.a * f.numerator, x.b * f.numerator, x.c * f.denominator, x.d))
+
+
+@st.composite
+def _surd_pairs(draw):
+    """Two surds on one radicand; b may be 0, and 8, 12, 32, 48, 9996 lose a square factor."""
+    d = draw(st.sampled_from(_NONSQUARES))
+    pair = [QuadraticSurd(draw(st.integers(-60, 60)), draw(st.integers(-25, 25)),
+                          draw(st.integers(-40, 40).filter(bool)), d) for _ in range(2)]
+    return tuple(pair)
+
+
+_operands = st.one_of(small_fractions, st.integers(-9, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_surd_pairs(), _operands)
+def test_surd_arithmetic_matches_the_public_constructor(pair, f):
+    x, y = pair
+    cases = [
+        (x + y, _public_sum(x, y)),
+        (x - y, _public_sum(x, -y)),
+        (x + f, _public_sum(x, f)),
+        (f + x, _public_sum(x, f)),
+        (x - f, _public_sum(x, -f)),
+        (f - x, _public_sum(-x, f)),
+        (-x, _fields(QuadraticSurd(-x.a, -x.b, x.c, x.d))),
+        (x * f, _public_product(x, f)),
+        (f * x, _public_product(x, f)),
+    ]
+    for got, expected in cases:
+        assert type(got) is QuadraticSurd
+        assert _fields(got) == expected
+
+
+def test_surd_arithmetic_edge_cases_match_the_public_constructor():
+    s = QuadraticSurd(3, -1, 2, 5)
+    assert _fields(s - s) == (0, 0, 1, 0)  # b cancels, so d goes to 0
+    assert _fields(s + (-s)) == (0, 0, 1, 0)
+    assert _fields(s * 0) == _fields(s * F(0)) == (0, 0, 1, 0)
+    assert _fields(s * F(-4, 3)) == _public_product(s, F(-4, 3)) == (-6, 2, 3, 5)
+    rational = QuadraticSurd(6, 0, 4, 0)
+    assert _fields(rational + F(1, 6)) == _public_sum(rational, F(1, 6)) == (5, 0, 3, 0)
+    assert _fields(rational + s) == _public_sum(rational, s) == (6, -1, 2, 5)
+    assert _fields(s + rational) == (6, -1, 2, 5)
+    # sqrt(48) = 4*sqrt(3): the square factor is pulled out once, by the public constructor.
+    t = QuadraticSurd(1, 1, 2, 48)
+    assert _fields(t) == (1, 4, 2, 3)
+    assert _fields(t * F(1, 2)) == _public_product(t, F(1, 2)) == (1, 4, 4, 3)
+    assert _fields(t + t) == _public_sum(t, t) == (1, 4, 1, 3)
+    assert _fields(F(1, 2) - t) == _public_sum(-t, F(1, 2)) == (0, -2, 1, 3)
+    # The private constructor also moves a sign out of the denominator.
+    assert _fields(QuadraticSurd._from_canonical_radicand(2, -4, -6, 5)) == (-1, 2, 3, 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(surds, small_fractions)
 def test_surd_vs_fraction_matches_sympy(x, f):
@@ -250,6 +322,37 @@ def test_surd_enclose_examples():
     lo, hi = surd_enclose(y, 6)
     assert hi - lo < F(1, 10**6)
     assert lo <= F(3866068747, 10**10) <= hi  # 0.3866068747...
+
+
+def test_surd_enclose_with_a_coefficient_past_the_str_limit():
+    # b has 5001 digits, past the interpreter's 4300-digit int-to-str limit.
+    b = 10 ** 5000 + 1
+    x = QuadraticSurd(0, b, 1, 2)
+    scale = 10 ** (5 + 5001 + 1)
+    t = math.isqrt(2 * scale * scale)
+    assert surd_enclose(x, 5) == (F(b * t, scale), F(b * (t + 1), scale))
+    lo, hi = surd_enclose(x, 5)
+    assert lo <= x <= hi and hi - lo < F(1, 10 ** 5)
+    assert float(QuadraticSurd(0, b, 10 ** 5000, 2)) == math.sqrt(2)
+    with pytest.raises(OverflowError):  # about 1.4e5000 has no float
+        float(x)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.integers(1, 10 ** 4000),
+                 st.tuples(st.integers(1, 4000), st.integers(-1, 1)).map(lambda t: 10 ** t[0] + t[1])))
+def test_decimal_digits_matches_str(n):
+    assert _decimal_digits(n) == len(str(n))
+
+
+def test_decimal_digits_on_sampled_bit_lengths():
+    rng = random.Random(16)
+    for bits in list(range(1, 200)) + [rng.randrange(200, 14_000) for _ in range(300)]:
+        for n in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+            assert _decimal_digits(n) == len(str(n))
+    for n in (10 ** 5000 - 1, 10 ** 5000, 10 ** 20000 + 1):
+        digits = _decimal_digits(n)
+        assert 10 ** (digits - 1) <= n < 10 ** digits
 
 
 def test_surd_enclose_rejects_zero_precision():

@@ -28,6 +28,7 @@ from markovfrac import (
     check_relations,
     descend_value,
     enumerate_tree,
+    epsilon,
     farey_node_at,
     farey_path_to,
     fibonacci_branch,
@@ -349,6 +350,63 @@ def test_descend_value_matches_vieta_fold_property(letter, length, runs, seeds):
     # large, so a second long run would pass the value budget.
     word = letter * length + "".join(ch * r for ch, r in runs)
     assert descend_value(word, seeds) == _vieta_fold(word, seeds)
+
+
+# Runs of up to 3000 letters and alternating stretches, in any order.
+_segments = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("LR"), st.integers(1, 3000)).map(lambda t: t[0] * t[1]),
+        st.tuples(st.sampled_from(["LR", "RL"]), st.integers(1, 40)).map(lambda t: t[0] * t[1]),
+    ),
+    max_size=6,
+)
+
+
+def _fold_below(word, seeds, max_bits=20_000):
+    """The longest prefix of word whose fold stays within max_bits, and its vertex value (p, q)."""
+    v = _root(seeds)
+    for i, ch in enumerate(word):
+        w = _vieta_child(v, ch)
+        if w[5].bit_length() > max_bits:
+            return word[:i], (v[4], v[5])
+        v = w
+    return word, (v[4], v[5])
+
+
+def _assert_same_fraction(value, p, q):
+    """value is the Fraction(p, q) that normalization builds, slot for slot."""
+    expected = F(p, q)
+    assert type(value) is F
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert math.gcd(value.numerator, value.denominator) == 1 and value.denominator > 0
+    assert hash(value) == hash(expected)
+    assert value == expected and {expected: 1}[value] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_segments, st.sampled_from([REDUCED_SEEDS, UNIT_SEEDS, (F(3), F(7, 2)), (F(-2), F(-3, 2))]))
+def test_descend_value_is_the_normalized_fraction(segments, seeds):
+    word, (p, q) = _fold_below("".join(segments), seeds)
+    _assert_same_fraction(descend_value(word, seeds), p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_segments)
+def test_mu_is_the_normalized_fraction(segments):
+    word, (p, q) = _fold_below("".join(segments), REDUCED_SEEDS)
+    image = mu(farey_node_at(word).value)
+    assert image.word == word
+    _assert_same_fraction(image.value, p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_segments, st.integers(-5, 5))
+def test_epsilon_is_the_normalized_fraction(segments, whole):
+    # Bits n - 1, ..., 1 of m read L -> 0 and R -> 1; the last bit is 1.
+    word, (p, q) = _fold_below("".join(segments), UNIT_SEEDS)
+    n = len(word) + 1
+    m = (whole << n) + int(word.translate(str.maketrans("LR", "01")) + "1", 2)
+    _assert_same_fraction(epsilon(F(m, 1 << n)), whole * q + p, q)
 
 
 @pytest.mark.parametrize("k", [3, 6, 15, 3 * 29, 3 * 10 ** 30])
