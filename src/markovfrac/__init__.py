@@ -8,148 +8,17 @@ constants, the interval-length sum converging to 1/2, congruence
 solutions, and denominator-growth estimates.  All comparisons and
 identities are evaluated exactly; floating point appears only in
 explicitly approximate outputs.
+
+The package namespace is each module's `__all__`, joined in import order.
 """
 
-from .exact import (
-    ContinuedFraction,
-    DyadicRational,
-    Fraction,
-    QuadraticSurd,
-    farey_mediant,
-    from_continued_fraction,
-    reduce,
-    surd_compare,
-    surd_enclose,
-    to_continued_fraction,
-)
-from .farey import (
-    FareyNode,
-    check_word,
-    farey_node_at,
-    farey_path_to,
-    question_mark_farey,
-    question_mark_of_word,
-    question_mark_salem,
-)
-from .markov import (
-    FractionTriple,
-    GeneralizedEquation,
-    MarkovFraction,
-    MarkovTriple,
-    REDUCED_SEEDS,
-    RelationReport,
-    SUPPORTED_EQUATIONS,
-    UNIT_SEEDS,
-    UnicityReport,
-    check_relations,
-    descend_value,
-    enumerate_tree,
-    fibonacci_branch,
-    generalized_enumerate,
-    mu,
-    pell_branch,
-    solve_congruence,
-    springborn_mediant,
-    tree_walk,
-    unicity_scan,
-    vieta_mutate,
-)
-from .slopes import (
-    BundleInvariants,
-    EquivalenceReport,
-    SlopeDecision,
-    SlopeNormalization,
-    bundle_invariants,
-    epsilon,
-    identity_check,
-    is_exceptional_slope,
-    normalize_slope,
-    set_equivalence,
-)
-from .analysis import (
-    FreenessReport,
-    MarkovInterval,
-    MarkovIrrationality,
-    approx_constant,
-    approx_constant_detail,
-    fractions_strictly_inside,
-    interval_freeness,
-    lyapunov_estimate,
-    lyapunov_trajectory,
-    markov_interval,
-    markov_irrationality,
-    mcshane_partial_sum,
-    mcshane_partial_sums,
-    reduced_fractions_up_to,
-    saltus_mu,
-    saltus_samples,
-)
+from . import analysis, exact, farey, markov, slopes
+from .exact import *
+from .farey import *
+from .markov import *
+from .slopes import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleInvariants",
-    "ContinuedFraction",
-    "DyadicRational",
-    "EquivalenceReport",
-    "FareyNode",
-    "Fraction",
-    "FractionTriple",
-    "FreenessReport",
-    "GeneralizedEquation",
-    "MarkovFraction",
-    "MarkovInterval",
-    "MarkovIrrationality",
-    "MarkovTriple",
-    "QuadraticSurd",
-    "REDUCED_SEEDS",
-    "RelationReport",
-    "SUPPORTED_EQUATIONS",
-    "SlopeDecision",
-    "SlopeNormalization",
-    "UNIT_SEEDS",
-    "UnicityReport",
-    "approx_constant",
-    "approx_constant_detail",
-    "bundle_invariants",
-    "check_relations",
-    "check_word",
-    "descend_value",
-    "enumerate_tree",
-    "epsilon",
-    "farey_mediant",
-    "farey_node_at",
-    "farey_path_to",
-    "fibonacci_branch",
-    "fractions_strictly_inside",
-    "from_continued_fraction",
-    "generalized_enumerate",
-    "identity_check",
-    "interval_freeness",
-    "is_exceptional_slope",
-    "lyapunov_estimate",
-    "lyapunov_trajectory",
-    "markov_interval",
-    "markov_irrationality",
-    "mcshane_partial_sum",
-    "mcshane_partial_sums",
-    "mu",
-    "normalize_slope",
-    "pell_branch",
-    "question_mark_farey",
-    "question_mark_of_word",
-    "question_mark_salem",
-    "reduce",
-    "reduced_fractions_up_to",
-    "saltus_mu",
-    "saltus_samples",
-    "set_equivalence",
-    "solve_congruence",
-    "springborn_mediant",
-    "surd_compare",
-    "surd_enclose",
-    "to_continued_fraction",
-    "tree_walk",
-    "unicity_scan",
-    "vieta_mutate",
-]
+__all__ = [*exact.__all__, *farey.__all__, *markov.__all__, *slopes.__all__, *analysis.__all__]

@@ -7,6 +7,12 @@ enclosures as a lower/upper pair of exact fractions.  Fields whose values
 are inherently approximate carry an `_approx` suffix; everything else
 parses back to the exact internal value.
 
+Each handler returns an `Answer(inputs, outputs, text=None, failure="")`
+and only `main` builds the `OutputRecord`, named after the subcommand.
+The plain and csv formats print `text`, or the outputs as "key: value"
+lines when it is None; a nonempty `failure` is the record's error detail,
+with status "error" and exit 1.
+
 Exit status: 0 on success, 1 on domain errors (a fraction outside an
 operation's domain, an unsupported equation, a failing `verify` run),
 2 on usage errors such as malformed literals.
@@ -24,6 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, repeat
+from typing import NamedTuple
 
 from .analysis import (
     approx_constant_detail,
@@ -49,7 +56,7 @@ from .markov import (
     solve_congruence,
     unicity_scan,
 )
-from .slopes import epsilon, is_exceptional_slope, normalize_slope
+from .slopes import epsilon, is_exceptional_slope
 from .verify import run_all
 
 __all__ = ["OutputRecord", "main"]
@@ -166,49 +173,40 @@ def _csv_text(header: list[str], rows: list[list[object]]) -> str:
 
 # -- subcommand handlers ----------------------------------------------------------
 
-Handled = tuple[OutputRecord, str]
+
+class Answer(NamedTuple):
+    """What a handler returns; `main` turns it into the record and the exit code."""
+
+    inputs: dict[str, str]
+    outputs: dict[str, object]
+    text: str | None = None
+    failure: str = ""
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> Handled:
-    rows = []
-    vertices = []
-    for word, triple in enumerate_tree(args.depth):
-        entry = {
-            "depth": len(word),
-            "word": word,
-            "left": fraction_str(triple.f1),
-            "value": fraction_str(triple.f3),
-            "right": fraction_str(triple.f2),
-        }
-        vertices.append(entry)
-        rows.append([entry["depth"], word, entry["left"], entry["value"], entry["right"]])
-    record = OutputRecord(
-        "enumerate",
-        {"depth": str(args.depth)},
-        {"count": len(vertices), "vertices": vertices},
-    )
-    return record, _csv_text(["depth", "word", "left", "value", "right"], rows)
+def _cmd_enumerate(args: argparse.Namespace) -> Answer:
+    header = ["depth", "word", "left", "value", "right"]
+    rows = [[len(word), word, fraction_str(t.f1), fraction_str(t.f3), fraction_str(t.f2)]
+            for word, t in enumerate_tree(args.depth)]
+    vertices = [dict(zip(header, row)) for row in rows]
+    return Answer({"depth": str(args.depth)}, {"count": len(vertices), "vertices": vertices},
+                  _csv_text(header, rows))
 
 
-def _cmd_mu(args: argparse.Namespace) -> Handled:
+def _cmd_mu(args: argparse.Namespace) -> Answer:
     image = mu(args.x)
     outputs = {
         "value": fraction_str(image.value),
         "word": image.word,
         "depth": image.depth,
     }
-    record = OutputRecord("mu", {"x": fraction_str(args.x)}, outputs)
-    return record, _plain_lines(outputs)
+    return Answer({"x": fraction_str(args.x)}, outputs)
 
 
-def _cmd_epsilon(args: argparse.Namespace) -> Handled:
-    value = epsilon(args.x)
-    outputs = {"value": fraction_str(value)}
-    record = OutputRecord("epsilon", {"x": str(args.x)}, outputs)
-    return record, _plain_lines(outputs)
+def _cmd_epsilon(args: argparse.Namespace) -> Answer:
+    return Answer({"x": str(args.x)}, {"value": fraction_str(epsilon(args.x))})
 
 
-def _cmd_slope(args: argparse.Namespace) -> Handled:
+def _cmd_slope(args: argparse.Namespace) -> Answer:
     decision = is_exceptional_slope(args.x)
     norm = decision.normalization
     outputs: dict[str, object] = {
@@ -217,10 +215,10 @@ def _cmd_slope(args: argparse.Namespace) -> Handled:
         "sign": norm.sign,
         "member": decision.accepted,
     }
-    plain = dict(outputs)
+    text = None
     if decision.accepted:
         inv = decision.bundle_invariants()
-        extra: dict[str, object] = {
+        outputs.update({
             "word": decision.witness,
             "rank": inv.rank,
             "c1": inv.c1,
@@ -228,18 +226,14 @@ def _cmd_slope(args: argparse.Namespace) -> Handled:
             "c2": inv.c2,
             "form": list(inv.form),
             "discriminant": inv.form_discriminant,
-        }
-        outputs.update(extra)
-        plain.update(extra)
-        plain["form"] = "({}, {}, {})".format(*inv.form)
+        })
+        text = _plain_lines({**outputs, "form": "({}, {}, {})".format(*inv.form)})
     else:
         outputs["stopped_at_denominator"] = decision.stopped_at_denominator
-        plain["stopped_at_denominator"] = decision.stopped_at_denominator
-    record = OutputRecord("slope", {"x": fraction_str(args.x)}, outputs)
-    return record, _plain_lines(plain)
+    return Answer({"x": fraction_str(args.x)}, outputs, text)
 
 
-def _cmd_qmark(args: argparse.Namespace) -> Handled:
+def _cmd_qmark(args: argparse.Namespace) -> Answer:
     x = args.x
     if not Fraction(0) <= x <= Fraction(1):
         raise ValueError(f"question mark is evaluated on [0, 1]; got {fraction_str(x)}")
@@ -254,11 +248,10 @@ def _cmd_qmark(args: argparse.Namespace) -> Handled:
     else:
         y = question_mark_of_word(farey_path_to(x))
     outputs = {"value": str(y), "fraction": fraction_str(y.value), "method": args.method}
-    record = OutputRecord("qmark", {"x": fraction_str(x), "method": args.method}, outputs)
-    return record, _plain_lines(outputs)
+    return Answer({"x": fraction_str(x), "method": args.method}, outputs)
 
 
-def _cmd_verify(args: argparse.Namespace) -> Handled:
+def _cmd_verify(args: argparse.Namespace) -> Answer:
     results = run_all(args.depth)
     lines = []
     for r in results:
@@ -267,42 +260,35 @@ def _cmd_verify(args: argparse.Namespace) -> Handled:
             lines.append(f"PASS {r.name}: {r.checked} checks{suffix}")
         else:
             lines.append(f"FAIL {r.name}: {r.failures} of {r.checked} checks failed{suffix}")
-    passed = sum(1 for r in results if r.passed)
-    lines.append(f"{passed}/{len(results)} invariant suites passed")
-    record = OutputRecord(
-        "verify",
-        {"depth": str(args.depth)},
-        {
-            "depth": args.depth,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "checked": r.checked,
-                    "failures": r.failures,
-                    "detail": r.detail,
-                    **({"seconds": r.seconds} if args.timings else {}),
-                }
-                for r in results
-            ],
-            "all_passed": passed == len(results),
-        },
-    )
-    if passed != len(results):
-        record.status = "error"
-        record.error_detail = f"{len(results) - passed} invariant suites failed"
-    return record, "\n".join(lines)
+    failed = sum(1 for r in results if not r.passed)
+    lines.append(f"{len(results) - failed}/{len(results)} invariant suites passed")
+    outputs = {
+        "depth": args.depth,
+        "results": [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "checked": r.checked,
+                "failures": r.failures,
+                "detail": r.detail,
+                **({"seconds": r.seconds} if args.timings else {}),
+            }
+            for r in results
+        ],
+        "all_passed": not failed,
+    }
+    return Answer({"depth": str(args.depth)}, outputs, "\n".join(lines),
+                  f"{failed} invariant suites failed" if failed else "")
 
 
-def _cmd_approx_const(args: argparse.Namespace) -> Handled:
+def _cmd_approx_const(args: argparse.Namespace) -> Answer:
     constant, witness = approx_constant_detail(args.x)
     outputs = {
         "constant": fraction_str(constant),
         "witness": fraction_str(witness),
         "at_least_one_third": constant >= Fraction(1, 3),
     }
-    record = OutputRecord("approx-const", {"x": fraction_str(args.x)}, outputs)
-    return record, _plain_lines(outputs)
+    return Answer({"x": fraction_str(args.x)}, outputs)
 
 
 def _require_markov_fraction(x: Fraction):
@@ -314,7 +300,7 @@ def _require_markov_fraction(x: Fraction):
     return decision.markov_fraction()
 
 
-def _cmd_interval(args: argparse.Namespace) -> Handled:
+def _cmd_interval(args: argparse.Namespace) -> Answer:
     f = _require_markov_fraction(args.x)
     iv = markov_interval(f)
     outputs: dict[str, object] = {
@@ -332,8 +318,7 @@ def _cmd_interval(args: argparse.Namespace) -> Handled:
         outputs["free"] = report.free
         outputs["intruders"] = [fraction_str(g) for g in report.intruders]
         inputs["freeness_bound"] = str(args.freeness_bound)
-    record = OutputRecord("interval", inputs, outputs)
-    return record, _plain_lines(outputs)
+    return Answer(inputs, outputs)
 
 
 def _enclosure_outputs(lo: Fraction, hi: Fraction, digits: int) -> dict[str, object]:
@@ -345,45 +330,31 @@ def _enclosure_outputs(lo: Fraction, hi: Fraction, digits: int) -> dict[str, obj
     }
 
 
-def _cmd_mcshane(args: argparse.Namespace) -> Handled:
+def _cmd_mcshane(args: argparse.Namespace) -> Answer:
     lo, hi = mcshane_partial_sum(args.depth, args.precision)
     outputs = _enclosure_outputs(lo, hi, args.precision)
     gap_lo, gap_hi = _outward(Fraction(1, 2) - hi, Fraction(1, 2) - lo, args.precision)
     outputs["gap_below_half"] = [fraction_str(gap_lo), fraction_str(gap_hi)]
-    record = OutputRecord(
-        "mcshane",
-        {"depth": str(args.depth), "precision": str(args.precision)},
-        outputs,
-    )
-    return record, _plain_lines(outputs)
+    return Answer({"depth": str(args.depth), "precision": str(args.precision)}, outputs)
 
 
-def _cmd_saltus(args: argparse.Namespace) -> Handled:
+def _cmd_saltus(args: argparse.Namespace) -> Answer:
     lo, hi = saltus_mu(args.x, args.depth, args.precision)
-    outputs = _enclosure_outputs(lo, hi, args.precision)
-    record = OutputRecord(
-        "saltus",
-        {
-            "x": fraction_str(args.x),
-            "depth": str(args.depth),
-            "precision": str(args.precision),
-        },
-        outputs,
-    )
-    return record, _plain_lines(outputs)
+    inputs = {
+        "x": fraction_str(args.x),
+        "depth": str(args.depth),
+        "precision": str(args.precision),
+    }
+    return Answer(inputs, _enclosure_outputs(lo, hi, args.precision))
 
 
-def _cmd_lyapunov(args: argparse.Namespace) -> Handled:
+def _cmd_lyapunov(args: argparse.Namespace) -> Answer:
     turns = repeat("L") if args.word == "const" else cycle("LR")
     estimate = lyapunov_estimate(turns, args.steps)
-    outputs = {"estimate_approx": estimate}
-    record = OutputRecord(
-        "lyapunov", {"word": args.word, "steps": str(args.steps)}, outputs
-    )
-    return record, _plain_lines({"estimate_approx": repr(estimate)})
+    return Answer({"word": args.word, "steps": str(args.steps)}, {"estimate_approx": estimate})
 
 
-def _cmd_unicity(args: argparse.Namespace) -> Handled:
+def _cmd_unicity(args: argparse.Namespace) -> Answer:
     report = unicity_scan(args.depth)
     outputs = {
         "vertices": report.vertex_count,
@@ -394,36 +365,32 @@ def _cmd_unicity(args: argparse.Namespace) -> Handled:
             for q, vals in report.duplicates
         ],
     }
-    record = OutputRecord("unicity", {"depth": str(args.depth)}, outputs)
     plain = {k: outputs[k] for k in ("vertices", "distinct_denominators", "all_unique")}
     text = _plain_lines(plain)
     for q, vals in report.duplicates:
         text += f"\nduplicate {q}: " + " ".join(fraction_str(v) for v in vals)
-    return record, text
+    return Answer({"depth": str(args.depth)}, outputs, text)
 
 
-def _cmd_triples(args: argparse.Namespace) -> Handled:
+def _cmd_triples(args: argparse.Namespace) -> Answer:
     eq = SUPPORTED_EQUATIONS[args.equation]
     triples = sorted(generalized_enumerate(eq, args.depth))
-    record = OutputRecord(
-        "triples",
+    return Answer(
         {"equation": args.equation, "depth": str(args.depth)},
         {"count": len(triples), "triples": [list(t) for t in triples]},
+        "\n".join(f"{x} {y} {z}" for x, y, z in triples),
     )
-    text = "\n".join(f"{x} {y} {z}" for x, y, z in triples)
-    return record, text
 
 
-def _cmd_congruence(args: argparse.Namespace) -> Handled:
+def _cmd_congruence(args: argparse.Namespace) -> Answer:
     if args.modulus < 1:
         raise ValueError(f"modulus must be positive; got {args.modulus}")
     solutions = solve_congruence(args.modulus)
-    record = OutputRecord(
-        "congruence",
+    return Answer(
         {"modulus": str(args.modulus)},
         {"modulus": args.modulus, "solutions": solutions, "count": len(solutions)},
+        " ".join(str(s) for s in solutions),
     )
-    return record, " ".join(str(s) for s in solutions)
 
 
 _PLOT_DIGITS = 12
@@ -431,14 +398,14 @@ _PLOT_DIGITS = 12
 _MAX_PLOT_POINTS = 1 << 20
 
 
-def _cmd_plot_mu(args: argparse.Namespace) -> Handled:
+def _cmd_plot_mu(args: argparse.Namespace) -> Answer:
     if args.grid < 2:
         raise ValueError(f"grid must have at least 2 sample points; got {args.grid}")
     if args.grid > _MAX_PLOT_POINTS:
         raise ValueError(f"grid {args.grid} exceeds the {_MAX_PLOT_POINTS} sample point budget")
     xs = [Fraction(i, args.grid - 1) for i in range(args.grid)]
+    header = ["x", "mu_lower", "mu_upper", "x_approx", "mu_approx"]
     rows: list[list[object]] = []
-    points = []
     for x, bounds in zip(xs, saltus_samples(xs, args.depth, _PLOT_DIGITS)):
         lo, hi = _outward(*bounds, _PLOT_DIGITS)
         rows.append(
@@ -450,15 +417,10 @@ def _cmd_plot_mu(args: argparse.Namespace) -> Handled:
                 _decimal_str(lo, _PLOT_DIGITS, round_up=False),
             ]
         )
-        points.append({"x": fraction_str(x), "mu_lower": fraction_str(lo),
-                       "mu_upper": fraction_str(hi)})
-    record = OutputRecord(
-        "plot-mu",
-        {"grid": str(args.grid), "depth": str(args.depth)},
-        {"count": len(points), "points": points},
-    )
-    header = ["x", "mu_lower", "mu_upper", "x_approx", "mu_approx"]
-    return record, _csv_text(header, rows)
+    # The json points carry the three exact columns.
+    points = [dict(zip(header[:3], row)) for row in rows]
+    return Answer({"grid": str(args.grid), "depth": str(args.depth)},
+                  {"count": len(points), "points": points}, _csv_text(header, rows))
 
 
 # -- parser ------------------------------------------------------------------
@@ -589,15 +551,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--timings needs --format json")
     with _budget_digits():
         try:
-            record, text = args.handler(args)
+            answer = args.handler(args)
         except (ValueError, ZeroDivisionError) as exc:
             detail = str(exc)
             if args.format == "json":
                 print(OutputRecord(args.command, {}, {}, "error", detail).to_json())
             print(f"error: {detail}", file=sys.stderr)
             return 1
-        print(record.to_json() if args.format == "json" else text)
-    return 0 if record.status == "ok" else 1
+        if args.format == "json":
+            status = "error" if answer.failure else "ok"
+            print(OutputRecord(args.command, answer.inputs, answer.outputs, status,
+                               answer.failure).to_json())
+        else:
+            print(_plain_lines(answer.outputs) if answer.text is None else answer.text)
+    return 1 if answer.failure else 0
 
 
 if __name__ == "__main__":

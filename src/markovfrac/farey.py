@@ -21,6 +21,7 @@ from .exact import DyadicRational, _check_value_bits, farey_mediant, to_continue
 __all__ = [
     "FareyNode",
     "TurnWord",
+    "check_word",
     "farey_node_at",
     "farey_path_to",
     "question_mark_farey",

@@ -38,6 +38,7 @@ __all__ = [
     "RelationReport",
     "UnicityReport",
     "REDUCED_SEEDS",
+    "SUPPORTED_EQUATIONS",
     "UNIT_SEEDS",
     "check_relations",
     "congruence_brute",

@@ -75,6 +75,7 @@ from .markov import (
     vieta_mutate,
 )
 from .slopes import (
+    _MAX_EQUIVALENCE_DEPTH,
     _identity_holds,
     _midpoint_value,
     is_exceptional_slope,
@@ -199,7 +200,7 @@ def check_midpoint_identity(depth: int) -> CheckResult:
 
 def check_slope_image(depth: int) -> CheckResult:
     """Slope values of level-n dyadics equal the [0,1]-seeded tree, level by level."""
-    capped = min(depth, 12)
+    capped = min(depth, _MAX_EQUIVALENCE_DEPTH)
     report = set_equivalence(capped)
     failures = sum(1 for ok in report.levels_equal if not ok)
     return _result("slope_image", sum(report.level_sizes), failures,

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,41 @@ def run_proc(*args):
         capture_output=True, text=True, env=_CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# -- records ---------------------------------------------------------------
+
+# Each subcommand with its smallest valid arguments.
+_SMALLEST_CALLS = [
+    ("enumerate", "--depth", "0"),
+    ("mu", "1/2"),
+    ("epsilon", "1/2"),
+    ("slope", "1/2"),
+    ("qmark", "1/2"),
+    ("verify", "--depth", "0"),
+    ("approx-const", "1/2"),
+    ("interval", "2/5"),
+    ("mcshane", "--depth", "0", "--precision", "1"),
+    ("saltus", "1/2", "--depth", "0", "--precision", "1"),
+    ("lyapunov", "--word", "const", "--steps", "1"),
+    ("unicity", "--depth", "0"),
+    ("triples", "--equation", "markov", "--depth", "0"),
+    ("congruence", "1"),
+    ("plot-mu", "--grid", "2", "--depth", "0"),
+]
+
+
+def test_smallest_calls_cover_every_subcommand():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted(call[0] for call in _SMALLEST_CALLS)
+
+
+@pytest.mark.parametrize("call", _SMALLEST_CALLS, ids=lambda call: call[0])
+def test_json_record_is_named_after_its_subcommand(capsys, call):
+    code, out, err = run_cli(capsys, *call, "--format", "json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["command"], record["status"], record["error_detail"]) == (call[0], "ok", "")
 
 
 # -- enumerate ---------------------------------------------------------------
@@ -266,7 +302,8 @@ def test_saltus(capsys):
 def test_lyapunov_words(capsys):
     code, out, _ = run_cli(capsys, "lyapunov", "--word", "alternating", "--steps", "100")
     assert code == 0
-    estimate = float(out.split(": ")[1])
+    estimate = markovfrac.lyapunov_estimate(cycle("LR"), 100)
+    assert out == f"estimate_approx: {estimate!r}\n"
     assert abs(estimate - 0.4812118) < 0.02
     code, out, _ = run_cli(capsys, "lyapunov", "--word", "const", "--steps", "100")
     assert float(out.split(": ")[1]) < 0.05

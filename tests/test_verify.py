@@ -469,7 +469,7 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--depth", "2", "--format", "json")
     assert code == 1
     record = json.loads(out)
-    assert record["status"] == "error"
+    assert (record["status"], record["error_detail"]) == ("error", "1 invariant suites failed")
     assert record["outputs"]["all_passed"] is False
     failed = [r for r in record["outputs"]["results"] if not r["passed"]]
     assert failed == [{"name": "tree_walk", "passed": False, "checked": 7,
