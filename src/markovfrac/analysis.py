@@ -50,6 +50,11 @@ _MAX_LYAPUNOV_STEPS = 10_000
 #: are in fractions_strictly_inside.  It admits 10**300.
 _MAX_FREENESS_BITS = 1024
 
+#: Budget of integer translates n that fractions_strictly_inside tests:
+#: each adds two windows over up to all of [0, 1/2].  A Markov interval,
+#: shorter than 1, needs at most 3.
+_MAX_WINDOW_TRANSLATES = 16
+
 #: Digit budget of the jump-sum precision of mcshane_partial_sum(s),
 #: saltus_samples and saltus_mu, and so of `mcshane` and `saltus
 #: --precision`; the times at the budget are in _guard_bits.
@@ -169,12 +174,14 @@ def fractions_strictly_inside(
     candidate is decided by the inner and outer bounds, with the exact
     surd comparison only where they cannot decide.
 
-    B may have at most _MAX_FREENESS_BITS = 1024 bits; a larger one
-    raises ValueError before the walk.  At the budget a Markov interval
-    walks 525 vertices in about 0.01 s, while the worst case, a window
-    over all of [0, 1/2], cuts nothing: it returns all 91,331 reduced
-    fractions in about 3 s and 110 MB (Python 3.11, one core of a shared
-    2-core x86-64 host; 0.8 s and 38,583 fractions at 10**200).
+    B may have at most _MAX_FREENESS_BITS = 1024 bits, and the interval
+    may reach at most _MAX_WINDOW_TRANSLATES = 16 integer translates n;
+    past either budget ValueError is raised before the walk.  At the bit
+    budget a Markov interval walks 525 vertices in about 0.01 s, while
+    the worst case, a window over all of [0, 1/2], cuts nothing: it
+    returns all 91,331 reduced fractions in about 3 s and 110 MB (Python
+    3.11, one core of a shared 2-core x86-64 host; 0.8 s and 38,583
+    fractions at 10**200).
     """
     if denominator_bound < 1:
         raise ValueError("denominator bound must be positive")
@@ -183,6 +190,8 @@ def fractions_strictly_inside(
     precision = 2 * (denominator_bound.bit_length() * 3 // 10 + 1) + 4
     lo_out, lo_in = surd_enclose(lo, precision)
     hi_in, hi_out = surd_enclose(hi, precision)
+    if floor(hi_out) - floor(lo_out) + 2 > _MAX_WINDOW_TRANSLATES:
+        raise ValueError(f"the interval exceeds the {_MAX_WINDOW_TRANSLATES}-translate budget")
     half = Fraction(1, 2)
     # (n, sign, outer r-window, inner r-window) as integer terms: a candidate
     # n + sign*r lies outside (lo, hi) unless r is inside the outer window,

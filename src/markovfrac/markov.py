@@ -431,6 +431,21 @@ class MarkovFraction:
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
 
+    @classmethod
+    def _of_vertex(cls, value: Fraction, word: TurnWord) -> MarkovFraction:
+        """The vertex at word with the given value, without the checks of the constructor.
+
+        Precondition: value is the tree vertex at word, as a descent or a
+        branch's closed form builds it, so it lies in [0, 1/2] and meets the
+        numerator congruence.  Nothing is checked; the congruence alone is
+        a long division on the denominator, most of a deep mu.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "value", value)
+        object.__setattr__(f, "depth", len(word))
+        object.__setattr__(f, "word", word)
+        return f
+
 
 def mu(x: Fraction) -> MarkovFraction:
     """Order isomorphism from [0, 1] rationals onto the Markov fractions.
@@ -448,7 +463,7 @@ def mu(x: Fraction) -> MarkovFraction:
     if x == 1:
         return MarkovFraction(Fraction(1, 2), 0, None)
     word = farey_path_to(x)
-    return MarkovFraction(descend_value(word), len(word), word)
+    return MarkovFraction._of_vertex(descend_value(word), word)
 
 
 def _branch_bits(n: int, alpha: float) -> int:
@@ -480,8 +495,10 @@ def fibonacci_branch(k: int) -> MarkovFraction:
     0/1, i.e. descends by the constant word 'L'.  Numerators and
     denominators are every second Fibonacci number, q(k) = F(2k + 3):
     p(k+1) = q(k) and q(k+1) = 3*q(k) - q(k-1), anchored by q(0) = 2,
-    q(1) = 5.  A k whose denominator passes the value budget is refused
-    before anything is built.
+    q(1) = 5.  The step keeps gcd(q(k), q(k+1)) = gcd(q(k-1), q(k)) = 1, so
+    the value is built in lowest terms without a gcd.  A k whose
+    denominator passes the value budget is refused before anything is
+    built.
     """
     if k < 1:
         raise ValueError("branch index starts at 1")
@@ -489,7 +506,7 @@ def fibonacci_branch(k: int) -> MarkovFraction:
     prev_q, q = 2, 5
     for _ in range(k - 1):
         prev_q, q = q, 3 * q - prev_q
-    return MarkovFraction(Fraction(prev_q, q), k - 1, "L" * (k - 1))
+    return MarkovFraction._of_vertex(_coprime_fraction(prev_q, q), "L" * (k - 1))
 
 
 def pell_branch(k: int) -> MarkovFraction:
@@ -499,8 +516,9 @@ def pell_branch(k: int) -> MarkovFraction:
     1/2, i.e. descends by the constant word 'R'.  The values are ratios
     y(2k)/y(2k+1) of consecutive Pell numbers (y(1), y(2) = 1, 2 and
     y(n+1) = 2*y(n) + y(n-1)); the companion x-sequence solves
-    x**2 - 2*y**2 = +-1.  A k whose denominator passes the value budget is
-    refused before anything is built.
+    x**2 - 2*y**2 = +-1.  Consecutive Pell numbers are coprime, so the
+    value is built in lowest terms without a gcd.  A k whose denominator
+    passes the value budget is refused before anything is built.
     """
     if k < 1:
         raise ValueError("branch index starts at 1")
@@ -508,7 +526,7 @@ def pell_branch(k: int) -> MarkovFraction:
     y, next_y = 1, 2
     for _ in range(2 * k - 1):
         y, next_y = next_y, 2 * next_y + y
-    return MarkovFraction(Fraction(y, next_y), k - 1, "R" * (k - 1))
+    return MarkovFraction._of_vertex(_coprime_fraction(y, next_y), "R" * (k - 1))
 
 
 # -- congruence x**2 + 1 == 0 (mod q) ---------------------------------------

@@ -24,19 +24,32 @@ constants.
 The two suites on the slope side take one midpoint step per vertex:
 `midpoint_identity` decides the identity on the integers of the walk,
 and `slope_transport` keeps epsilon by dyadic, so each value is one
-step from its two neighbours.  `run_all` records each suite's wall
-seconds in its result, which the results' equality ignores.
+step from its two neighbours.
+
+The suites are independent, so `run_all` shares them out as tasks, one
+per suite but one for the two that share the reference.  The main
+process runs tasks itself, beside one spawned worker interpreter per
+further CPU it may use; each process takes the next task from one pipe
+until none is left, so the split follows the CPU count and the task
+costs as they fall, with no cost table.  With one usable CPU no worker
+starts.  Each result records its suite's wall seconds in the process
+that ran it, which the results' equality ignores.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain, zip_longest
 from math import gcd
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from .analysis import (
     _fractions_inside_by_scan,
@@ -60,6 +73,7 @@ from .markov import (
     MarkovFraction,
     MarkovTriple,
     UNIT_SEEDS,
+    _check_scan_depth,
     check_relations,
     congruence_brute,
     descend_value,
@@ -82,6 +96,9 @@ from .slopes import (
     normalize_slope,
     set_equivalence,
 )
+
+if TYPE_CHECKING:
+    import subprocess
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -484,42 +501,149 @@ def check_slopes(depth: int) -> CheckResult:
     return _tally("slope_membership", outcomes(), detail=f"depth {capped}")
 
 
-def _timed(check: Callable[..., CheckResult], *args: object) -> CheckResult:
-    """check(*args) with its wall seconds in the result."""
+def _timed(check: Callable[..., CheckResult], *args: object) -> list[CheckResult]:
+    """[check(*args)] with its wall seconds in the result."""
     start = perf_counter()
     result = check(*args)
-    return replace(result, seconds=perf_counter() - start)
+    return [replace(result, seconds=perf_counter() - start)]
+
+
+def _tree_suites(depth: int) -> list[CheckResult]:
+    """tree_relations and tree_walk on one reference, timed with tree_relations.
+
+    The reference is the largest structure of the run; it is freed when
+    the two suites are done.
+    """
+    start = perf_counter()
+    reference = _reference_tree(depth)
+    relations = check_tree_relations(reference)
+    return [replace(relations, seconds=perf_counter() - start),
+            *_timed(check_tree_walk, depth, reference)]
+
+
+#: A task runs one suite, or the two that share the reference, and returns
+#: their timed results in report order.
+Task = Callable[[], list[CheckResult]]
+
+
+def _tasks(depth: int) -> list[Task]:
+    """Every task of run_all(depth), in report order."""
+    return [
+        partial(_tree_suites, depth),
+        partial(_timed, check_tree_fractions, depth),
+        partial(_timed, check_markov_triples, depth),
+        partial(_timed, check_midpoint_identity, depth),
+        partial(_timed, check_slope_image, depth),
+        partial(_timed, check_slope_transport),
+        partial(_timed, check_question_mark),
+        partial(_timed, check_branches),
+        partial(_timed, check_transport_mediants, depth),
+        partial(_timed, check_approximation),
+        partial(_timed, check_interval_geometry, depth),
+        partial(_timed, check_interval_freeness),
+        partial(_timed, check_length_series, depth),
+        partial(_timed, check_unicity, depth),
+        partial(_timed, check_congruence),
+        partial(_timed, check_generalized, depth),
+        partial(_timed, check_vieta, depth),
+        partial(_timed, check_slopes, depth),
+    ]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pull(queue: int, tasks: list[Task]) -> list[tuple[int, list[CheckResult]]]:
+    """Run tasks by the indices read from the pipe queue, one byte each, until it is empty.
+
+    A one-byte read takes a byte no other reader of the pipe gets, so the
+    processes that share it run each task once.
+    """
+    done = []
+    while index := os.read(queue, 1):
+        done.append((index[0], tasks[index[0]]()))
+    return done
+
+
+def _serve(depth: int) -> None:
+    """A worker: pull the tasks of run_all(depth) from stdin, write the outcome to stdout.
+
+    The outcome is the pickled list of (index, results) pairs, or the
+    exception a task raised, which run_all raises again.
+    """
+    import pickle
+
+    try:
+        outcome: object = _pull(sys.stdin.fileno(), _tasks(depth))
+    except Exception as exc:  # reported to run_all, which raises it
+        outcome = exc
+    pickle.dump(outcome, sys.stdout.buffer)
+
+
+#: The worker's program: argv holds the depth and then the parent's sys.path,
+#: so the worker imports the same markovfrac.
+_WORKER = ("import sys; sys.path[:] = sys.argv[2:]; "
+           "from markovfrac.verify import _serve; _serve(int(sys.argv[1]))")
+
+
+def _start_worker(depth: int, queue: int) -> subprocess.Popen[bytes]:
+    """A worker that pulls the tasks of run_all(depth) from the pipe queue."""
+    import subprocess
+
+    # subprocess, not multiprocessing: a spawn context starts a resource
+    # tracker that outlives run_all.  The flags are the ones its spawn passes.
+    command = [sys.executable, *subprocess._args_from_interpreter_flags(),
+               "-c", _WORKER, str(depth), *sys.path]
+    return subprocess.Popen(command, stdin=queue, stdout=subprocess.PIPE)
+
+
+def _worker_outcome(worker: subprocess.Popen[bytes]) -> list[tuple[int, list[CheckResult]]]:
+    """The (index, results) pairs of a worker once it has exited; its failure raises."""
+    import pickle
+
+    out, _ = worker.communicate()
+    if worker.returncode:
+        raise RuntimeError(f"a verify worker exited with status {worker.returncode}")
+    outcome = pickle.loads(out)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
 
 
 def run_all(depth: int) -> list[CheckResult]:
     """Run every check, bounded by depth where applicable; deterministic order.
 
-    Each result carries its suite's wall seconds.  The shared reference is
+    The tasks are shared by this process and one worker process per
+    further usable CPU (none with one CPU).  Each worker is a fresh
+    interpreter, started here with this one's flags and sys.path; every
+    process takes the next task from one pipe until none is left, and
+    the workers send their results back.  Every worker is reaped before
+    run_all returns or raises, and a task's exception, in whichever
+    process, is raised here.  The depth is checked before any worker
+    starts.  The results come in report order, each with its suite's
+    wall seconds in the process that ran it; the shared reference is
     timed with tree_relations, the first suite that reads it.
     """
-    start = perf_counter()
-    reference = _reference_tree(depth)
-    relations = check_tree_relations(reference)
-    results = [replace(relations, seconds=perf_counter() - start),
-               _timed(check_tree_walk, depth, reference)]
-    # The reference is the largest structure of the run; free it before the rest.
-    del reference
-    return results + [
-        _timed(check_tree_fractions, depth),
-        _timed(check_markov_triples, depth),
-        _timed(check_midpoint_identity, depth),
-        _timed(check_slope_image, depth),
-        _timed(check_slope_transport),
-        _timed(check_question_mark),
-        _timed(check_branches),
-        _timed(check_transport_mediants, depth),
-        _timed(check_approximation),
-        _timed(check_interval_geometry, depth),
-        _timed(check_interval_freeness),
-        _timed(check_length_series, depth),
-        _timed(check_unicity, depth),
-        _timed(check_congruence),
-        _timed(check_generalized, depth),
-        _timed(check_vieta, depth),
-        _timed(check_slopes, depth),
-    ]
+    _check_scan_depth(depth)
+    tasks = _tasks(depth)
+    queue, feed = os.pipe()
+    with ExitStack() as stack:
+        stack.callback(os.close, queue)
+        with open(feed, "wb") as pipe:
+            pipe.write(bytes(range(len(tasks))))
+        workers: list[subprocess.Popen[bytes]] = []
+        try:
+            for _ in range(min(_usable_cpus(), len(tasks)) - 1):
+                workers.append(stack.enter_context(_start_worker(depth, queue)))
+            done = dict(_pull(queue, tasks))
+            for worker in workers:
+                done.update(_worker_outcome(worker))
+        except BaseException:
+            for worker in workers:
+                worker.kill()
+            raise
+    return [result for index in range(len(tasks)) for result in done[index]]

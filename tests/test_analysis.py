@@ -334,6 +334,25 @@ def test_freeness_bound_refused_before_the_walk(monkeypatch):
         interval_freeness(mu(F(1, 2)), 10 ** 1000)
 
 
+def test_window_translate_budget():
+    # floor(hi) - floor(lo) + 2 translates n: [0, 14.5] takes 16, [0, 15.5] 17.
+    budget = analysis._MAX_WINDOW_TRANSLATES
+    lo, hi = QuadraticSurd.from_fraction(F(0)), QuadraticSurd.from_fraction(F(29, 2))
+    assert fractions_strictly_inside(lo, hi, 2) == _fractions_inside_by_scan(lo, hi, 2)
+    with pytest.raises(ValueError, match=f"the interval exceeds the {budget}-translate budget"):
+        fractions_strictly_inside(lo, QuadraticSurd.from_fraction(F(31, 2)), 2)
+
+
+def test_window_translate_budget_refused_before_the_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked past the translate budget")
+
+    monkeypatch.setattr(analysis, "tree_walk", no_walk)
+    with pytest.raises(ValueError, match="-translate budget"):
+        fractions_strictly_inside(QuadraticSurd.from_fraction(F(-50)),
+                                  QuadraticSurd.from_fraction(F(50)), 1 << 1023)
+
+
 def test_reduced_fractions_up_to_1000():
     got = reduced_fractions_up_to(1000)
     denominators = sorted(f.denominator for f in got)

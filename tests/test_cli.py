@@ -6,6 +6,7 @@ wiring are exercised through real subprocesses.
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -504,6 +505,12 @@ def test_subprocess_entry_point():
     code, out, _ = run_proc("congruence", "37666")
     assert code == 0
     assert out == "2337 15571 22095 35329\n"
+
+
+def test_importing_the_entry_point_runs_no_command():
+    # Worker processes and tools import the module; only `python -m` runs main.
+    namespace = runpy.run_module("markovfrac.__main__", run_name="not_main")
+    assert namespace["main"] is main
 
 
 def test_byte_identical_reruns():

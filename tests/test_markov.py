@@ -44,6 +44,7 @@ from markovfrac import (
 from markovfrac import exact, markov
 from markovfrac.exact import MAX_VALUE_BITS
 from markovfrac.markov import (
+    MarkovFraction,
     _branch_bits,
     _is_probable_prime,
     _lucas_pair,
@@ -611,6 +612,31 @@ def test_mu_intertwines_mediants(word):
     left = mu(node.left_parent).value
     right = mu(node.right_parent).value
     assert mu(node.value).value == springborn_mediant(left, right)
+
+
+def test_vertex_constructor_equals_the_public_one():
+    # mu and the branches build their values without the constructor's
+    # checks; each must be the MarkovFraction that the checks accept.
+    values = [(t.f3, word) for word, t in enumerate_tree(8)]
+    values += [(branch(k).value, letter * (k - 1))
+               for branch, letter in ((fibonacci_branch, "L"), (pell_branch, "R"))
+               for k in range(1, 31)]
+    for value, word in values:
+        built = MarkovFraction._of_vertex(value, word)
+        assert built == MarkovFraction(value, len(word), word), word
+        assert (built.depth, built.word) == (len(word), word)
+        # The branches skip the gcd too: their values must be in lowest terms.
+        assert math.gcd(value.numerator, value.denominator) == 1, word
+
+
+def test_constructor_rejects_a_value_off_the_tree():
+    # 2/7 lies in [0, 1/2], but 2**2 + 1 = 5 is not 0 mod 7.
+    with pytest.raises(ValueError, match="fails the numerator congruence"):
+        MarkovFraction(F(2, 7), 1, "L")
+    with pytest.raises(ValueError, match="outside"):
+        MarkovFraction(F(3, 5), 1, "R")
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        MarkovFraction(F(2, 5), -1, "")
 
 
 # -- named branches -----------------------------------------------------------

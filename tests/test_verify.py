@@ -8,7 +8,13 @@ suite counts.
 """
 
 import inspect
+import io
 import json
+import os
+import pickle
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -122,7 +128,18 @@ def test_suites_take_no_optional_parameters():
         assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
 
 
-def test_run_all_calls_enumerate_tree_three_times(monkeypatch):
+@pytest.fixture
+def in_process(monkeypatch):
+    """Run every suite of run_all in this process, where a monkeypatch reaches it."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_calls_enumerate_tree_three_times(monkeypatch, in_process):
     calls = []
     real = verify.enumerate_tree
 
@@ -143,6 +160,106 @@ def test_run_all_times_every_suite():
     assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in results)
     # The seconds take no part in a result's equality.
     assert results[0] == replace(results[0], seconds=None)
+
+
+def test_usable_cpus():
+    assert 1 <= verify._usable_cpus() <= os.cpu_count()
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_run_all_with_a_worker_matches_one_process(monkeypatch, depth):
+    # One worker is started even on a one-CPU host; where a suite runs
+    # changes nothing but its seconds.
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    shared = verify.run_all(depth)
+    assert_no_child_left()
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    assert shared == verify.run_all(depth)
+
+
+def _refuse_to_start(*args, **kwargs):
+    raise AssertionError("a worker was started")
+
+
+def test_run_all_on_one_cpu_starts_no_worker(monkeypatch, in_process):
+    monkeypatch.setattr(subprocess, "Popen", _refuse_to_start)
+    assert all(r.passed for r in verify.run_all(1))
+
+
+def test_run_all_checks_the_depth_before_any_worker(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(subprocess, "Popen", _refuse_to_start)
+    with pytest.raises(ValueError, match="depth 20 exceeds the 1048576 vertex budget"):
+        verify.run_all(20)
+
+
+def _serve(monkeypatch, depth, indices):
+    """The outcome a worker writes after pulling the given task indices."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(indices))
+    os.close(feed)
+    out = io.BytesIO()
+    with open(queue, "rb") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out))
+        verify._serve(depth)
+        sys.stdout.flush()
+    return pickle.loads(out.getvalue())
+
+
+def test_worker_sends_the_results_of_the_tasks_it_pulls(monkeypatch):
+    tasks = verify._tasks(2)
+    outcome = _serve(monkeypatch, 2, [0, 4])
+    assert outcome == [(0, tasks[0]()), (4, tasks[4]())]
+    assert [r.name for _, results in outcome for r in results] == [
+        "tree_relations", "tree_walk", "slope_image"]
+
+
+def test_worker_sends_a_task_exception(monkeypatch):
+    def fails():
+        raise ValueError("suite failed")
+
+    monkeypatch.setattr(verify, "_tasks", lambda depth: [fails])
+    outcome = _serve(monkeypatch, 2, [0])
+    assert isinstance(outcome, ValueError) and outcome.args == ("suite failed",)
+
+
+@pytest.mark.parametrize("program, error, message", [
+    # A worker that takes a task and reports an exception for it.
+    ("import os, pickle, sys; os.read(0, 1); "
+     "pickle.dump(ValueError('suite failed'), sys.stdout.buffer)", ValueError, "suite failed"),
+    # A worker that dies without an outcome.
+    ("raise SystemExit(3)", RuntimeError, "a verify worker exited with status 3"),
+], ids=["exception", "exit_status"])
+def test_a_worker_failure_fails_run_all(monkeypatch, program, error, message):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_WORKER", program)
+    with pytest.raises(error, match=message):
+        verify.run_all(1)
+    assert_no_child_left()
+
+
+def test_a_failure_in_this_process_kills_the_workers(monkeypatch):
+    # The worker runs the real tasks of depth 12, about a second of work;
+    # this process fails at its first task and kills the worker rather
+    # than wait for it.
+    def fails():
+        raise ValueError("suite failed")
+
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_tasks", lambda depth: [fails] * 18)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    with pytest.raises(ValueError, match="suite failed"):
+        verify.run_all(12)
+    assert [worker.returncode for worker in started] == [-signal.SIGKILL]
+    assert_no_child_left()
 
 
 def test_transported_slopes_match_the_midpoint_oracle():
@@ -456,7 +573,7 @@ def test_generalized_equations_counts_a_wrong_closure(monkeypatch, corrupt, chec
     assert result.detail == "depth 2"
 
 
-def test_verify_reports_a_failing_suite(capsys, monkeypatch):
+def test_verify_reports_a_failing_suite(capsys, monkeypatch, in_process):
     # A wrong level is read by the tree_walk suite alone.
     _corrupt_root(monkeypatch, lambda item: (item[0], item[1], 1))
     code, out, _ = run_cli(capsys, "verify", "--depth", "2")
