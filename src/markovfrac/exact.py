@@ -108,18 +108,23 @@ class ContinuedFraction:
 
 
 def to_continued_fraction(f: Fraction) -> ContinuedFraction:
-    """Canonical continued fraction of a nonnegative rational."""
-    if f < 0:
-        raise ValueError("continued fractions are only produced for f >= 0")
+    """Canonical continued fraction of a nonnegative rational.
+
+    The Euclidean algorithm emits a0 >= 0, later quotients >= 1 and never a
+    trailing quotient of 1 (a trailing 1 would have been absorbed into the
+    previous step), so its quotients are canonical as they come and the
+    result is stored without the constructor's checks.
+    """
     p, q = f.numerator, f.denominator
+    if p < 0:
+        raise ValueError("continued fractions are only produced for f >= 0")
     quotients = []
     while q:
         quotients.append(p // q)
         p, q = q, p % q
-    # The Euclidean algorithm never emits a trailing quotient of 1
-    # (a trailing 1 would have been absorbed into the previous step),
-    # so the result is already canonical.
-    return ContinuedFraction(tuple(quotients))
+    cf = object.__new__(ContinuedFraction)
+    object.__setattr__(cf, "quotients", tuple(quotients))
+    return cf
 
 
 def from_continued_fraction(cf: ContinuedFraction) -> Fraction:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
+from operator import mul
 
 from .exact import DyadicRational, _check_value_bits, farey_mediant, to_continued_fraction
 
@@ -74,21 +76,41 @@ def farey_node_at(word: TurnWord) -> FareyNode:
     return FareyNode(farey_mediant(lp, rp), lp, rp)
 
 
-def farey_path_to(x: Fraction) -> TurnWord:
-    """Turn word of the vertex with value x; requires 0 < x < 1.
+def _turn_runs(p: int, q: int) -> list[int]:
+    """Run lengths of the turn word of p/q, for 0 < p < q, alternating from L.
 
-    The word is read off the continued fraction x = [0; a1, ..., an] in
-    runs: L^(a1 - 1) R^a2 L^a3 ..., with the last run one letter shorter.
-    The word spells ?(x) in binary, whose denominator 2**(a1 + ... + an - 1)
-    is held to the value budget, as in the question mark routes.
+    With p/q = [0; a1, ..., an] the word is L^(a1 - 1) R^a2 L^a3 ..., the
+    last run one letter shorter, so the first run may be empty.  The
+    quotients come from one Euclidean pass on the two integers.  The word
+    spells ?(p/q) in binary, whose denominator 2**(a1 + ... + an - 1) is
+    held to the value budget, as in the question mark routes.
     """
-    if not _ZERO < x < _ONE:
-        raise ValueError(f"no Farey tree vertex carries {x}; need 0 < x < 1")
-    runs = list(to_continued_fraction(x).quotients[1:])
+    runs = []
+    while p:
+        runs.append(q // p)
+        p, q = q % p, p
     _check_value_bits(sum(runs), "the turn word of x")
     runs[0] -= 1
     runs[-1] -= 1
-    return "".join(("R" if i % 2 else "L") * r for i, r in enumerate(runs))
+    return runs
+
+
+def _spell(runs: list[int]) -> TurnWord:
+    """The turn word with the given run lengths, alternating from L."""
+    return "".join(map(mul, cycle("LR"), runs))
+
+
+def farey_path_to(x: Fraction) -> TurnWord:
+    """Turn word of the vertex with value x; requires 0 < x < 1.
+
+    The word is spelled from its runs, which one Euclidean pass reads off
+    the continued fraction of x (see _turn_runs); its length is held to
+    the value budget.
+    """
+    p, q = x.numerator, x.denominator
+    if not 0 < p < q:
+        raise ValueError(f"no Farey tree vertex carries {x}; need 0 < x < 1")
+    return _spell(_turn_runs(p, q))
 
 
 def question_mark_farey(x: Fraction) -> DyadicRational:
@@ -100,14 +122,14 @@ def question_mark_farey(x: Fraction) -> DyadicRational:
     m -> 2*m - 1 or 2*m + 1.  This route does not read the continued
     fraction, which only sets the budget check.
     """
-    if not _ZERO <= x <= _ONE:
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"question mark is evaluated on [0, 1]; got {x}")
-    if x == 0:
+    if p == 0:
         return DyadicRational(0, 0)
-    if x == 1:
+    if p == q:
         return DyadicRational(1, 0)
     _check_value_bits(sum(to_continued_fraction(x).quotients), "?(x)")
-    p, q = x.numerator, x.denominator
     a1, b1, a2, b2 = 0, 1, 1, 1
     m, n = 1, 1
     while True:
@@ -122,21 +144,23 @@ def question_mark_farey(x: Fraction) -> DyadicRational:
 
 
 def question_mark_salem(x: Fraction) -> DyadicRational:
-    """Question mark via the alternating series 2^(1-a1) - 2^(1-a1-a2) + ...
+    """Question mark via the alternating series a0 + 2^(1-a1) - 2^(1-a1-a2) + ...
 
-    The exponents accumulate the continued fraction quotients of x.
+    The exponents accumulate the continued fraction quotients of
+    x = [a0; a1, ..., an].  Over the common denominator 2**(a1 + ... + an)
+    the series is one integer, summed by Horner's rule: m -> m*2**a +- 2
+    per quotient, with no rational addition and no gcd.
     """
-    if not _ZERO <= x <= _ONE:
+    if not 0 <= x.numerator <= x.denominator:
         raise ValueError(f"question mark is evaluated on [0, 1]; got {x}")
-    quotients = to_continued_fraction(x).quotients
-    _check_value_bits(sum(quotients), "?(x)")
-    total = Fraction(quotients[0])
-    run = 0
-    for i, a in enumerate(quotients[1:]):
-        run += a
-        term = Fraction(1, 1 << (run - 1))
-        total += term if i % 2 == 0 else -term
-    return DyadicRational.from_fraction(total)
+    a0, *quotients = to_continued_fraction(x).quotients
+    bits = a0 + sum(quotients)
+    _check_value_bits(bits, "?(x)")
+    m, term = a0, 2
+    for a in quotients:
+        m = (m << a) + term
+        term = -term
+    return DyadicRational(m, bits - a0)
 
 
 def question_mark_of_word(word: TurnWord) -> DyadicRational:

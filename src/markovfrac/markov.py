@@ -23,12 +23,12 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, cycle
 from math import floor, gcd, isqrt, log2, sqrt
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .exact import _check_value_bits, _coprime_fraction
-from .farey import TurnWord, check_word, farey_path_to
+from .farey import TurnWord, _spell, _turn_runs, check_word
 
 __all__ = [
     "FractionTriple",
@@ -278,7 +278,20 @@ def _vieta_child(v: Vertex, letter: str) -> Vertex:
     return (p3, q3, p2, q2, k * p3 - p1, k * q3 - q1)
 
 
-_ROOTS = {seeds: _root(seeds) for seeds in (REDUCED_SEEDS, UNIT_SEEDS)}
+_REDUCED_ROOT, _UNIT_ROOT = _root(REDUCED_SEEDS), _root(UNIT_SEEDS)
+
+
+def _root_of(seeds: tuple[Fraction, Fraction]) -> Vertex:
+    """_root(seeds), kept for the two module seed pairs and found by identity.
+
+    Any other pair, equal to one of them or not, is checked by _root: a
+    lookup by value would hash both seeds on every call.
+    """
+    if seeds is REDUCED_SEEDS:
+        return _REDUCED_ROOT
+    if seeds is UNIT_SEEDS:
+        return _UNIT_ROOT
+    return _root(seeds)
 
 
 def tree_walk(
@@ -314,7 +327,7 @@ def tree_walk(
             raise ValueError("a walk without a depth needs max_denominator")
     else:
         _check_scan_depth(depth)
-    root = _ROOTS.get(tuple(seeds)) or _root(seeds)
+    root = _root_of(seeds)
 
     def over(v: Vertex) -> bool:
         return v[5] > max_denominator or (prune is not None and prune(v))
@@ -363,39 +376,52 @@ def _run_step(v: Vertex, letter: str, r: int, what: str | None = None) -> Vertex
     x(j+1) = k*x(j) - x(j-1) with k = 3*c is linear in the numerators and
     in the denominators: a run of length r is one power of the matrix
     [[k, -1], [1, 0]] (see _lucas_pair), O(log r) multiplications, and
-    run steps compose, step(step(v, r), s) = step(v, r + s).  With a name,
-    the denominator is held to the value budget and a refusal names
-    ``what``: each letter at least multiplies it by k - 1 >= 2, which
-    bounds the run's growth from below before its power is taken.
+    run steps compose, step(step(v, r), s) = step(v, r + s).  A run of one
+    letter is the Vieta step itself, _vieta_child, which the power equals
+    at r = 1 with less work.  With a name, the denominator is held to the
+    value budget and a refusal names ``what``: each letter at least
+    multiplies it by k - 1 >= 2, which bounds the run's growth from below
+    before its power is taken.
     """
     p1, q1, p2, q2, p3, q3 = v
     left = letter == "L"
     k = 3 * (q1 if left else q2)
     if what is not None:
         _check_value_bits(q3.bit_length() + r * ((k - 1).bit_length() - 1), what)
-    u1, u0 = _lucas_pair(k, r)
-    um = k * u0 - u1
-    # M**r takes (vertex, dropped neighbour) to (new vertex, its neighbour on that side).
-    if left:
-        v = (p1, q1, u0 * p3 - um * p2, u0 * q3 - um * q2, u1 * p3 - u0 * p2, u1 * q3 - u0 * q2)
+    if r == 1:
+        v = _vieta_child(v, letter)
     else:
-        v = (u0 * p3 - um * p1, u0 * q3 - um * q1, p2, q2, u1 * p3 - u0 * p1, u1 * q3 - u0 * q1)
+        u1, u0 = _lucas_pair(k, r)
+        um = k * u0 - u1
+        # M**r takes (vertex, dropped neighbour) to (new vertex, its neighbour on that side).
+        if left:
+            v = (p1, q1, u0 * p3 - um * p2, u0 * q3 - um * q2,
+                 u1 * p3 - u0 * p2, u1 * q3 - u0 * q2)
+        else:
+            v = (u0 * p3 - um * p1, u0 * q3 - um * q1, p2, q2,
+                 u1 * p3 - u0 * p1, u1 * q3 - u0 * q1)
     if what is not None:
         _check_value_bits(v[5].bit_length(), what)
     return v
 
 
-def _descend(word: TurnWord, v: Vertex, what: str) -> Fraction:
-    """Value of the vertex a well-formed word addresses below v; refusals name ``what``.
+def _word_runs(word: TurnWord) -> Iterator[tuple[str, int]]:
+    """(letter, length) for each run of equal letters of a well-formed word."""
+    return ((run[0], len(run)) for run in _RUN.findall(word))
 
-    v must be a _root vertex or a vertex below one: _root checks the
-    relations that the Vieta step carries to every vertex below, and those
-    make each vertex reduced with a positive denominator, so the value is
-    built without a gcd.
+
+def _descend(runs: Iterable[tuple[str, int]], v: Vertex, what: str) -> Vertex:
+    """The vertex below v down the runs (letter, length); refusals name ``what``.
+
+    A run of length 0 is no step.  v must be a _root vertex or a vertex
+    below one: _root checks the relations that the Vieta step carries to
+    every vertex below, and those make each vertex reduced with a positive
+    denominator, so its value is built without a gcd.
     """
-    for run in _RUN.finditer(word):
-        v = _run_step(v, word[run.start()], run.end() - run.start(), what)
-    return _coprime_fraction(v[4], v[5])
+    for letter, r in runs:
+        if r:
+            v = _run_step(v, letter, r, what)
+    return v
 
 
 def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS) -> Fraction:
@@ -407,7 +433,8 @@ def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEE
     denominator to the value budget before and after each run.
     """
     check_word(word)
-    return _descend(word, _ROOTS.get(tuple(seeds)) or _root(seeds), "the tree vertex")
+    v = _descend(_word_runs(word), _root_of(seeds), "the tree vertex")
+    return _coprime_fraction(v[4], v[5])
 
 
 @dataclass(frozen=True)
@@ -453,17 +480,21 @@ def mu(x: Fraction) -> MarkovFraction:
     The endpoints map to the seeds (0 -> 0/1, 1 -> 1/2); an interior
     rational maps to the reduced-tree vertex at its Farey turn word, so
     mediants of Farey neighbours map to tree mediants of their images.
-    The cost is one Euclidean pass for the word and one matrix power per
-    run of its letters; the value budget bounds both.
+    One Euclidean pass on the numerator and denominator gives the runs of
+    that word (see farey._turn_runs), and the descent takes them as they
+    come, one run step each (see _run_step); the word is spelled once, for
+    the answer.  The value budget bounds the word and every run.
     """
-    if not Fraction(0) <= x <= Fraction(1):
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"mu is defined on [0, 1]; got {x}")
-    if x == 0:
+    if p == 0:
         return MarkovFraction(Fraction(0), 0, None)
-    if x == 1:
+    if p == q:
         return MarkovFraction(Fraction(1, 2), 0, None)
-    word = farey_path_to(x)
-    return MarkovFraction._of_vertex(descend_value(word), word)
+    runs = _turn_runs(p, q)
+    v = _descend(zip(cycle("LR"), runs), _REDUCED_ROOT, "the tree vertex")
+    return MarkovFraction._of_vertex(_coprime_fraction(v[4], v[5]), _spell(runs))
 
 
 def _branch_bits(n: int, alpha: float) -> int:

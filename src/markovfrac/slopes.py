@@ -24,20 +24,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import DyadicRational, _check_value_bits
+from .exact import DyadicRational, _check_value_bits, _coprime_fraction
 from .farey import TurnWord
 from .markov import (
     MarkovFraction,
-    REDUCED_SEEDS,
     UNIT_SEEDS,
     Vertex,
     solve_congruence,
     springborn_mediant,
-    _ROOTS,
+    _REDUCED_ROOT,
+    _UNIT_ROOT,
     _descend,
     _mediant_terms,
     _run_step,
     _vieta_child,
+    _word_runs,
 )
 
 __all__ = [
@@ -54,8 +55,6 @@ __all__ = [
 ]
 
 _MAX_EQUIVALENCE_DEPTH = 12
-#: Integer roots of the two trees, looked up once: a lookup hashes the seeds.
-_REDUCED_ROOT, _UNIT_ROOT = _ROOTS[REDUCED_SEEDS], _ROOTS[UNIT_SEEDS]
 
 
 def _midpoint_terms(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
@@ -128,7 +127,9 @@ def epsilon(x: DyadicRational | Fraction | int) -> Fraction:
     # than n bits: refuse a long n before the word is built.
     _check_value_bits(n + 1, "epsilon(x)")
     word = format(m & ((1 << n) - 1), f"0{n}b")[:-1].translate(_BITS_TO_TURNS)
-    return (m >> n) + _descend(word, _UNIT_ROOT, "epsilon(x)")
+    v = _descend(_word_runs(word), _UNIT_ROOT, "epsilon(x)")
+    # The translate (p + s*q)/q of the vertex p/q is in lowest terms as p/q is.
+    return _coprime_fraction((m >> n) * v[5] + v[4], v[5])
 
 
 def identity_check(f1: Fraction, f2: Fraction) -> bool:
@@ -210,13 +211,15 @@ def normalize_slope(x: Fraction) -> SlopeNormalization:
 
     The representation is unique with the convention sign == +1 whenever
     the fractional part is at most 1/2, so the map is idempotent on
-    already-reduced slopes.
+    already-reduced slopes.  The remainder rem of the numerator modulo q,
+    and q - rem, are coprime to q as the numerator is, so both fractions
+    are built without a gcd.
     """
     q = x.denominator
     n, rem = divmod(x.numerator, q)
     if 2 * rem <= q:
-        return SlopeNormalization(n, 1, Fraction(rem, q))
-    return SlopeNormalization(n + 1, -1, Fraction(q - rem, q))
+        return SlopeNormalization(n, 1, _coprime_fraction(rem, q))
+    return SlopeNormalization(n + 1, -1, _coprime_fraction(q - rem, q))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Most tests drive main() in-process for speed; determinism and entry-point
 wiring are exercised through real subprocesses.
 """
 
+import hashlib
 import json
 import os
 import runpy
@@ -517,6 +518,136 @@ def test_byte_identical_reruns():
     first = run_proc("enumerate", "--depth", "4", "--format", "csv")
     second = run_proc("enumerate", "--depth", "4", "--format", "csv")
     assert first == second
+
+
+# Point queries with their exit code, plain stdout (its SHA-256 past 160
+# characters), the SHA-256 of their json stdout, and stderr.  The answers,
+# refusal texts and exit codes are the CLI's contract, byte for byte.
+_GOLDEN_QUERIES = [
+    (("mu", "0"), 0,
+     "value: 0/1\nword: -\ndepth: 0\n",
+     "1bbcea9c6598120e4464c8c86d7627b768e62d99d542ac6be138bd6b623c2e4d",
+     ""),
+    (("mu", "1"), 0,
+     "value: 1/2\nword: -\ndepth: 0\n",
+     "f41e05c283eb6080c1e9ca6690d26afb175732d23603d0c4ffad512ebd742d12",
+     ""),
+    (("mu", "2/5"), 0,
+     "value: 75/194\nword: LR\ndepth: 2\n",
+     "90d660c32b31e6d16123d25791fb54c608cc1b69d2233948d50eecbbbcca11ed",
+     ""),
+    (("mu", "1/1250"), 0,
+     "538eadd67c5368ca499dfb9d7493f026f730ca66647d40dedcbeb1ce36f3e706",
+     "9fb3f6e54829bfe4ad64d0af3803dd448be4e11c73e34ca2613285cec0f9c76b",
+     ""),
+    (("mu", "1/100000"), 0,
+     "fcf6e19430ab45dd769ac36211cdcaac12bf60cde82242936dfd2ff59fb5b40b",
+     "89ac2e6df86cb5edeca9ea9f53c307d3b04f2fb1f7fcfc3c419d3b738a7bab0d",
+     ""),
+    (("qmark", "0", "--method", "farey"), 0,
+     "value: 0\nfraction: 0/1\nmethod: farey\n",
+     "d2b14c5c160769386b91cba762ffb68ad506aa88210292aa057af565b60eb895",
+     ""),
+    (("qmark", "1", "--method", "farey"), 0,
+     "value: 1\nfraction: 1/1\nmethod: farey\n",
+     "d55c36151d9042a3a7c16ea29b79a9ff28a0368d68c4f4e66d057f07eb943364",
+     ""),
+    (("qmark", "2/5", "--method", "farey"), 0,
+     "value: 3/2^3\nfraction: 3/8\nmethod: farey\n",
+     "8354afaba3c5ab5b2a4a7048e310d8740a245ad85480c36a14cb9ec34236b0f9",
+     ""),
+    (("qmark", "1/1250", "--method", "farey"), 0,
+     "bde7b80d0ff2cbae47e75a63f4b19160acd6bd83d482570d89cd04bac0777749",
+     "cb3e6758b38f42d738678a978b2b2ccf3361448feb2343abf79e43f3aad6dadb",
+     ""),
+    (("qmark", "0", "--method", "salem"), 0,
+     "value: 0\nfraction: 0/1\nmethod: salem\n",
+     "6bb5e17a6ca37a44eb37bf0fe680f6f9415d6993f54e1a453c0a2f9fa2c6704b",
+     ""),
+    (("qmark", "1", "--method", "salem"), 0,
+     "value: 1\nfraction: 1/1\nmethod: salem\n",
+     "7b465725f000ee9012c8f8e5e2a5db01d38d024ee371a10e8bbc02a5880dad43",
+     ""),
+    (("qmark", "2/5", "--method", "salem"), 0,
+     "value: 3/2^3\nfraction: 3/8\nmethod: salem\n",
+     "9e447a518f58d721e0b16b6242b5d6ad6db490f529f8c1d9ae78ececc4d3b5ac",
+     ""),
+    (("qmark", "1/1250", "--method", "salem"), 0,
+     "03f5136914ade8b33f18163dc498ebf9891e40ed432d7b47862a5fc42ed94eee",
+     "bf6ee7b623e667492e23f3f7b549b72d6f05f276637a24f86d6f0f6c5a05493f",
+     ""),
+    (("qmark", "0", "--method", "word"), 0,
+     "value: 0\nfraction: 0/1\nmethod: word\n",
+     "f057e1bf762fe5d5d0e460cdd8ffba9fec91c3c98236dc45be5f99f7b73432f8",
+     ""),
+    (("qmark", "1", "--method", "word"), 0,
+     "value: 1\nfraction: 1/1\nmethod: word\n",
+     "c74cc4c64015fccfc3d47c32a221a8b0a8f59b3ccd233a6b53915bc3bae592d3",
+     ""),
+    (("qmark", "2/5", "--method", "word"), 0,
+     "value: 3/2^3\nfraction: 3/8\nmethod: word\n",
+     "8fd8ce1bb6d17f5f7e6a2cedec2e44df15e95eeb81f0c13e4b22dd5921032b56",
+     ""),
+    (("qmark", "1/1250", "--method", "word"), 0,
+     "d21c4881cfe9f6206d58b311c6f0388e3781ad3c571c5733638229a845acb9f6",
+     "3cda9565ebf04d6e6ea02a52b34a116ba685681bee0aee0bb1eab8ed6f0a93ea",
+     ""),
+    (("epsilon", "0"), 0,
+     "value: 0/1\n",
+     "dfb0e1bb7819906b9eb91aba40769583bcc18e88fffc4c7bf7e903b894757652",
+     ""),
+    (("epsilon", "-3/2"), 0,
+     "value: -3/2\n",
+     "687e382b55ee4681760baae27adb671636e9914d3fcedbb99c42e76bdae820b5",
+     ""),
+    (("epsilon", "699051/2^20"), 0,
+     "62854e170e93607a9fee0b3d71c6d60e72031b2f21fa38e038de4fcf1c466c68",
+     "2470f57a4ccb2fd656eb0ff2cb01d69f28853fffde764937a96cbf26ed8b1a7c",
+     ""),
+    (("slope", "15571/37666"), 0,
+     "27e0ef2ac4b81e00f06e945573b3d4669a4119f8d9b9f48643ac8be2224be691",
+     "d6a93faf371981195fe6eceb201f05edc1372cd00a47a3099079ac6b2a8bd376",
+     ""),
+    (("slope", "1/3"), 0,
+     "normalized: 1/3\nshift: 0\nsign: 1\nmember: no\nstopped_at_denominator: 5\n",
+     "f99d4e3cc357ab4a0456e7ebeb132b19d92e2d9809d4dda1c3fb8abf214fbc98",
+     ""),
+    (("mu", "832040/1346269"), 1,
+     "",
+     "4b54c87779d599a9d804cc38392decc99bf9f6557d02896d661baac8b94e0ba9",
+     "error: the tree vertex exceeds the 262144-bit value budget\n"),
+    (("mu", "1/300000"), 1,
+     "",
+     "cbfd00bcde61e68a1f40b5cc443b487908dd11d49871ac6ae5fea4353c8b7416",
+     "error: the turn word of x exceeds the 262144-bit value budget\n"),
+    (("qmark", "1/300000", "--method", "salem"), 1,
+     "",
+     "2eb52ea75299cda09c75b4bbb737c6d87af468e3e15fb0f8341365b6626181ba",
+     "error: ?(x) exceeds the 262144-bit value budget\n"),
+    (("mu", "3/2"), 1,
+     "",
+     "f52eb7f5c91c08bf7078a36e789f20e9d0896aa19e70c9690c27ab0beab8045e",
+     "error: mu is defined on [0, 1]; got 3/2\n"),
+    (("mu", "-1/5"), 1,
+     "",
+     "79286fa73d0d62d2afd41a36e3237957d9f4f079209d47634284997b93c07ab2",
+     "error: mu is defined on [0, 1]; got -1/5\n"),
+    (("qmark", "3/2", "--method", "salem"), 1,
+     "",
+     "504f893758f123e0f39e618319390ae9dc5617ceaafa2ed7ddf6c25dff8080b0",
+     "error: question mark is evaluated on [0, 1]; got 3/2\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, plain, json_sha256, err", _GOLDEN_QUERIES,
+                         ids=[" ".join(q[0]) for q in _GOLDEN_QUERIES])
+def test_point_query_output_is_byte_identical(capsys, args, code, plain, json_sha256, err):
+    got_code, out, got_err = run_cli(capsys, *args)
+    assert (got_code, got_err) == (code, err)
+    assert (out if len(out) <= 160 else hashlib.sha256(out.encode()).hexdigest()) == plain
+    got_code, out, got_err = run_cli(capsys, *args, "--format", "json")
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
 
 
 def test_threads_flag_is_a_usage_error(capsys):

@@ -126,6 +126,8 @@ def test_continued_fraction_rejects_noncanonical():
 def test_continued_fraction_roundtrip(f):
     cf = to_continued_fraction(f)
     assert from_continued_fraction(cf) == f
+    # Built without the constructor's checks, the result must pass them.
+    assert ContinuedFraction(cf.quotients) == cf
     if len(cf) > 1:
         assert cf.quotients[-1] >= 2
 

@@ -92,8 +92,10 @@ def test_farey_path_examples():
 
 
 def test_farey_path_rejects_outside_open_interval():
-    for bad in (F(0), F(1), F(3, 2), F(-1, 2)):
-        with pytest.raises(ValueError):
+    for bad, shown in ((F(0), "0"), (F(1), "1"), (F(3, 2), "3/2"), (F(-1, 2), "-1/2"),
+                       (0, "0"), (1, "1"), (2, "2")):
+        with pytest.raises(ValueError,
+                           match=f"^no Farey tree vertex carries {shown}; need 0 < x < 1$"):
             farey_path_to(bad)
 
 
@@ -163,10 +165,12 @@ def test_question_mark_of_word_examples():
 
 
 def test_question_mark_rejects_outside_unit_interval():
-    with pytest.raises(ValueError):
-        question_mark_farey(F(5, 4))
-    with pytest.raises(ValueError):
-        question_mark_salem(F(-1, 7))
+    for route in (question_mark_farey, question_mark_salem):
+        for bad, shown in ((F(5, 4), "5/4"), (F(-1, 7), "-1/7"), (2, "2"), (-1, "-1")):
+            with pytest.raises(ValueError,
+                               match=f"^question mark is evaluated on \\[0, 1\\]; got {shown}$"):
+                route(bad)
+        assert route(0) == DyadicRational(0, 0) and route(1) == DyadicRational(1, 0)
 
 
 # -- question mark: route agreement and oracle ----------------------------
@@ -210,6 +214,28 @@ def test_question_mark_strictly_monotone_up_to_denominator_30():
 def test_question_mark_symmetry_up_to_denominator_30():
     for x in _reduced_in_unit_interval(30):
         assert question_mark_farey(1 - x).value == 1 - question_mark_farey(x).value
+
+
+def _salem_by_fractions(x: F) -> DyadicRational:
+    """Oracle: the alternating series, one reduced Fraction addition per quotient."""
+    p, q = x.numerator, x.denominator
+    quotients = []
+    while q:
+        quotients.append(p // q)
+        p, q = q, p % q
+    total, run = F(quotients[0]), 0
+    for i, a in enumerate(quotients[1:]):
+        run += a
+        term = F(1, 1 << (run - 1))
+        total += term if i % 2 == 0 else -term
+    return DyadicRational.from_fraction(total)
+
+
+def test_question_mark_salem_matches_the_fraction_series():
+    xs = _reduced_in_unit_interval(300) + _fibonacci_ratios(40)
+    xs += [F(1, b) for b in (1250, 4097)] + [F(b - 1, b) for b in (1250, 4097)]
+    for x in xs:
+        assert question_mark_salem(x) == _salem_by_fractions(x), x
 
 
 @settings(max_examples=80)

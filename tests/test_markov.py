@@ -35,6 +35,7 @@ from markovfrac import (
     generalized_enumerate,
     mu,
     pell_branch,
+    question_mark_salem,
     solve_congruence,
     springborn_mediant,
     tree_walk,
@@ -49,6 +50,7 @@ from markovfrac.markov import (
     _is_probable_prime,
     _lucas_pair,
     _root,
+    _run_step,
     _vieta_child,
     congruence_brute,
 )
@@ -467,6 +469,32 @@ def test_descend_value_budget_is_exact(monkeypatch):
             descend_value(word, seeds)
 
 
+def test_run_step_of_one_letter_is_the_vieta_child():
+    # A run of one letter takes the Vieta step; the matrix power of two and
+    # three letters, which composes with it, is its oracle.
+    for seeds in (REDUCED_SEEDS, UNIT_SEEDS):
+        for v, _, _ in tree_walk(8, seeds=seeds):
+            for letter in "LR":
+                child = _vieta_child(v, letter)
+                assert _run_step(v, letter, 1) == _run_step(v, letter, 1, "x") == child
+                for r in (1, 2):
+                    assert _run_step(child, letter, r) == _run_step(v, letter, r + 1)
+
+
+def test_module_seeds_find_their_root_without_checking_it(monkeypatch):
+    # The two module seed pairs are recognised by identity; any other pair,
+    # an equal copy too, is checked by _root.
+    checked = []
+    monkeypatch.setattr(markov, "_root", lambda seeds: checked.append(seeds) or _root(seeds))
+    assert descend_value("LR") == F(75, 194) == mu(F(2, 5)).value
+    assert descend_value("LR", UNIT_SEEDS) == epsilon(F(3, 8))
+    assert len(list(tree_walk(2))) == len(list(tree_walk(2, seeds=UNIT_SEEDS))) == 7
+    assert checked == []
+    copy = (F(0), F(1, 2))
+    assert descend_value("LR", copy) == F(75, 194)
+    assert checked == [copy]
+
+
 def test_descend_value_seeds():
     for word in ("", "L", "RRL", "LRLRR"):
         assert descend_value(word, (F(1), F(3, 2))) == descend_value(word) + 1
@@ -593,10 +621,41 @@ def test_mu_word_and_depth():
 
 
 def test_mu_domain():
-    with pytest.raises(ValueError):
-        mu(F(3, 2))
-    with pytest.raises(ValueError):
-        mu(F(-1, 5))
+    for bad, shown in ((F(3, 2), "3/2"), (F(-1, 5), "-1/5"), (2, "2"), (-1, "-1")):
+        with pytest.raises(ValueError, match=f"^mu is defined on \\[0, 1\\]; got {shown}$"):
+            mu(bad)
+    assert mu(0) == MarkovFraction(F(0), 0, None)
+    assert mu(1) == MarkovFraction(F(1, 2), 0, None)
+
+
+def _long_word_ladder(count, lo=1150, hi=1250):
+    """Denominators b of 1/b, word L^(b - 2), on a geometric grid over [lo, hi]."""
+    return [round(lo * (hi / lo) ** (j / (count - 1))) for j in range(count)]
+
+
+def test_mu_matches_the_descent_of_its_farey_word():
+    # mu descends the runs that it reads off the continued fraction; the
+    # oracle spells the word first and descends the word.
+    xs = [F(a, b) for b in range(2, 201) for a in range(1, b) if math.gcd(a, b) == 1]
+    xs += [F(1, b) for b in _long_word_ladder(56)]
+    for x in xs:
+        word = farey_path_to(x)
+        expected = MarkovFraction(descend_value(word), len(word), word)
+        image = mu(x)
+        assert (image.value, image.word, image.depth) == (
+            expected.value, expected.word, expected.depth), x
+
+
+def test_point_query_refusals_keep_their_text_and_order():
+    budget = f"exceeds the {MAX_VALUE_BITS}-bit value budget"
+    # Every run of the word (RL)^14 is one letter; the vertex passes the budget.
+    with pytest.raises(ValueError, match=f"^the tree vertex {budget}$"):
+        mu(F(832040, 1346269))
+    # The word L^299998 is refused before any run of it is descended.
+    with pytest.raises(ValueError, match=f"^the turn word of x {budget}$"):
+        mu(F(1, 300_000))
+    with pytest.raises(ValueError, match=f"^\\?\\(x\\) {budget}$"):
+        question_mark_salem(F(1, 300_000))
 
 
 def test_mu_strictly_increasing():

@@ -38,7 +38,7 @@ from markovfrac import (
 )
 from markovfrac import exact, markov
 from markovfrac.exact import MAX_VALUE_BITS
-from markovfrac.markov import _ROOTS, _vieta_child
+from markovfrac.markov import _REDUCED_ROOT, _vieta_child
 from markovfrac.slopes import SlopeDecision, _epsilon_by_midpoints, _midpoint_value
 
 dyadics = st.builds(
@@ -328,6 +328,11 @@ def test_normalize_slope_reconstructs(x):
     n = normalize_slope(x)
     assert n.n + n.sign * n.reduced == x
     assert 0 <= n.reduced <= F(1, 2)
+    # Built without a gcd, the reduced slope is the Fraction that normalization builds.
+    r = n.reduced
+    expected = F(r.numerator, r.denominator)
+    assert (r.numerator, r.denominator, hash(r)) == (
+        expected.numerator, expected.denominator, hash(expected))
     assert n.sign in (1, -1)
     again = normalize_slope(n.reduced)
     assert (again.n, again.sign, again.reduced) == (0, 1, n.reduced)
@@ -420,7 +425,7 @@ def _membership_by_letters(x):
     if r == 0 or 2 * r == 1:
         return SlopeDecision(True, norm)
     rp, rq = r.numerator, r.denominator
-    v = _ROOTS[REDUCED_SEEDS]
+    v = _REDUCED_ROOT
     letters = []
     while True:
         p3, q3 = v[4], v[5]
