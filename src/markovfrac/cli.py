@@ -185,8 +185,9 @@ class Answer(NamedTuple):
 
 def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     header = ["depth", "word", "left", "value", "right"]
-    rows = [[len(word), word, fraction_str(t.f1), fraction_str(t.f3), fraction_str(t.f2)]
-            for word, t in enumerate_tree(args.depth)]
+    # Breadth-first: a stable sort by length keeps the word order within a level.
+    rows = sorted(([len(word), word, fraction_str(t.f1), fraction_str(t.f3), fraction_str(t.f2)]
+                   for word, t in enumerate_tree(args.depth)), key=lambda row: row[0])
     vertices = [dict(zip(header, row)) for row in rows]
     return Answer({"depth": str(args.depth)}, {"count": len(vertices), "vertices": vertices},
                   _csv_text(header, rows))

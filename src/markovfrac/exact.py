@@ -33,7 +33,6 @@ __all__ = [
     "QuadraticSurd",
     "farey_mediant",
     "from_continued_fraction",
-    "reduce",
     "surd_compare",
     "surd_enclose",
     "to_continued_fraction",
@@ -52,11 +51,6 @@ def _check_value_bits(bits: int, what: str) -> None:
     """Raise ValueError when a denominator of the given bit length is over budget."""
     if bits > MAX_VALUE_BITS:
         raise ValueError(f"{what} exceeds the {MAX_VALUE_BITS}-bit value budget")
-
-
-def reduce(num: int, den: int) -> Fraction:
-    """Reduced fraction num/den; raises ZeroDivisionError when den == 0."""
-    return Fraction(num, den)
 
 
 def _coprime_fraction(p: int, q: int) -> Fraction:

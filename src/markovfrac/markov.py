@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, cycle
@@ -196,9 +195,12 @@ def check_relations(t: FractionTriple) -> RelationReport:
     is taken.  The two determinants are also the orders f3 > f1 and f2 > f3
     that the child mediants need.
     """
-    p1, q1 = t.f1.numerator, t.f1.denominator
-    p2, q2 = t.f2.numerator, t.f2.denominator
-    p3, q3 = t.f3.numerator, t.f3.denominator
+    return _relations(t.f1.numerator, t.f1.denominator, t.f2.numerator, t.f2.denominator,
+                      t.f3.numerator, t.f3.denominator)
+
+
+def _relations(p1: int, q1: int, p2: int, q2: int, p3: int, q3: int) -> RelationReport:
+    """check_relations on the terms of f1 = p1/q1, f2 = p2/q2 and f3 = p3/q3."""
     d23, d31 = p2 * q3 - p3 * q2, p3 * q1 - p1 * q3
     qq12 = q1 * q1 + q2 * q2
     flip = (qq12 % q3 == 0
@@ -220,21 +222,25 @@ def enumerate_tree(
     depth: int,
     seeds: tuple[Fraction, Fraction] = REDUCED_SEEDS,
 ) -> Iterator[tuple[TurnWord, FractionTriple]]:
-    """Breadth-first tree vertices to the given depth, children L before R.
+    """Depth-first tree vertices to the given depth, in word order: children L before R.
 
     Yields 2**(depth + 1) - 1 pairs (word, triple); the root has word ''.
+    Each vertex is the gcd-reduced springborn_mediant of its neighbours, as
+    the tree is defined, so this is the reference for the Vieta steps of
+    tree_walk, which yields its vertices in the same order.  At most
+    depth + 1 pending pairs are held at a time.
     """
     _check_scan_depth(depth)
 
     def walk() -> Iterator[tuple[TurnWord, FractionTriple]]:
-        queue: deque[tuple[TurnWord, Fraction, Fraction]] = deque([("", seeds[0], seeds[1])])
-        while queue:
-            word, f1, f2 = queue.popleft()
+        stack = [("", seeds[0], seeds[1])]
+        while stack:
+            word, f1, f2 = stack.pop()
             f3 = springborn_mediant(f1, f2)
             yield word, FractionTriple(f1, f2, f3)
             if len(word) < depth:
-                queue.append((word + "L", f1, f3))
-                queue.append((word + "R", f3, f2))
+                stack.append((word + "R", f3, f2))
+                stack.append((word + "L", f1, f3))
 
     return walk()
 
@@ -441,8 +447,9 @@ def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEE
 class MarkovFraction:
     """A fraction of the reduced tree with its address.
 
-    The two seeds 0/1 and 1/2 carry word None; every proper vertex carries
-    its turn word and depth == len(word).
+    The two seeds 0/1 and 1/2 carry word None and depth 0; every proper
+    vertex carries its turn word and depth == len(word).  The constructor
+    checks all of this, the word by one descent (see descend_value).
     """
 
     value: Fraction
@@ -457,19 +464,28 @@ class MarkovFraction:
             raise ValueError(f"{self.value} fails the numerator congruence")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
+        word = self.word
+        if self.depth != (0 if word is None else len(word)):
+            raise ValueError(f"depth {self.depth} does not match the turn word {word!r}")
+        if word is None:
+            if self.value not in REDUCED_SEEDS:
+                raise ValueError(f"{self.value} is not a seed, so it needs its turn word")
+        elif descend_value(word) != self.value:
+            raise ValueError(f"the tree vertex at {word!r} is not {self.value}")
 
     @classmethod
-    def _of_vertex(cls, value: Fraction, word: TurnWord) -> MarkovFraction:
+    def _of_vertex(cls, value: Fraction, word: TurnWord | None) -> MarkovFraction:
         """The vertex at word with the given value, without the checks of the constructor.
 
-        Precondition: value is the tree vertex at word, as a descent or a
-        branch's closed form builds it, so it lies in [0, 1/2] and meets the
-        numerator congruence.  Nothing is checked; the congruence alone is
-        a long division on the denominator, most of a deep mu.
+        Precondition: value is the tree vertex at word, or a seed with word
+        None, as a descent, a search or a branch's closed form builds it, so
+        it lies in [0, 1/2] and meets the numerator congruence.  Nothing is
+        checked; the congruence alone is a long division on the denominator,
+        most of a deep mu.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "value", value)
-        object.__setattr__(f, "depth", len(word))
+        object.__setattr__(f, "depth", 0 if word is None else len(word))
         object.__setattr__(f, "word", word)
         return f
 

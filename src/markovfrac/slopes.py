@@ -245,8 +245,7 @@ class SlopeDecision:
     def markov_fraction(self) -> MarkovFraction:
         if not self.accepted:
             raise ValueError(f"{self.normalization.original} is not an exceptional slope")
-        word = self.witness
-        return MarkovFraction(self.reduced, len(word) if word else 0, word)
+        return MarkovFraction._of_vertex(self.reduced, self.witness)
 
     def bundle_invariants(self) -> BundleInvariants:
         """Invariants of the accepted slope, computed on its reduced form.

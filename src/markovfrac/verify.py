@@ -9,17 +9,17 @@ passes when no outcome fails.  The two report suites, `slope_image` and
 `unicity`, take their counts from a library report instead: the levels
 of `set_equivalence` and the duplicates of `unicity_scan`.
 
-The Fraction reference `enumerate_tree(depth)` is built once per run and
-read by the two suites that check it: `tree_relations` checks its
-neighbour relations and `tree_walk` checks the integer walk against it
-vertex by vertex.  Suites that only read vertex properties then read the
-integer walk; `midpoint_identity` reads the integer walk of the [0, 1]
-tree, which the tests check against its reference.  Only
-`interval_geometry` and `interval_freeness` build a reference of their
-own, for the turn words.  Checks cap their own range where a larger
-depth would change the cost class (the caps are noted per check); the
-depth argument bounds everything else, and the fixed ranges are module
-constants.
+`tree_walk` checks the integer walk against the Fraction reference
+`enumerate_tree(depth)` vertex by vertex, both streamed in word order,
+so its memory is bounded by the depth.  The other tree suites read the
+integer walk: `tree_relations` checks its neighbour relations, which
+with `tree_walk` proves them on the tree as defined, and
+`midpoint_identity` reads the integer walk of the [0, 1] tree, which the
+tests check against its reference.  Only `interval_geometry` and
+`interval_freeness` read the reference too, for the turn words.  Checks
+cap their own range where a larger depth would change the cost class
+(the caps are noted per check); the depth argument bounds everything
+else, and the fixed ranges are module constants.
 
 The two suites on the slope side take one midpoint step per vertex:
 `midpoint_identity` decides the identity on the integers of the walk,
@@ -27,13 +27,12 @@ and `slope_transport` keeps epsilon by dyadic, so each value is one
 step from its two neighbours.
 
 The suites are independent, so `run_all` shares them out as tasks, one
-per suite but one for the two that share the reference.  The main
-process runs tasks itself, beside one spawned worker interpreter per
-further CPU it may use; each process takes the next task from one pipe
-until none is left, so the split follows the CPU count and the task
-costs as they fall, with no cost table.  With one usable CPU no worker
-starts.  Each result records its suite's wall seconds in the process
-that ran it, which the results' equality ignores.
+per suite.  The main process runs tasks itself, beside one spawned
+worker interpreter per further CPU it may use; each process takes the
+next task from one pipe until none is left, so the split follows the
+CPU count and the task costs as they fall, with no cost table.  With one
+usable CPU no worker starts.  Each result records its suite's wall
+seconds in the process that ran it, which the results' equality ignores.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from .analysis import (
 )
 from .exact import DyadicRational, surd_compare
 from .farey import (
-    TurnWord,
     farey_path_to,
     question_mark_farey,
     question_mark_of_word,
@@ -69,12 +67,11 @@ from .farey import (
 )
 from .markov import (
     SUPPORTED_EQUATIONS,
-    FractionTriple,
     MarkovFraction,
     MarkovTriple,
     UNIT_SEEDS,
     _check_scan_depth,
-    check_relations,
+    _relations,
     congruence_brute,
     descend_value,
     enumerate_tree,
@@ -109,9 +106,6 @@ _BRANCH_KMAX = 15              # boundary_branches: branch indices
 _APPROX_BOUND = 1000           # approximation_bound: denominators of tree fractions
 _FREENESS_BOUND = 1_000_000    # interval_freeness: denominators searched
 
-#: enumerate_tree's (word, triple) pairs, sorted by word.
-Reference = list[tuple[TurnWord, FractionTriple]]
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -134,35 +128,30 @@ def _tally(name: str, outcomes: Iterable[object], detail: str = "") -> CheckResu
     return _result(name, failed[False] + failed[True], failed[True], detail)
 
 
-def _reference_tree(depth: int) -> Reference:
-    """enumerate_tree(depth), sorted by word.
+def check_tree_relations(depth: int) -> CheckResult:
+    """Every vertex of the integer walk satisfies the five exact neighbour relations.
 
-    Sorting the words puts the breadth-first vertices in the depth-first
-    order of tree_walk.
+    tree_walk checks that the walk is the reference on every vertex, so
+    the relations hold on the tree of the definition.
     """
-    return sorted(enumerate_tree(depth), key=lambda item: item[0])
-
-
-def check_tree_relations(reference: Reference) -> CheckResult:
-    """Every reference vertex satisfies the five exact neighbour relations."""
     return _tally("tree_relations",
-                  (check_relations(triple).all_hold for _, triple in reference))
+                  (_relations(*vertex).all_hold for vertex, _, _ in tree_walk(depth)))
 
 
-def check_tree_walk(depth: int, reference: Reference) -> CheckResult:
+def check_tree_walk(depth: int) -> CheckResult:
     """The integer walk matches the reference and the Farey tree on every vertex.
 
-    The reference applies the gcd-reduced mediant of the definition, while
-    the walk takes Vieta steps.  Integers are compared, so the walk must
-    also yield lowest terms.  The Farey parents are carried down the
-    sorted reference, where a word's parent word comes before it: a last
-    letter L replaces the right parent by the parent vertex's mediant, an
-    R the left one.  This is what lets the property suites below read the
-    walk instead of the reference.
+    The reference enumerate_tree applies the gcd-reduced mediant of the
+    definition, while the walk takes Vieta steps; both come in word order.
+    Integers are compared, so the walk must also yield lowest terms.  The
+    Farey parents are carried down the reference, where a word's parent
+    word comes before it: a last letter L replaces the right parent by the
+    parent vertex's mediant, an R the left one.  This is what lets the
+    other suites read the walk instead of the reference.
     """
     def outcomes():
         pairs = []  # pairs[n]: Farey parents of the latest reference word of length n
-        for ref, walked in zip_longest(reference, tree_walk(depth)):
+        for ref, walked in zip_longest(enumerate_tree(depth), tree_walk(depth)):
             if ref is None or walked is None:
                 yield False
                 continue
@@ -501,35 +490,22 @@ def check_slopes(depth: int) -> CheckResult:
     return _tally("slope_membership", outcomes(), detail=f"depth {capped}")
 
 
-def _timed(check: Callable[..., CheckResult], *args: object) -> list[CheckResult]:
-    """[check(*args)] with its wall seconds in the result."""
+def _timed(check: Callable[..., CheckResult], *args: object) -> CheckResult:
+    """check(*args) with its wall seconds in the result."""
     start = perf_counter()
     result = check(*args)
-    return [replace(result, seconds=perf_counter() - start)]
+    return replace(result, seconds=perf_counter() - start)
 
 
-def _tree_suites(depth: int) -> list[CheckResult]:
-    """tree_relations and tree_walk on one reference, timed with tree_relations.
-
-    The reference is the largest structure of the run; it is freed when
-    the two suites are done.
-    """
-    start = perf_counter()
-    reference = _reference_tree(depth)
-    relations = check_tree_relations(reference)
-    return [replace(relations, seconds=perf_counter() - start),
-            *_timed(check_tree_walk, depth, reference)]
-
-
-#: A task runs one suite, or the two that share the reference, and returns
-#: their timed results in report order.
-Task = Callable[[], list[CheckResult]]
+#: A task runs one suite and returns its timed result.
+Task = Callable[[], CheckResult]
 
 
 def _tasks(depth: int) -> list[Task]:
     """Every task of run_all(depth), in report order."""
     return [
-        partial(_tree_suites, depth),
+        partial(_timed, check_tree_relations, depth),
+        partial(_timed, check_tree_walk, depth),
         partial(_timed, check_tree_fractions, depth),
         partial(_timed, check_markov_triples, depth),
         partial(_timed, check_midpoint_identity, depth),
@@ -557,7 +533,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pull(queue: int, tasks: list[Task]) -> list[tuple[int, list[CheckResult]]]:
+def _pull(queue: int, tasks: list[Task]) -> list[tuple[int, CheckResult]]:
     """Run tasks by the indices read from the pipe queue, one byte each, until it is empty.
 
     A one-byte read takes a byte no other reader of the pipe gets, so the
@@ -572,7 +548,7 @@ def _pull(queue: int, tasks: list[Task]) -> list[tuple[int, list[CheckResult]]]:
 def _serve(depth: int) -> None:
     """A worker: pull the tasks of run_all(depth) from stdin, write the outcome to stdout.
 
-    The outcome is the pickled list of (index, results) pairs, or the
+    The outcome is the pickled list of (index, result) pairs, or the
     exception a task raised, which run_all raises again.
     """
     import pickle
@@ -601,8 +577,8 @@ def _start_worker(depth: int, queue: int) -> subprocess.Popen[bytes]:
     return subprocess.Popen(command, stdin=queue, stdout=subprocess.PIPE)
 
 
-def _worker_outcome(worker: subprocess.Popen[bytes]) -> list[tuple[int, list[CheckResult]]]:
-    """The (index, results) pairs of a worker once it has exited; its failure raises."""
+def _worker_outcome(worker: subprocess.Popen[bytes]) -> list[tuple[int, CheckResult]]:
+    """The (index, result) pairs of a worker once it has exited; its failure raises."""
     import pickle
 
     out, _ = worker.communicate()
@@ -625,8 +601,7 @@ def run_all(depth: int) -> list[CheckResult]:
     run_all returns or raises, and a task's exception, in whichever
     process, is raised here.  The depth is checked before any worker
     starts.  The results come in report order, each with its suite's
-    wall seconds in the process that ran it; the shared reference is
-    timed with tree_relations, the first suite that reads it.
+    wall seconds in the process that ran it.
     """
     _check_scan_depth(depth)
     tasks = _tasks(depth)
@@ -646,4 +621,4 @@ def run_all(depth: int) -> list[CheckResult]:
             for worker in workers:
                 worker.kill()
             raise
-    return [result for index in range(len(tasks)) for result in done[index]]
+    return [done[index] for index in range(len(tasks))]

@@ -119,6 +119,38 @@ def test_enumerate_plain_defaults_to_table(capsys):
     assert plain_out == csv_out
 
 
+_ENUMERATE_DEPTH3 = """\
+depth,word,left,value,right
+0,,0/1,2/5,1/2
+1,L,0/1,5/13,2/5
+1,R,2/5,12/29,1/2
+2,LL,0/1,13/34,5/13
+2,LR,5/13,75/194,2/5
+2,RL,2/5,179/433,12/29
+2,RR,12/29,70/169,1/2
+3,LLL,0/1,34/89,13/34
+3,LLR,13/34,507/1325,5/13
+3,LRL,5/13,2923/7561,75/194
+3,LRR,75/194,1120/2897,2/5
+3,RLL,2/5,2673/6466,179/433
+3,RLR,179/433,15571/37666,12/29
+3,RRL,12/29,6089/14701,70/169
+3,RRR,70/169,408/985,1/2
+"""
+
+
+def test_enumerate_depth3_output_is_byte_identical(capsys):
+    # The library walks the tree in word order; the command prints it
+    # breadth-first, level by level.
+    for fmt in ("plain", "csv"):
+        assert run_cli(capsys, "enumerate", "--depth", "3", "--format", fmt) == (
+            0, _ENUMERATE_DEPTH3, "")
+    code, out, err = run_cli(capsys, "enumerate", "--depth", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "af6f6aff49e4e07d4c7387deb1b3f4b4ecddc54078218722db5aac69ac2ad9b7")
+
+
 # -- scalar commands -----------------------------------------------------------
 
 

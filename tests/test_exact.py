@@ -19,7 +19,6 @@ from markovfrac import (
     QuadraticSurd,
     farey_mediant,
     from_continued_fraction,
-    reduce,
     surd_compare,
     surd_enclose,
     to_continued_fraction,
@@ -47,37 +46,6 @@ def _sympy_sign(expr) -> int:
     if s == 0:
         return 0
     return 1 if s > 0 else -1
-
-
-# -- reduce ---------------------------------------------------------------
-
-
-def test_reduce_cancels_gcd():
-    assert reduce(10, 26) == F(5, 13)
-
-
-def test_reduce_normalizes_zero():
-    r = reduce(0, 7)
-    assert r == 0 and r.denominator == 1
-
-
-def test_reduce_normalizes_signs():
-    assert reduce(-4, -6) == F(2, 3)
-    assert reduce(4, -6) == F(-2, 3)
-
-
-def test_reduce_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        reduce(3, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
-def test_reduce_always_canonical(num, den):
-    r = reduce(num, den)
-    import math
-
-    assert r.denominator >= 1
-    assert math.gcd(abs(r.numerator), r.denominator) == 1
 
 
 # -- farey mediant --------------------------------------------------------

@@ -161,9 +161,9 @@ def test_enumerate_rejects_bad_depth():
         list(enumerate_tree(20))  # beyond the vertex budget
 
 
-def test_enumerate_is_breadth_first_left_to_right():
+def test_enumerate_is_depth_first_in_word_order():
     order = [word for word, _ in enumerate_tree(2)]
-    assert order == ["", "L", "R", "LL", "LR", "RL", "RR"]
+    assert order == ["", "L", "LL", "LR", "R", "RL", "RR"]
 
 
 def test_tree_invariants_to_depth6():
@@ -185,7 +185,7 @@ def _as_integers(*fractions):
 
 
 def test_tree_walk_matches_enumerate_tree_to_depth10():
-    reference = sorted(enumerate_tree(10), key=lambda item: item[0])
+    reference = list(enumerate_tree(10))
     walked = list(tree_walk(10))
     assert len(walked) == len(reference) == (1 << 11) - 1
     for (word, t), (vertex, farey, level) in zip(reference, walked):
@@ -201,7 +201,7 @@ def test_tree_walk_on_seeds_matches_enumerate_tree(seeds):
     # The [0, 1] walk is what verify's midpoint_identity reads; integer
     # translates span trees too, and the Farey pairs follow the words alone.
     for depth in range(9):
-        reference = sorted(enumerate_tree(depth, seeds), key=lambda item: item[0])
+        reference = list(enumerate_tree(depth, seeds))
         walked = list(tree_walk(depth, seeds=seeds))
         assert len(walked) == len(reference) == (1 << (depth + 1)) - 1
         for (word, t), (vertex, farey, level) in zip(reference, walked):
@@ -237,9 +237,8 @@ def test_tree_walk_rejects_bad_depth():
 def test_tree_walk_prunes_by_denominator():
     def vertices(depth, bound):
         return [v for v, _, _ in tree_walk(depth, bound)]
-    reference = sorted(enumerate_tree(6), key=lambda item: item[0])
     assert vertices(6, 1000) == [_as_integers(t.f1, t.f2, t.f3)
-                                 for _, t in reference if t.f3.denominator <= 1000]
+                                 for _, t in enumerate_tree(6) if t.f3.denominator <= 1000]
     # Every denominator at level 7 or deeper exceeds 1000, so depth None agrees.
     assert vertices(None, 1000) == vertices(6, 1000)
     assert vertices(None, 4) == []
@@ -696,6 +695,21 @@ def test_constructor_rejects_a_value_off_the_tree():
         MarkovFraction(F(3, 5), 1, "R")
     with pytest.raises(ValueError, match="depth must be nonnegative"):
         MarkovFraction(F(2, 5), -1, "")
+
+
+@pytest.mark.parametrize("value, depth, word, message", [
+    # 2/5 is the root: word "" and depth 0.
+    (F(2, 5), 3, "L", "^depth 3 does not match the turn word 'L'$"),
+    (F(2, 5), 0, "RRR", "^depth 0 does not match the turn word 'RRR'$"),
+    (F(0), 1, None, "^depth 1 does not match the turn word None$"),
+    (F(5, 13), 0, None, "^5/13 is not a seed, so it needs its turn word$"),
+    (F(2, 5), 1, "L", "^the tree vertex at 'L' is not 2/5$"),
+    (F(5, 13), 1, "R", "^the tree vertex at 'R' is not 5/13$"),
+    (F(5, 13), 1, "X", "^turn word may only contain 'L' and 'R': 'X'$"),
+])
+def test_constructor_rejects_a_wrong_address(value, depth, word, message):
+    with pytest.raises(ValueError, match=message):
+        MarkovFraction(value, depth, word)
 
 
 # -- named branches -----------------------------------------------------------

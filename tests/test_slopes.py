@@ -22,6 +22,7 @@ from markovfrac import (
     REDUCED_SEEDS,
     UNIT_SEEDS,
     DyadicRational,
+    MarkovFraction,
     bundle_invariants,
     descend_value,
     enumerate_tree,
@@ -376,13 +377,16 @@ def test_membership_accepts_seeds():
         decision = is_exceptional_slope(seed)
         assert decision.accepted
         assert decision.witness is None
+        assert decision.markov_fraction() == MarkovFraction(decision.reduced, 0, None)
 
 
 def test_membership_matches_enumeration_to_depth8():
+    # markov_fraction skips the constructor's checks; it must build what they accept.
     for word, t in enumerate_tree(8):
         decision = is_exceptional_slope(t.f3)
         assert decision.accepted
         assert decision.witness == word
+        assert decision.markov_fraction() == MarkovFraction(t.f3, len(word), word)
 
 
 def test_membership_rejection_is_justified():

@@ -15,6 +15,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -150,8 +151,8 @@ def test_run_all_calls_enumerate_tree_three_times(monkeypatch, in_process):
     monkeypatch.setattr(verify, "enumerate_tree", counting)
     results = verify.run_all(1)
     assert all(r.passed for r in results)
-    # The shared reference, interval_geometry, interval_freeness; midpoint_identity
-    # reads the integer walk of the [0, 1] tree.
+    # tree_walk, interval_geometry, interval_freeness; tree_relations and
+    # midpoint_identity read integer walks.
     assert calls == [(1,), (1,), (5,)]
 
 
@@ -209,10 +210,10 @@ def _serve(monkeypatch, depth, indices):
 
 def test_worker_sends_the_results_of_the_tasks_it_pulls(monkeypatch):
     tasks = verify._tasks(2)
-    outcome = _serve(monkeypatch, 2, [0, 4])
-    assert outcome == [(0, tasks[0]()), (4, tasks[4]())]
-    assert [r.name for _, results in outcome for r in results] == [
-        "tree_relations", "tree_walk", "slope_image"]
+    assert len(tasks) == 19
+    outcome = _serve(monkeypatch, 2, [1, 5])
+    assert outcome == [(1, tasks[1]()), (5, tasks[5]())]
+    assert [result.name for _, result in outcome] == ["tree_walk", "slope_image"]
 
 
 def test_worker_sends_a_task_exception(monkeypatch):
@@ -254,7 +255,7 @@ def test_a_failure_in_this_process_kills_the_workers(monkeypatch):
             started.append(self)
 
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "_tasks", lambda depth: [fails] * 18)
+    monkeypatch.setattr(verify, "_tasks", lambda depth: [fails] * 19)
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     with pytest.raises(ValueError, match="suite failed"):
         verify.run_all(12)
@@ -292,7 +293,8 @@ def test_property_suites_count_a_wrong_vertex(monkeypatch):
     # with approximation constant 1/101.
     _corrupt_root(monkeypatch, lambda item: (item[0][:4] + (1, 101), item[1], item[2]))
     for result, failures in [
-        (verify.check_tree_walk(2, verify._reference_tree(2)), 1),
+        (verify.check_tree_relations(2), 1),
+        (verify.check_tree_walk(2), 1),
         (verify.check_tree_fractions(2), 1),
         (verify.check_markov_triples(2), 1),
         (verify.check_approximation(), 1),
@@ -314,7 +316,7 @@ def test_tree_walk_counts_a_wrong_farey_pair(monkeypatch, level):
             yield vertex, ((a1, b1, a2, b2 + 1) if lev == level else (a1, b1, a2, b2)), lev
 
     monkeypatch.setattr(verify, "tree_walk", walk)
-    result = verify.check_tree_walk(3, verify._reference_tree(3))
+    result = verify.check_tree_walk(3)
     assert (result.passed, result.checked, result.failures) == (False, 15, 2 ** level)
 
 
@@ -331,10 +333,23 @@ def _corrupt_tree_root(monkeypatch, corrupt):
 
 def test_reference_suites_count_a_wrong_vertex(monkeypatch):
     _corrupt_tree_root(monkeypatch, lambda t: FractionTriple(t.f1, t.f2, F(1, 100)))
-    reference = verify._reference_tree(2)
-    for result in (verify.check_tree_relations(reference),
-                   verify.check_tree_walk(2, reference)):
-        assert (result.passed, result.checked, result.failures) == (False, 7, 1), result.name
+    result = verify.check_tree_walk(2)
+    assert (result.passed, result.checked, result.failures) == (False, 7, 1)
+
+
+@pytest.mark.parametrize("check", [verify.check_tree_relations, verify.check_tree_walk],
+                         ids=["tree_relations", "tree_walk"])
+def test_tree_suites_hold_one_path_in_memory(check):
+    # Both suites stream the tree in word order.  A materialised reference of
+    # the 8191 vertices of depth 12 peaks at about 3.6 MB.
+    tracemalloc.start()
+    try:
+        result = check(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.passed, result.checked) == (True, 8191)
+    assert peak < 1 << 20
 
 
 def test_midpoint_identity_counts_a_wrong_vertex(monkeypatch):
