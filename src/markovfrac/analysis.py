@@ -22,7 +22,7 @@ from math import exp, floor, isqrt, log, log1p
 from typing import Iterable, Iterator, Sequence
 
 from .exact import QuadraticSurd, surd_enclose
-from .markov import MarkovFraction, mu, tree_walk
+from .markov import MarkovFraction, _rank_walk, mu, tree_walk
 
 __all__ = [
     "FreenessReport",
@@ -292,15 +292,16 @@ def _length_bounds(q: int, guard_bits: int) -> tuple[int, int, int]:
     equals R - 1 whenever 3q > 2**(guard_bits + 1): the radicand is
     R**2 - 4**(guard_bits + 1), which lies in [(R - 1)**2, R**2) because
     2R - 1 >= 4**(guard_bits + 1) there.  So isqrt runs only below that
-    threshold, for a few hundred vertices of a deep walk.  Above it, a
-    long q is first tried on its leading bits (see _leading_length_bounds).
+    threshold, for a few hundred vertices of a deep walk.  A q long
+    enough, far above it, is first tried on its leading bits (see
+    _leading_length_bounds).
     """
+    bounds = _leading_length_bounds(q, guard_bits)
+    if bounds is not None:
+        return bounds
     # Scaled denominators q * (R + root) and q * (R + root + 1), in units
     # of 2**-guard_bits; with root = R - 1 the upper one is 6q**2 * 2**guard_bits.
     if 3 * q > 2 << guard_bits:
-        bounds = _leading_length_bounds(q, guard_bits)
-        if bounds is not None:
-            return bounds
         m_hi = 6 * (q * q) << guard_bits
         m_lo = m_hi - q
     else:
@@ -313,9 +314,10 @@ def _length_bounds(q: int, guard_bits: int) -> tuple[int, int, int]:
 
 
 def _leading_length_bounds(q: int, guard_bits: int) -> tuple[int, int, int] | None:
-    """_length_bounds(q, guard_bits) for 3q > 2**(guard_bits + 1), from the top bits of q.
+    """_length_bounds(q, guard_bits) from the top bits of q, or None.
 
-    There the bounds are floor(N / m_hi) and ceil(N / m_lo), with
+    Only a q of more than 2g + 32 bits is shortened, so 3q > 2**(g + 1):
+    there the bounds are floor(N / m_hi) and ceil(N / m_lo), with
     m_hi = 6q**2 * 2**g, m_lo = m_hi - q and N = 2**(e + g + 2), where
     g = guard_bits and e = bits(6q**2) + 2g: quotients of about 2g bits.
     With a = q >> s, about 2g + 32 bits, and c = ((a + 1) >> (s + g)) + 1,
@@ -325,7 +327,9 @@ def _leading_length_bounds(q: int, guard_bits: int) -> tuple[int, int, int] | No
     two lies in (6a**2, 6(a + 1)**2), since it would put 2**(2g + 2)
     between the two quotients, so bits(6q**2) = bits(6a**2) + 2s gives e;
     then N / m_hi and N / m_lo both lie strictly between k and k + 1, so
-    the bounds are k and k + 1.  When
+    the bounds are k and k + 1.  As 6a**2 - c < 6(a + 1)**2, the second
+    quotient is at least k, and it is k exactly when n < (k + 1) * (6a**2 - c):
+    one product instead of a division.  When
     they differ (about one q in 2**28), or q has too few bits to shorten,
     this returns None and the caller takes the full products.
     """
@@ -337,7 +341,7 @@ def _leading_length_bounds(q: int, guard_bits: int) -> tuple[int, int, int] | No
     bits = lo6.bit_length()
     numerator = 1 << (bits + 2 * guard_bits + 2)
     k = numerator // (6 * (a + 1) * (a + 1))
-    if k != numerator // (lo6 - ((a + 1) >> (s + guard_bits)) - 1):
+    if numerator >= (k + 1) * (lo6 - ((a + 1) >> (s + guard_bits)) - 1):
         return None
     return k, k + 1, bits + 2 * s + 2 * guard_bits
 
@@ -350,10 +354,13 @@ def _guard_bits(precision: int) -> int:
     _leading_length_bounds), so the cost grows with the digits as well as
     with the depth.  The budget was set when every vertex took the full
     products: to depth 15 the sums took 0.7 s at 12 digits, 1.8 s at 100
-    and 26 s at 1,000, and at _MAX_PRECISION_DIGITS = 100 the digits
-    stayed a fraction of the cost at the vertex budget: to depth 19 the
-    sums took 159 s, against 112 s at 12 digits (Python 3.11, one core of
-    a shared 2-core x86-64 host).  The check runs before any walk.
+    and 26 s at 1,000, and to depth 19 159 s at 100 digits against 112 s
+    at 12.  On the leading bits and the walk of the Markov numbers
+    (markov._rank_walk) they take 0.36 s and 0.80 s to depth 15, and
+    31 s and 21 s to depth 19, so at _MAX_PRECISION_DIGITS = 100 the
+    digits stay a fraction of the cost at the vertex budget (Python 3.11,
+    one core of a shared 2-core x86-64 host).  The check runs before any
+    walk.
     """
     if precision < 1:
         raise ValueError("precision must be a positive digit count")
@@ -388,11 +395,15 @@ def saltus_samples(
     value converges to the transport mu(x) for every x in [0, 1]; at x = 1
     it is the length series converging to 1/2.
 
-    The points, ints or Fractions, must increase strictly.  One walk
-    serves them all: each jump's bounds go to the first point at or right
-    of it (half to that point and half to the next where the two
-    coincide), and the points take prefix sums.  Every bound is an exact dyadic sum, the enclosure
-    width is below 10**-precision, and no table of jumps is kept.
+    The points, ints or Fractions, must increase strictly.  One walk of
+    the Markov numbers (markov._rank_walk) serves them all: each jump's
+    bounds go to the first point at or right of it (half to that point
+    and half to the next where the two coincide), and the points take
+    prefix sums.  A jump past the last point adds nothing, so the walk
+    cuts every subtree whose left Farey parent is at or right of it: at
+    1/1000 to depth 19 it visits 20 vertices, not 2**20 - 1.  Every bound
+    is an exact dyadic sum, the enclosure width is below 10**-precision,
+    and no table of jumps is kept.
     """
     for x in xs:
         if not 0 <= x <= 1:
@@ -415,7 +426,16 @@ def saltus_samples(
     add(bisect_right(points, 0), lo, hi, e + 1)
     lo, hi, e = _length_bounds(2, guard)
     add(bisect_left(points, 1), lo, hi, e + 1)
-    for (_, _, _, _, _, q), (a1, b1, a2, b2), _ in tree_walk(depth):
+    # A subtree whose left Farey parent is at or right of the last point
+    # lies past it, and every jump there would fall past the last slot.
+    # With no point, -1/1 cuts the root.
+    x_num, x_den = (nums[-1], dens[-1]) if n else (-1, 1)
+
+    def past_last(item) -> bool:
+        _, (a1, b1, _, _), _ = item
+        return a1 * x_den >= x_num * b1
+
+    for (_, _, q), (a1, b1, a2, b2), _ in _rank_walk(depth, past_last):
         # Bisect for the first point at or right of the jump a/b on integer
         # cross products, so no vertex pays for a Fraction.
         a, b = a1 + a2, b1 + b2
@@ -451,17 +471,18 @@ def _prefix_enclosures(slots: list[list[int]]) -> list[tuple[Fraction, Fraction]
 def mcshane_partial_sums(depth: int, precision: int) -> list[tuple[Fraction, Fraction]]:
     """Enclosures of mcshane_partial_sum(level, precision) for levels 0..depth.
 
-    One walk serves every level: each vertex adds its length bounds to the
-    slot of its level, and the levels take prefix sums, so each entry
-    equals the single-depth enclosure exactly.
+    One walk of the Markov numbers (markov._rank_walk) serves every level:
+    each vertex adds its length bounds to the slot of its level, and the
+    levels take prefix sums, so each entry equals the single-depth
+    enclosure exactly.
     """
     guard = _guard_bits(precision)
-    walk = tree_walk(depth)
+    walk = _rank_walk(depth)
     slots = [[0, 0, 0] for _ in range(depth + 1)]
     for q in (1, 2):
         lo, hi, e = _length_bounds(q, guard)
         _dyadic_add(slots[0], lo, hi, e + 1)
-    for (_, _, _, _, _, q), _, level in walk:
+    for (_, _, q), _, level in walk:
         _dyadic_add(slots[level], *_length_bounds(q, guard))
     return _prefix_enclosures(slots)
 

@@ -356,6 +356,42 @@ def tree_walk(
     return walk()
 
 
+#: A rank-walk item ((q1, q2, q3), farey_pair, level): the denominators of a
+#: reduced-tree vertex and its neighbours, a Markov triple.
+_RankItem = tuple[tuple[int, int, int], FareyPair, int]
+
+
+def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None) -> Iterator[_RankItem]:
+    """tree_walk(depth) on the denominators alone: the Markov numbers, not the fractions.
+
+    Yields ((q1, q2, q3), farey_pair, level) for the vertices of the reduced
+    tree, in the order of tree_walk(depth), with q1, q2 and q3 its v[1],
+    v[3] and v[5].  A child keeps one neighbour and takes the Vieta flip
+    3*q_kept*q3 - q_dropped of the other, so no numerator is carried: one
+    product per child.  prune(item) returning True skips the item with its
+    subtree; every Farey vertex below the pair (a1, b1, a2, b2) lies
+    strictly between a1/b1 and a2/b2.
+    """
+    _check_scan_depth(depth)
+    root = (_REDUCED_ROOT[1::2], (0, 1, 1, 1), 0)
+
+    def walk() -> Iterator[_RankItem]:
+        stack = [root]
+        pop, push = stack.pop, stack.append
+        while stack:
+            item = pop()
+            if prune is not None and prune(item):
+                continue
+            yield item
+            (q1, q2, q3), (a1, b1, a2, b2), level = item
+            if level < depth:
+                a3, b3, level = a1 + a2, b1 + b2, level + 1
+                push(((q3, q2, 3 * q2 * q3 - q1), (a3, b3, a2, b2), level))
+                push(((q1, q3, 3 * q1 * q3 - q2), (a1, b1, a3, b3), level))
+
+    return walk()
+
+
 _RUN = re.compile(r"L+|R+")
 
 
@@ -1009,20 +1045,27 @@ def unicity_scan(depth: int) -> UnicityReport:
     Seeds are included.  A duplicate denominator would exhibit two Markov
     fractions sharing a Markov number, reported with its fractions in
     increasing order; none is known, and none occurs in any enumerable
-    range.  Fractions are built only for such a report.
+    range.  The scan reads the Markov numbers of _rank_walk, with no
+    numerator.  Only if one repeats does a second pass collect the Farey
+    positions x of the repeated ones, and each fraction is mu(x).
     """
-    numerators = {1: 0, 2: 1}
-    duplicates: dict[int, list[Fraction]] = {}
+    seen = {1, 2}
+    repeated = set()
     count = 2
-    for (_, _, _, _, p, q), _, _ in tree_walk(depth):
+    for (_, _, q), _, _ in _rank_walk(depth):
         count += 1
-        if q in numerators:
-            duplicates.setdefault(q, [Fraction(numerators[q], q)]).append(Fraction(p, q))
-        else:
-            numerators[q] = p
+        if q in seen:
+            repeated.add(q)
+        seen.add(q)
+    duplicates: dict[int, list[Fraction]] = {
+        q: [x] for q, x in ((1, Fraction(0)), (2, Fraction(1))) if q in repeated}
+    if repeated:
+        for (_, _, q), (a1, b1, a2, b2), _ in _rank_walk(depth):
+            if q in repeated:
+                duplicates.setdefault(q, []).append(Fraction(a1 + a2, b1 + b2))
     return UnicityReport(
-        depth, count, len(numerators),
-        tuple((q, tuple(sorted(vals))) for q, vals in sorted(duplicates.items())))
+        depth, count, len(seen),
+        tuple((q, tuple(sorted(mu(x).value for x in xs))) for q, xs in sorted(duplicates.items())))
 
 
 # -- generalized equations ---------------------------------------------------

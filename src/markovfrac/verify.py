@@ -13,13 +13,15 @@ of `set_equivalence` and the duplicates of `unicity_scan`.
 `enumerate_tree(depth)` vertex by vertex, both streamed in word order,
 so its memory is bounded by the depth.  The other tree suites read the
 integer walk: `tree_relations` checks its neighbour relations, which
-with `tree_walk` proves them on the tree as defined, and
-`midpoint_identity` reads the integer walk of the [0, 1] tree, which the
-tests check against its reference.  Only `interval_geometry` and
-`interval_freeness` read the reference too, for the turn words.  Checks
-cap their own range where a larger depth would change the cost class
-(the caps are noted per check); the depth argument bounds everything
-else, and the fixed ranges are module constants.
+with `tree_walk` proves them on the tree as defined, `markov_triples`
+checks against it the denominator-only walk `_rank_walk` behind
+`unicity` and the jump sums, and `midpoint_identity` reads the integer
+walk of the [0, 1] tree, which the tests check against its reference.
+Only `interval_geometry` and `interval_freeness` read the reference too,
+for the turn words.  Checks cap their own range where a larger depth
+would change the cost class (the caps are noted per check); the depth
+argument bounds everything else, and the fixed ranges are module
+constants.
 
 The two suites on the slope side take one midpoint step per vertex:
 `midpoint_identity` decides the identity on the integers of the walk,
@@ -71,6 +73,7 @@ from .markov import (
     MarkovTriple,
     UNIT_SEEDS,
     _check_scan_depth,
+    _rank_walk,
     _relations,
     congruence_brute,
     descend_value,
@@ -186,11 +189,25 @@ def check_tree_fractions(depth: int) -> CheckResult:
 
 
 def check_markov_triples(depth: int) -> CheckResult:
-    """Denominator triples solve the Markov equation and are pairwise coprime."""
-    return _tally("markov_triples", (
-        a * a + b * b + c * c == 3 * a * b * c
-        and gcd(a, b) == gcd(b, c) == gcd(a, c) == 1
-        for (_, a, _, b, _, c), _, _ in tree_walk(depth)))
+    """The rank walk is the walk's denominators, which are Markov triples.
+
+    Zips _rank_walk with tree_walk: per vertex the denominator triples,
+    Farey pairs and levels agree, and the triple solves the Markov
+    equation and is pairwise coprime.  A walk that runs short or long
+    fails once.
+    """
+    def outcomes():
+        for ranked, walked in zip_longest(_rank_walk(depth), tree_walk(depth)):
+            if ranked is None or walked is None:
+                yield False
+                continue
+            (a, b, c), _, _ = ranked
+            vertex, farey, level = walked
+            yield (ranked == (vertex[1::2], farey, level)
+                   and a * a + b * b + c * c == 3 * a * b * c
+                   and gcd(a, b) == gcd(b, c) == gcd(a, c) == 1)
+
+    return _tally("markov_triples", outcomes())
 
 
 def check_midpoint_identity(depth: int) -> CheckResult:

@@ -671,15 +671,63 @@ _GOLDEN_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("args, code, plain, json_sha256, err", _GOLDEN_QUERIES,
-                         ids=[" ".join(q[0]) for q in _GOLDEN_QUERIES])
-def test_point_query_output_is_byte_identical(capsys, args, code, plain, json_sha256, err):
+# The scans and jump sums that read the tree walk, pinned the same way.
+_GOLDEN_SERIES = [
+    (("mcshane", "--depth", "14", "--precision", "12"), 0,
+     "enclosure: 499999999999/1000000000000 1/2\nlower_approx: 0.499999999999\n"
+     "upper_approx: 0.500000000000\ngap_below_half: 0/1 1/1000000000000\n",
+     "b3641cab84953d0e0323f236038c04400d20209905ebd45632b3e9a3a392737c",
+     ""),
+    (("saltus", "35/229", "--depth", "12", "--precision", "12"), 0,
+     "enclosure: 381968108931/1000000000000 95492027233/250000000000\n"
+     "lower_approx: 0.381968108931\nupper_approx: 0.381968108932\n",
+     "56f2b07e9b8618ca4c119f88543177f01bc903becf7a66df4ae3961650b595f3",
+     ""),
+    (("saltus", "79/229", "--depth", "12", "--precision", "12"), 0,
+     "enclosure: 4832363371/12500000000 386589069681/1000000000000\n"
+     "lower_approx: 0.386589069680\nupper_approx: 0.386589069681\n",
+     "dca39cde1162dd23bf4ed0f07c11fa879c2ed667da48b05e7803c6556262a238",
+     ""),
+    (("saltus", "132/229", "--depth", "12", "--precision", "12"), 0,
+     "enclosure: 82678628257/200000000000 206696570643/500000000000\n"
+     "lower_approx: 0.413393141285\nupper_approx: 0.413393141286\n",
+     "39ce1d8bcd4184b2aed6683a76eaab8e5ce385f17a6926e86080a2471effe8f7",
+     ""),
+    (("saltus", "188/229", "--depth", "12", "--precision", "12"), 0,
+     "enclosure: 103553385383/250000000000 414213541533/1000000000000\n"
+     "lower_approx: 0.414213541532\nupper_approx: 0.414213541533\n",
+     "cd3d328f37efb37e226fea4805de0154ea7742d0ce31cbd5577681d4355999fa",
+     ""),
+    (("unicity", "--depth", "14"), 0,
+     "vertices: 32769\ndistinct_denominators: 32769\nall_unique: yes\n",
+     "f9ca5ca8d540d1411bb4d5f18ac2ce3391445a2b5a95104b3c6d0fe224d5cdbc",
+     ""),
+    (("plot-mu", "--grid", "230", "--depth", "12"), 0,
+     "f18c8975dd1997eb0180b249cd91fab185010fab046ee3c06b0ecf100b3a0ba2",
+     "5ae42cbc6a34c32c0f4f2978ad9de0c5c14fe4c38c4005eff3c36a941256d80d",
+     ""),
+]
+
+
+def _assert_byte_identical(capsys, args, code, plain, json_sha256, err):
     got_code, out, got_err = run_cli(capsys, *args)
     assert (got_code, got_err) == (code, err)
     assert (out if len(out) <= 160 else hashlib.sha256(out.encode()).hexdigest()) == plain
     got_code, out, got_err = run_cli(capsys, *args, "--format", "json")
     assert (got_code, got_err) == (code, err)
     assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+
+
+@pytest.mark.parametrize("args, code, plain, json_sha256, err", _GOLDEN_QUERIES,
+                         ids=[" ".join(q[0]) for q in _GOLDEN_QUERIES])
+def test_point_query_output_is_byte_identical(capsys, args, code, plain, json_sha256, err):
+    _assert_byte_identical(capsys, args, code, plain, json_sha256, err)
+
+
+@pytest.mark.parametrize("args, code, plain, json_sha256, err", _GOLDEN_SERIES,
+                         ids=[" ".join(q[0]) for q in _GOLDEN_SERIES])
+def test_series_output_is_byte_identical(capsys, args, code, plain, json_sha256, err):
+    _assert_byte_identical(capsys, args, code, plain, json_sha256, err)
 
 
 def test_threads_flag_is_a_usage_error(capsys):

@@ -49,6 +49,7 @@ from markovfrac.markov import (
     _branch_bits,
     _is_probable_prime,
     _lucas_pair,
+    _rank_walk,
     _root,
     _run_step,
     _vieta_child,
@@ -271,6 +272,48 @@ def test_tree_walk_prune_runs_after_the_denominator_cut():
     seen = []
     list(tree_walk(None, 1000, prune=lambda v: seen.append(v[5]) or False))
     assert seen and max(seen) <= 1000
+
+
+def test_rank_walk_is_the_denominators_of_tree_walk_to_depth10():
+    for depth in (0, 1, 4, 10):
+        ranked = list(_rank_walk(depth))
+        walked = list(tree_walk(depth))
+        assert len(ranked) == len(walked) == (1 << (depth + 1)) - 1
+        for (triple, farey, level), (vertex, walked_farey, walked_level) in zip(ranked, walked):
+            assert (triple, farey, level) == (vertex[1::2], walked_farey, walked_level)
+
+
+def _farey_at_or_right_of(x):
+    """Subtree-closed cut: the left Farey parent a1/b1 is at or right of x."""
+    def cut(item):
+        a1, b1 = item[1][:2]
+        return F(a1, b1) >= x
+    return cut
+
+
+@pytest.mark.parametrize("prune", [
+    _farey_at_or_right_of(F(1, 1000)),
+    _farey_at_or_right_of(F(1, 3)),
+    _farey_at_or_right_of(F(5, 7)),
+    lambda item: item[0][2] > 2000,
+    lambda item: item[2] > 3,
+    lambda item: True,
+    lambda item: False,
+])
+def test_rank_walk_prune_cuts_subtrees(prune):
+    for depth in (0, 5, 9):
+        assert list(_rank_walk(depth, prune)) == [
+            item for item in _rank_walk(depth) if not prune(item)]
+
+
+def test_rank_walk_refuses_a_depth_before_any_vertex():
+    def visit(item):
+        raise AssertionError("visited a vertex past the budget")
+
+    for bad, message in ((-1, "depth must be nonnegative"),
+                         (20, "depth 20 exceeds the 1048576 vertex budget")):
+        with pytest.raises(ValueError, match=message):
+            _rank_walk(bad, visit)
 
 
 def _mediant_descents(word, seeds):
@@ -1047,13 +1090,21 @@ def test_unicity_scan_rejects_budget_overflow():
 
 
 def test_unicity_scan_reports_duplicates(monkeypatch):
-    # No real walk repeats a denominator, so a fake walk exercises the report.
+    # No real walk repeats a denominator, so a fake rank walk exercises the
+    # report, and a fake mu names the fraction at each Farey position.
+    values = {F(0): F(0), F(1): F(1, 2), F(1, 3): F(3, 5), F(1, 4): F(2, 5),
+              F(2, 5): F(5, 13), F(3, 5): F(3, 2), F(2, 3): F(4, 5)}
+
     def fake_walk(depth):
         assert depth == 3
-        farey = (0, 1, 1, 1)
-        for p, q in ((3, 5), (2, 5), (5, 13), (3, 2), (4, 5)):
-            yield (0, 1, 1, 2, p, q), farey, 0
-    monkeypatch.setattr(markov, "tree_walk", fake_walk)
+        for a, b, q in ((1, 3, 5), (1, 4, 5), (2, 5, 13), (3, 5, 2), (2, 3, 5)):
+            yield (1, 2, q), (a - 1, b - 1, 1, 1), 0
+
+    def fake_mu(x):
+        return MarkovFraction._of_vertex(values[x], None)
+
+    monkeypatch.setattr(markov, "_rank_walk", fake_walk)
+    monkeypatch.setattr(markov, "mu", fake_mu)
     report = unicity_scan(3)
     assert report.vertex_count == 7
     assert report.distinct_denominators == 4

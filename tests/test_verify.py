@@ -8,6 +8,7 @@ suite counts.
 """
 
 import inspect
+import itertools
 import io
 import json
 import os
@@ -276,15 +277,15 @@ def test_transported_slopes_match_the_midpoint_oracle():
 # -- negative controls -----------------------------------------------------------
 
 
-def _corrupt_root(monkeypatch, corrupt):
-    """Rewire verify's tree_walk so that corrupt(item) replaces the root's item."""
-    real = verify.tree_walk
+def _corrupt_root(monkeypatch, corrupt, walk_name="tree_walk"):
+    """Rewire one of verify's walks so that corrupt(item) replaces the root's item."""
+    real = getattr(verify, walk_name)
 
     def walk(*args, **kwargs):
         for item in real(*args, **kwargs):
             yield corrupt(item) if item[2] == 0 else item
 
-    monkeypatch.setattr(verify, "tree_walk", walk)
+    monkeypatch.setattr(verify, walk_name, walk)
 
 
 def test_property_suites_count_a_wrong_vertex(monkeypatch):
@@ -318,6 +319,24 @@ def test_tree_walk_counts_a_wrong_farey_pair(monkeypatch, level):
     monkeypatch.setattr(verify, "tree_walk", walk)
     result = verify.check_tree_walk(3)
     assert (result.passed, result.checked, result.failures) == (False, 15, 2 ** level)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda item: ((1, 2, 6), item[1], item[2]),
+    lambda item: (item[0], (0, 1, 1, 2), item[2]),
+    lambda item: (item[0], item[1], 1),
+], ids=["triple", "farey_pair", "level"])
+def test_markov_triples_counts_a_rank_walk_off_the_walk(monkeypatch, corrupt):
+    _corrupt_root(monkeypatch, corrupt, "_rank_walk")
+    result = verify.check_markov_triples(3)
+    assert (result.passed, result.checked, result.failures) == (False, 15, 1)
+
+
+def test_markov_triples_counts_a_short_rank_walk(monkeypatch):
+    real = verify._rank_walk
+    monkeypatch.setattr(verify, "_rank_walk", lambda depth: itertools.islice(real(depth), 14))
+    result = verify.check_markov_triples(3)
+    assert (result.passed, result.checked, result.failures) == (False, 15, 1)
 
 
 def _corrupt_tree_root(monkeypatch, corrupt):
@@ -589,8 +608,11 @@ def test_generalized_equations_counts_a_wrong_closure(monkeypatch, corrupt, chec
 
 
 def test_verify_reports_a_failing_suite(capsys, monkeypatch, in_process):
-    # A wrong level is read by the tree_walk suite alone.
+    # A wrong level is read by the tree_walk suite and by markov_triples,
+    # which zips the walk with the rank walk; the rank walk is rewired to
+    # the same level, so tree_walk alone fails.
     _corrupt_root(monkeypatch, lambda item: (item[0], item[1], 1))
+    _corrupt_root(monkeypatch, lambda item: (item[0], item[1], 1), "_rank_walk")
     code, out, _ = run_cli(capsys, "verify", "--depth", "2")
     assert code == 1
     lines = out.splitlines()
