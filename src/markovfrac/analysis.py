@@ -132,14 +132,22 @@ def markov_interval(f: MarkovFraction) -> MarkovInterval:
     )
 
 
+def _check_freeness_bound(denominator_bound: int) -> None:
+    """Refuse a denominator bound B below 1 or past the _MAX_FREENESS_BITS budget."""
+    if denominator_bound < 1:
+        raise ValueError("denominator bound must be positive")
+    if denominator_bound.bit_length() > _MAX_FREENESS_BITS:
+        raise ValueError(f"the freeness bound exceeds the {_MAX_FREENESS_BITS}-bit budget")
+
+
 def reduced_fractions_up_to(denominator_bound: int) -> list[Fraction]:
     """All Markov fractions in [0, 1/2] with denominator <= bound, seeds included.
 
     The tree is pruned at the bound: denominators grow strictly along
     every branch, so a subtree below an oversized vertex never recovers.
+    B is held to the budget of fractions_strictly_inside before the walk.
     """
-    if denominator_bound < 1:
-        raise ValueError("denominator bound must be positive")
+    _check_freeness_bound(denominator_bound)
     found = [f for f in (Fraction(0), Fraction(1, 2)) if f.denominator <= denominator_bound]
     found += [Fraction(p, q) for (_, _, _, _, p, q), _, _ in tree_walk(None, denominator_bound)]
     return sorted(found)
@@ -183,10 +191,7 @@ def fractions_strictly_inside(
     3.11, one core of a shared 2-core x86-64 host; 0.8 s and 38,583
     fractions at 10**200).
     """
-    if denominator_bound < 1:
-        raise ValueError("denominator bound must be positive")
-    if denominator_bound.bit_length() > _MAX_FREENESS_BITS:
-        raise ValueError(f"the freeness bound exceeds the {_MAX_FREENESS_BITS}-bit budget")
+    _check_freeness_bound(denominator_bound)
     precision = 2 * (denominator_bound.bit_length() * 3 // 10 + 1) + 4
     lo_out, lo_in = surd_enclose(lo, precision)
     hi_in, hi_out = surd_enclose(hi, precision)

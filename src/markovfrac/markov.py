@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, cycle
 from math import floor, gcd, isqrt, log2, sqrt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .exact import _check_value_bits, _coprime_fraction
 from .farey import TurnWord, _spell, _turn_runs, check_word
@@ -250,6 +250,7 @@ def enumerate_tree(
 Vertex = tuple[int, int, int, int, int, int]
 #: Farey parents (a1, b1, a2, b2) of the Farey-tree vertex (a1 + a2)/(b1 + b2).
 FareyPair = tuple[int, int, int, int]
+_Node = TypeVar("_Node")  # a Vertex, or the Markov triple of _rank_walk
 
 
 def _root(seeds: tuple[Fraction, Fraction]) -> Vertex:
@@ -300,6 +301,30 @@ def _root_of(seeds: tuple[Fraction, Fraction]) -> Vertex:
     return _root(seeds)
 
 
+def _walk(root: _Node, children: Callable[[_Node], tuple[_Node, _Node]], depth: int | None,
+          cut: Callable[[tuple[_Node, FareyPair, int]], bool] | None,
+          ) -> Iterator[tuple[_Node, FareyPair, int]]:
+    """The loop of the integer walks: (node, farey_pair, level) depth-first from root.
+
+    children(node) gives its (L, R) children, walked L first; farey_pair is
+    the Farey parents at the same word.  cut(item) skips the item with its
+    subtree, and depth None walks until it ends every branch.
+    """
+    stack = [(root, (0, 1, 1, 1), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        if cut is not None and cut(item):
+            continue
+        yield item
+        node, (a1, b1, a2, b2), level = item
+        if depth is None or level < depth:
+            left, right = children(node)
+            a3, b3, level = a1 + a2, b1 + b2, level + 1
+            push((right, (a3, b3, a2, b2), level))
+            push((left, (a1, b1, a3, b3), level))
+
+
 def tree_walk(
     depth: int | None,
     max_denominator: int | None = None,
@@ -333,32 +358,22 @@ def tree_walk(
             raise ValueError("a walk without a depth needs max_denominator")
     else:
         _check_scan_depth(depth)
-    root = _root_of(seeds)
 
-    def over(v: Vertex) -> bool:
-        return v[5] > max_denominator or (prune is not None and prune(v))
+    def cut(item: tuple[Vertex, FareyPair, int]) -> bool:
+        return ((max_denominator is not None and item[0][5] > max_denominator)
+                or (prune is not None and prune(item[0])))
 
-    cut = prune if max_denominator is None else over
-
-    def walk() -> Iterator[tuple[Vertex, FareyPair, int]]:
-        stack = [(root, (0, 1, 1, 1), 0)]
-        while stack:
-            item = stack.pop()
-            v, (a1, b1, a2, b2), level = item
-            if cut is not None and cut(v):
-                continue
-            yield item
-            if depth is None or level < depth:
-                a3, b3 = a1 + a2, b1 + b2
-                stack.append((_vieta_child(v, "R"), (a3, b3, a2, b2), level + 1))
-                stack.append((_vieta_child(v, "L"), (a1, b1, a3, b3), level + 1))
-
-    return walk()
+    return _walk(_root_of(seeds), lambda v: (_vieta_child(v, "L"), _vieta_child(v, "R")),
+                 depth, None if max_denominator is None and prune is None else cut)
 
 
-#: A rank-walk item ((q1, q2, q3), farey_pair, level): the denominators of a
-#: reduced-tree vertex and its neighbours, a Markov triple.
+#: A rank-walk item ((q1, q2, q3), farey_pair, level): a vertex's denominator triple.
 _RankItem = tuple[tuple[int, int, int], FareyPair, int]
+
+
+def _flips(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    q1, q2, q3 = t
+    return (q1, q3, 3 * q1 * q3 - q2), (q3, q2, 3 * q2 * q3 - q1)
 
 
 def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None) -> Iterator[_RankItem]:
@@ -373,23 +388,7 @@ def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None) -> 
     strictly between a1/b1 and a2/b2.
     """
     _check_scan_depth(depth)
-    root = (_REDUCED_ROOT[1::2], (0, 1, 1, 1), 0)
-
-    def walk() -> Iterator[_RankItem]:
-        stack = [root]
-        pop, push = stack.pop, stack.append
-        while stack:
-            item = pop()
-            if prune is not None and prune(item):
-                continue
-            yield item
-            (q1, q2, q3), (a1, b1, a2, b2), level = item
-            if level < depth:
-                a3, b3, level = a1 + a2, b1 + b2, level + 1
-                push(((q3, q2, 3 * q2 * q3 - q1), (a3, b3, a2, b2), level))
-                push(((q1, q3, 3 * q1 * q3 - q2), (a1, b1, a3, b3), level))
-
-    return walk()
+    return _walk(_REDUCED_ROOT[1::2], _flips, depth, prune)
 
 
 _RUN = re.compile(r"L+|R+")

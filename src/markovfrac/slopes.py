@@ -15,7 +15,8 @@ mediant tree, and a fraction is an exceptional slope precisely when its
 translate into [0, 1/2] appears in the reduced tree.  ``epsilon`` therefore
 descends that tree at the binary digits of its argument, one matrix power
 per run of equal digits; the recursion itself stays as its oracle,
-``_epsilon_by_midpoints``.
+``_epsilon_by_midpoints``.  ``set_equivalence`` checks the image level by
+level, one midpoint step per vertex of the streamed [0, 1] tree.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .markov import (
     MarkovFraction,
     UNIT_SEEDS,
     Vertex,
+    enumerate_tree,
     solve_congruence,
-    springborn_mediant,
     _REDUCED_ROOT,
     _UNIT_ROOT,
+    _check_scan_depth,
     _descend,
     _mediant_terms,
     _run_step,
@@ -53,8 +55,6 @@ __all__ = [
     "normalize_slope",
     "set_equivalence",
 ]
-
-_MAX_EQUIVALENCE_DEPTH = 12
 
 
 def _midpoint_terms(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
@@ -169,28 +169,23 @@ class EquivalenceReport:
 def set_equivalence(depth: int) -> EquivalenceReport:
     """Compare slope values of level-n dyadics with the [0, 1]-seeded tree.
 
-    Level n holds the 2**n + 1 dyadics m/2**n; the tree side interleaves
-    mediants the same way the dyadic side interleaves midpoints, so equal
-    levels mean the image of epsilon is exactly the tree, vertex by vertex.
+    Level n holds the 2**n + 1 dyadics m/2**n.  It adds the midpoints, and
+    the tree the mediants, of the neighbour pairs of level n - 1: those of
+    the tree vertices whose words have n - 1 letters.  So, by induction,
+    level n is equal iff level n - 1 is and the midpoint formula gives the
+    mediant on those pairs, and an unequal level makes every later one
+    unequal.  Equal levels mean the image of epsilon is exactly the tree.
+    One pass over enumerate_tree(depth - 1, UNIT_SEEDS) decides them all,
+    holding one path; the depth is held to the vertex budget of the scans.
     """
-    if not 0 <= depth <= _MAX_EQUIVALENCE_DEPTH:
-        raise ValueError(f"depth must lie in [0, {_MAX_EQUIVALENCE_DEPTH}]")
-    eps_level = [Fraction(0), Fraction(1)]
-    tree_level = list(UNIT_SEEDS)
-    sizes = [len(eps_level)]
-    equal = [eps_level == tree_level]
-    for _ in range(depth):
-        next_eps = []
-        next_tree = []
-        for i in range(len(eps_level) - 1):
-            next_eps += [eps_level[i], _midpoint_value(eps_level[i], eps_level[i + 1])]
-            next_tree += [tree_level[i], springborn_mediant(tree_level[i], tree_level[i + 1])]
-        next_eps.append(eps_level[-1])
-        next_tree.append(tree_level[-1])
-        eps_level, tree_level = next_eps, next_tree
-        sizes.append(len(eps_level))
-        equal.append(eps_level == tree_level)
-    return EquivalenceReport(depth, tuple(sizes), tuple(equal))
+    _check_scan_depth(depth)
+    first_unequal = depth + 1
+    for word, t in enumerate_tree(depth - 1, UNIT_SEEDS) if depth else ():
+        level = len(word) + 1
+        if level < first_unequal and _midpoint_value(t.f1, t.f2) != t.f3:
+            first_unequal = level
+    return EquivalenceReport(depth, tuple((1 << n) + 1 for n in range(depth + 1)),
+                             tuple(n < first_unequal for n in range(depth + 1)))
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,16 @@ with `tree_walk` proves them on the tree as defined, `markov_triples`
 checks against it the denominator-only walk `_rank_walk` behind
 `unicity` and the jump sums, and `midpoint_identity` reads the integer
 walk of the [0, 1] tree, which the tests check against its reference.
-Only `interval_geometry` and `interval_freeness` read the reference too,
-for the turn words.  Checks cap their own range where a larger depth
-would change the cost class (the caps are noted per check); the depth
-argument bounds everything else, and the fixed ranges are module
-constants.
+`slope_image` streams that reference in `set_equivalence`, and
+`interval_geometry` and `interval_freeness` the reduced one, for the
+turn words.  Checks cap their own range where a larger depth would
+change the cost class (the caps are noted per check); the depth argument
+bounds everything else, and the fixed ranges are module constants.
 
-The two suites on the slope side take one midpoint step per vertex:
-`midpoint_identity` decides the identity on the integers of the walk,
-and `slope_transport` keeps epsilon by dyadic, so each value is one
-step from its two neighbours.
+The slope-side suites take one midpoint step per vertex:
+`midpoint_identity` on the integers of the walk, `slope_image` against
+each reference vertex, and `slope_transport` by dyadic, so each value is
+one step from its two neighbours.
 
 The suites are independent, so `run_all` shares them out as tasks, one
 per suite.  The main process runs tasks itself, beside one spawned
@@ -89,7 +89,6 @@ from .markov import (
     vieta_mutate,
 )
 from .slopes import (
-    _MAX_EQUIVALENCE_DEPTH,
     _identity_holds,
     _midpoint_value,
     is_exceptional_slope,
@@ -223,11 +222,10 @@ def check_midpoint_identity(depth: int) -> CheckResult:
 
 def check_slope_image(depth: int) -> CheckResult:
     """Slope values of level-n dyadics equal the [0,1]-seeded tree, level by level."""
-    capped = min(depth, _MAX_EQUIVALENCE_DEPTH)
-    report = set_equivalence(capped)
+    report = set_equivalence(depth)
     failures = sum(1 for ok in report.levels_equal if not ok)
     return _result("slope_image", sum(report.level_sizes), failures,
-                   detail=f"depth {capped}")
+                   detail=f"depth {depth}")
 
 
 def _rationals(dmax: int) -> Iterator[Fraction]:

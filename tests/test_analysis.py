@@ -334,6 +334,20 @@ def test_freeness_bound_refused_before_the_walk(monkeypatch):
         interval_freeness(mu(F(1, 2)), 10 ** 1000)
 
 
+def test_reduced_fractions_bound_refused_before_the_walk(monkeypatch):
+    # 2**1024 has 1025 bits: the list to it would hold every tree fraction
+    # with q <= 2**1024, about 91,000 of them.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked past the freeness budget")
+
+    monkeypatch.setattr(analysis, "tree_walk", no_walk)
+    budget = analysis._MAX_FREENESS_BITS
+    with pytest.raises(ValueError, match=f"the freeness bound exceeds the {budget}-bit budget"):
+        reduced_fractions_up_to(1 << budget)
+    with pytest.raises(ValueError, match="denominator bound must be positive"):
+        reduced_fractions_up_to(0)
+
+
 def test_window_translate_budget():
     # floor(hi) - floor(lo) + 2 translates n: [0, 14.5] takes 16, [0, 15.5] 17.
     budget = analysis._MAX_WINDOW_TRANSLATES
@@ -357,6 +371,8 @@ def test_reduced_fractions_up_to_1000():
     got = reduced_fractions_up_to(1000)
     denominators = sorted(f.denominator for f in got)
     assert denominators == [1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985]
+    # A bound on a Markov number keeps its fraction.
+    assert reduced_fractions_up_to(985) == got
     for f in got:
         assert (f.numerator ** 2 + 1) % f.denominator == 0
         assert 0 <= f <= F(1, 2)

@@ -37,10 +37,15 @@ from markovfrac import (
     springborn_mediant,
     tree_walk,
 )
-from markovfrac import exact, markov
+from markovfrac import exact, markov, slopes
 from markovfrac.exact import MAX_VALUE_BITS
 from markovfrac.markov import _REDUCED_ROOT, _vieta_child
-from markovfrac.slopes import SlopeDecision, _epsilon_by_midpoints, _midpoint_value
+from markovfrac.slopes import (
+    EquivalenceReport,
+    SlopeDecision,
+    _epsilon_by_midpoints,
+    _midpoint_value,
+)
 
 dyadics = st.builds(
     DyadicRational,
@@ -299,10 +304,64 @@ def test_set_equivalence_depth8():
 
 
 def test_set_equivalence_depth_bounds():
-    with pytest.raises(ValueError):
-        set_equivalence(13)
-    with pytest.raises(ValueError):
+    # The depth is held to the vertex budget of the scans, as the tree walks are.
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
         set_equivalence(-1)
+    with pytest.raises(ValueError, match="depth 20 exceeds the 1048576 vertex budget"):
+        set_equivalence(20)
+    report = set_equivalence(13)
+    assert report.equal
+    assert report.level_sizes[-1] == 8193
+
+
+def _set_equivalence_by_levels(depth):
+    """set_equivalence by both whole levels: midpoints of the ε level, mediants of the tree's."""
+    eps_level = [F(0), F(1)]
+    tree_level = list(UNIT_SEEDS)
+    sizes = [len(eps_level)]
+    equal = [eps_level == tree_level]
+    for _ in range(depth):
+        next_eps = []
+        next_tree = []
+        for i in range(len(eps_level) - 1):
+            next_eps += [eps_level[i], slopes._midpoint_value(eps_level[i], eps_level[i + 1])]
+            next_tree += [tree_level[i], springborn_mediant(tree_level[i], tree_level[i + 1])]
+        next_eps.append(eps_level[-1])
+        next_tree.append(tree_level[-1])
+        eps_level, tree_level = next_eps, next_tree
+        sizes.append(len(eps_level))
+        equal.append(eps_level == tree_level)
+    return EquivalenceReport(depth, tuple(sizes), tuple(equal))
+
+
+def test_set_equivalence_matches_the_level_lists_to_depth12():
+    for depth in range(13):
+        assert set_equivalence(depth) == _set_equivalence_by_levels(depth)
+
+
+@pytest.mark.parametrize("pairs, levels_equal", [
+    # The root's pair: level 1 and every later level differ.
+    ([(F(0), F(1))], (True,) + (False,) * 6),
+    # The neighbours of 75/194, a vertex of level 4.
+    ([(F(5, 13), F(2, 5))], (True,) * 4 + (False,) * 3),
+    # Never a neighbour pair: no level differs.
+    ([(F(1, 3), F(2, 3))], (True,) * 7),
+    # The neighbours of the level-2 vertex L and of the level-3 vertex RR,
+    # which the word-order walk reaches later: level 2 is the first to differ.
+    ([(F(0), F(1, 2)), (F(3, 5), F(1))], (True,) * 2 + (False,) * 5),
+])
+def test_set_equivalence_matches_the_level_lists_under_a_wrong_midpoint(
+        monkeypatch, pairs, levels_equal):
+    real = slopes._midpoint_value
+
+    def off_at_pairs(v1, v2):
+        value = real(v1, v2)
+        return value + 1 if (v1, v2) in pairs else value
+
+    monkeypatch.setattr(slopes, "_midpoint_value", off_at_pairs)
+    for depth in range(7):
+        assert set_equivalence(depth) == _set_equivalence_by_levels(depth)
+    assert set_equivalence(6).levels_equal == levels_equal
 
 
 # -- slope normalization --------------------------------------------------------

@@ -47,14 +47,14 @@ def expected_suites(d):
         return 2 ** (c + 1) - 1
 
     v = vertices(d)
-    c6, c8, c10, c12, c15, c19 = (min(d, cap) for cap in (6, 8, 10, 12, 15, 19))
+    c6, c8, c10, c15, c19 = (min(d, cap) for cap in (6, 8, 10, 15, 19))
     return [
         ("tree_relations", v, ""),
         ("tree_walk", v, ""),
         ("tree_fractions", v, ""),
         ("markov_triples", v, ""),
         ("midpoint_identity", v, ""),
-        ("slope_image", vertices(c12) + c12 + 1, f"depth {c12}"),
+        ("slope_image", vertices(d) + d + 1, f"depth {d}"),
         ("slope_transport", 3045, ""),
         ("question_mark", 3099, ""),
         ("boundary_branches", 60, ""),
@@ -73,9 +73,9 @@ def expected_suites(d):
 
 @pytest.mark.parametrize("depth", [0, 1, 6, 12])
 def test_verify_output_shape(capsys, depth):
-    # Depth 12 is the first where the caps at 6, 8 and 10 bind and the cap at
-    # 12 is reached.  Its run takes seconds, so it is made in JSON alone; the
-    # text lines are formatted from the same results.
+    # Depth 12 is past the caps at 6, 8 and 10.  Its run takes seconds, so it
+    # is made in JSON alone; the text lines are formatted from the same
+    # results.
     expected = expected_suites(depth)
     if depth < 12:
         code, out, err = run_cli(capsys, "verify", "--depth", str(depth))
@@ -356,18 +356,21 @@ def test_reference_suites_count_a_wrong_vertex(monkeypatch):
     assert (result.passed, result.checked, result.failures) == (False, 7, 1)
 
 
-@pytest.mark.parametrize("check", [verify.check_tree_relations, verify.check_tree_walk],
-                         ids=["tree_relations", "tree_walk"])
-def test_tree_suites_hold_one_path_in_memory(check):
-    # Both suites stream the tree in word order.  A materialised reference of
-    # the 8191 vertices of depth 12 peaks at about 3.6 MB.
+@pytest.mark.parametrize("check, checked", [(verify.check_tree_relations, 8191),
+                                            (verify.check_tree_walk, 8191),
+                                            (verify.check_slope_image, 8204)],
+                         ids=["tree_relations", "tree_walk", "slope_image"])
+def test_tree_suites_hold_one_path_in_memory(check, checked):
+    # The suites stream the tree in word order.  A materialised reference of
+    # the 8191 vertices of depth 12 peaks at about 3.6 MB, and the two whole
+    # levels of slope_image's dyadic and tree sides at depth 12 at 1.3 MB.
     tracemalloc.start()
     try:
         result = check(12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (result.passed, result.checked) == (True, 8191)
+    assert (result.passed, result.checked) == (True, checked)
     assert peak < 1 << 20
 
 
@@ -448,6 +451,12 @@ def test_slope_image_counts_a_wrong_level(monkeypatch):
     result = verify.check_slope_image(2)
     assert (result.passed, result.checked, result.failures) == (False, 10, 1)
     assert result.detail == "depth 2"
+
+
+def test_slope_image_runs_past_depth_12():
+    # Levels 0..13 hold 2**n + 1 values each: 16,397 checks.
+    result = verify.check_slope_image(13)
+    assert (result.passed, result.checked, result.detail) == (True, 16397, "depth 13")
 
 
 def test_slope_transport_counts_a_wrong_slope(monkeypatch):
