@@ -15,13 +15,12 @@ interest is a double logarithm.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import exp, floor, isqrt, log, log1p
 from typing import Iterable, Iterator, Sequence
 
-from .exact import QuadraticSurd, surd_enclose
+from .exact import QuadraticSurd, _Value, surd_enclose
 from .markov import MarkovFraction, _rank_walk, mu, tree_walk
 
 __all__ = [
@@ -106,18 +105,21 @@ def _length_surd(q: int) -> QuadraticSurd:
     return QuadraticSurd(3 * q, -1, q, 9 * q * q - 4)
 
 
-@dataclass(frozen=True)
-class MarkovInterval:
+class MarkovInterval(_Value):
     """The maximal interval around a Markov fraction containing no other.
 
     Endpoints are exact quadratic surds; hi - lo equals the length
     3 - sqrt(9*q**2 - 4)/q by construction.
     """
 
-    center: Fraction
-    lo: QuadraticSurd
-    hi: QuadraticSurd
-    length: QuadraticSurd
+    __slots__ = ("center", "lo", "hi", "length")
+
+    def __init__(self, center: Fraction, lo: QuadraticSurd, hi: QuadraticSurd,
+                 length: QuadraticSurd) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "length", length)
 
 
 def markov_interval(f: MarkovFraction) -> MarkovInterval:
@@ -262,13 +264,16 @@ def _fractions_inside_by_scan(
     return sorted(intruders)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(_Value):
     """Whether an interval is free of other Markov fractions up to a bound."""
 
-    center: Fraction
-    denominator_bound: int
-    intruders: tuple[Fraction, ...]
+    __slots__ = ("center", "denominator_bound", "intruders")
+
+    def __init__(self, center: Fraction, denominator_bound: int,
+                 intruders: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "denominator_bound", denominator_bound)
+        object.__setattr__(self, "intruders", intruders)
 
     @property
     def free(self) -> bool:
@@ -511,17 +516,20 @@ def saltus_mu(x: Fraction, depth: int, precision: int) -> tuple[Fraction, Fracti
 # -- endpoint irrationalities ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkovIrrationality:
+class MarkovIrrationality(_Value):
     """The two endpoint irrationalities at a rational and their Lagrange number.
 
     ``lagrange`` is sqrt(9*q**2 - 4)/q, always strictly below 3.
     """
 
-    center: Fraction
-    minus: QuadraticSurd
-    plus: QuadraticSurd
-    lagrange: QuadraticSurd
+    __slots__ = ("center", "minus", "plus", "lagrange")
+
+    def __init__(self, center: Fraction, minus: QuadraticSurd, plus: QuadraticSurd,
+                 lagrange: QuadraticSurd) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "lagrange", lagrange)
 
 
 def markov_irrationality(x: Fraction) -> MarkovIrrationality:

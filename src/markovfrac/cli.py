@@ -27,7 +27,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, repeat
 from typing import NamedTuple
@@ -41,7 +40,7 @@ from .analysis import (
     saltus_mu,
     saltus_samples,
 )
-from .exact import MAX_VALUE_BITS, DyadicRational, QuadraticSurd, surd_enclose
+from .exact import MAX_VALUE_BITS, DyadicRational, QuadraticSurd, _Value, surd_enclose
 from .farey import (
     farey_path_to,
     question_mark_farey,
@@ -127,15 +126,26 @@ def _surd_decimal(x: QuadraticSurd, digits: int, round_up: bool) -> str:
 # -- output record --------------------------------------------------------------
 
 
-@dataclass
-class OutputRecord:
-    """One result record; the json format emits it verbatim."""
+class OutputRecord(_Value):
+    """One result record; the json format emits it verbatim.
 
-    command: str
-    inputs: dict[str, str]
-    outputs: dict[str, object] = field(default_factory=dict)
-    status: str = "ok"
-    error_detail: str = ""
+    The one mutable value type: its fields may be assigned, so it is not
+    hashable.  ``outputs`` defaults to a new empty dict.
+    """
+
+    __slots__ = ("command", "inputs", "outputs", "status", "error_detail")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, inputs: dict[str, str],
+                 outputs: dict[str, object] | None = None, status: str = "ok",
+                 error_detail: str = "") -> None:
+        self.command = command
+        self.inputs = inputs
+        self.outputs = {} if outputs is None else outputs
+        self.status = status
+        self.error_detail = error_detail
 
     def to_json(self) -> str:
         return json.dumps(

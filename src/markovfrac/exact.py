@@ -17,13 +17,17 @@ integer square root and the trial square divisions of the public
 constructor.  Outside input always goes through the public constructors.
 
 All types are immutable; functions are pure and safe to call concurrently.
+The value types of every module derive from :class:`_Value`, a slotted
+immutable record that compares, hashes, prints and pickles by its fields.
+Defining one imports nothing and generates no code, which keeps the
+package's start-up short.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import attrgetter
 
 __all__ = [
     "ContinuedFraction",
@@ -67,13 +71,63 @@ def _coprime_fraction(p: int, q: int) -> Fraction:
     return f
 
 
+def _restore(cls: type, values: tuple) -> "_Value":
+    """Unpickle a _Value: store its fields as pickled, without the constructor's checks."""
+    x = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(x, name, value)
+    return x
+
+
+class _Value:
+    """Base of the value types: an immutable record of the fields in ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` in constructor order, and
+    its ``__init__`` takes them in that order and stores them with
+    ``object.__setattr__``.  Instances compare equal when they have the same
+    class and equal fields, and hash, print as ``Name(field=value, ...)``
+    and pickle by those fields.  ``_key`` gets the compared fields; a
+    subclass that compares on fewer sets its own.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_key" not in cls.__dict__:
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def _replace(self, **changes: object) -> "_Value":
+        """A copy with the given fields changed, built and checked by the constructor."""
+        return type(self)(**({name: getattr(self, name) for name in self.__slots__} | changes))
+
+
 def farey_mediant(f1: Fraction, f2: Fraction) -> Fraction:
     """Mediant (p1 + p2)/(q1 + q2); for Farey neighbours it lands strictly between them."""
     return Fraction(f1.numerator + f2.numerator, f1.denominator + f2.denominator)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Value):
     """Finite continued fraction [a0; a1, ..., ak].
 
     Canonical form: a0 >= 0, every later quotient >= 1, and the last
@@ -81,10 +135,10 @@ class ContinuedFraction:
     representation of each nonnegative rational unique.
     """
 
-    quotients: tuple[int, ...]
+    __slots__ = ("quotients",)
 
-    def __post_init__(self) -> None:
-        q = self.quotients
+    def __init__(self, quotients: tuple[int, ...]) -> None:
+        q = quotients
         if not q:
             raise ValueError("empty quotient sequence")
         if q[0] < 0:
@@ -93,6 +147,7 @@ class ContinuedFraction:
             raise ValueError("partial quotients after the first must be >= 1")
         if len(q) > 1 and q[-1] < 2:
             raise ValueError("canonical form requires the final quotient >= 2")
+        object.__setattr__(self, "quotients", quotients)
 
     def __iter__(self):
         return iter(self.quotients)
@@ -130,21 +185,19 @@ def from_continued_fraction(cf: ContinuedFraction) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class DyadicRational:
+class DyadicRational(_Value):
     """m / 2**n in lowest terms: m odd unless n == 0."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, m: int, n: int) -> None:
+        if n < 0:
             raise ValueError("exponent must be nonnegative")
         # Strip the common factors of 2 in one shift: n may be far too
         # large to loop over (0/2^n has no factor to stop at).
-        k = min(self.n, (self.m & -self.m).bit_length() - 1) if self.m else self.n
-        object.__setattr__(self, "m", self.m >> k)
-        object.__setattr__(self, "n", self.n - k)
+        k = min(n, (m & -m).bit_length() - 1) if m else n
+        object.__setattr__(self, "m", m >> k)
+        object.__setattr__(self, "n", n - k)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "DyadicRational":
@@ -213,22 +266,19 @@ _SQUARE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                   47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticSurd:
+class QuadraticSurd(_Value):
     """Exact value (a + b*sqrt(d))/c.
 
     Canonical form: c > 0, gcd(a, b, c) == 1, and d == 0 exactly when the
     value is rational (b == 0).  Perfect-square radicands are folded into
     the rational part; square factors below 100**2 are pulled into b.
+    Surds compare by value, also with Fraction and int, so they are not
+    hashable.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
         if c == 0:
             raise ValueError("zero denominator")
         if d < 0:

@@ -13,12 +13,11 @@ the turn word itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 from operator import mul
 
-from .exact import DyadicRational, _check_value_bits, farey_mediant, to_continued_fraction
+from .exact import DyadicRational, _Value, _check_value_bits, farey_mediant, to_continued_fraction
 
 __all__ = [
     "FareyNode",
@@ -44,23 +43,23 @@ def check_word(word: TurnWord) -> None:
         raise ValueError(f"turn word may only contain 'L' and 'R': {word!r}")
 
 
-@dataclass(frozen=True)
-class FareyNode:
+class FareyNode(_Value):
     """A Farey tree vertex: its value and the two parents it is the mediant of."""
 
-    value: Fraction
-    left_parent: Fraction
-    right_parent: Fraction
+    __slots__ = ("value", "left_parent", "right_parent")
 
-    def __post_init__(self) -> None:
-        lp, rp = self.left_parent, self.right_parent
-        if self.value != farey_mediant(lp, rp):
+    def __init__(self, value: Fraction, left_parent: Fraction, right_parent: Fraction) -> None:
+        lp, rp = left_parent, right_parent
+        if value != farey_mediant(lp, rp):
             raise ValueError("value is not the mediant of the parents")
-        if not lp < self.value < rp:
+        if not lp < value < rp:
             raise ValueError("parents must bracket the value")
         det = (rp.numerator * lp.denominator - lp.numerator * rp.denominator)
         if det != 1:
             raise ValueError("parents are not Farey neighbours")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "left_parent", lp)
+        object.__setattr__(self, "right_parent", rp)
 
 
 def farey_node_at(word: TurnWord) -> FareyNode:

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, cycle
 from math import floor, gcd, isqrt, log2, sqrt
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .exact import _check_value_bits, _coprime_fraction
+from .exact import _Value, _check_value_bits, _coprime_fraction
 from .farey import TurnWord, _spell, _turn_runs, check_word
 
 __all__ = [
@@ -90,20 +89,19 @@ def springborn_mediant(f1: Fraction, f2: Fraction) -> Fraction:
     return Fraction(*_mediant_terms(f1.numerator, f1.denominator, f2.numerator, f2.denominator))
 
 
-@dataclass(frozen=True)
-class MarkovTriple:
+class MarkovTriple(_Value):
     """Ordered positive solution of x**2 + y**2 + z**2 = 3*x*y*z."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        x, y, z = self.x, self.y, self.z
+    def __init__(self, x: int, y: int, z: int) -> None:
         if min(x, y, z) < 1:
             raise ValueError("Markov triples are positive")
         if x * x + y * y + z * z != 3 * x * y * z:
             raise ValueError(f"({x}, {y}, {z}) does not solve the Markov equation")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -125,8 +123,7 @@ def vieta_mutate(t: MarkovTriple, index: int) -> MarkovTriple:
     raise ValueError(f"index must be 1, 2 or 3, not {index}")
 
 
-@dataclass(frozen=True)
-class FractionTriple:
+class FractionTriple(_Value):
     """A tree vertex f3 together with its neighbours f1 < f3 < f2.
 
     No invariants are enforced at construction so that broken triples can
@@ -134,13 +131,15 @@ class FractionTriple:
     by :func:`enumerate_tree` satisfy every relation exactly.
     """
 
-    f1: Fraction
-    f2: Fraction
-    f3: Fraction
+    __slots__ = ("f1", "f2", "f3")
+
+    def __init__(self, f1: Fraction, f2: Fraction, f3: Fraction) -> None:
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "f3", f3)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Value):
     """Truth of each exact relation tying a vertex to its neighbours.
 
     With pi/qi the numerators and denominators of (f1, f2, f3):
@@ -157,11 +156,16 @@ class RelationReport:
       the Vieta child that is the reduced mediant of (f3, f2)
     """
 
-    det_f2_f3_is_q1: bool
-    det_f3_f1_is_q2: bool
-    det_f2_f1_is_flip: bool
-    left_child_consistent: bool
-    right_child_consistent: bool
+    __slots__ = ("det_f2_f3_is_q1", "det_f3_f1_is_q2", "det_f2_f1_is_flip",
+                 "left_child_consistent", "right_child_consistent")
+
+    def __init__(self, det_f2_f3_is_q1: bool, det_f3_f1_is_q2: bool, det_f2_f1_is_flip: bool,
+                 left_child_consistent: bool, right_child_consistent: bool) -> None:
+        object.__setattr__(self, "det_f2_f3_is_q1", det_f2_f3_is_q1)
+        object.__setattr__(self, "det_f3_f1_is_q2", det_f3_f1_is_q2)
+        object.__setattr__(self, "det_f2_f1_is_flip", det_f2_f1_is_flip)
+        object.__setattr__(self, "left_child_consistent", left_child_consistent)
+        object.__setattr__(self, "right_child_consistent", right_child_consistent)
 
     @property
     def all_hold(self) -> bool:
@@ -478,8 +482,7 @@ def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEE
     return _coprime_fraction(v[4], v[5])
 
 
-@dataclass(frozen=True)
-class MarkovFraction:
+class MarkovFraction(_Value):
     """A fraction of the reduced tree with its address.
 
     The two seeds 0/1 and 1/2 carry word None and depth 0; every proper
@@ -487,26 +490,26 @@ class MarkovFraction:
     checks all of this, the word by one descent (see descend_value).
     """
 
-    value: Fraction
-    depth: int
-    word: TurnWord | None
+    __slots__ = ("value", "depth", "word")
 
-    def __post_init__(self) -> None:
-        p, q = self.value.numerator, self.value.denominator
+    def __init__(self, value: Fraction, depth: int, word: TurnWord | None) -> None:
+        p, q = value.numerator, value.denominator
         if not 0 <= 2 * p <= q:
-            raise ValueError(f"{self.value} lies outside [0, 1/2]")
+            raise ValueError(f"{value} lies outside [0, 1/2]")
         if (p * p + 1) % q:
-            raise ValueError(f"{self.value} fails the numerator congruence")
-        if self.depth < 0:
+            raise ValueError(f"{value} fails the numerator congruence")
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        word = self.word
-        if self.depth != (0 if word is None else len(word)):
-            raise ValueError(f"depth {self.depth} does not match the turn word {word!r}")
+        if depth != (0 if word is None else len(word)):
+            raise ValueError(f"depth {depth} does not match the turn word {word!r}")
         if word is None:
-            if self.value not in REDUCED_SEEDS:
-                raise ValueError(f"{self.value} is not a seed, so it needs its turn word")
-        elif descend_value(word) != self.value:
-            raise ValueError(f"the tree vertex at {word!r} is not {self.value}")
+            if value not in REDUCED_SEEDS:
+                raise ValueError(f"{value} is not a seed, so it needs its turn word")
+        elif descend_value(word) != value:
+            raise ValueError(f"the tree vertex at {word!r} is not {value}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "word", word)
 
     @classmethod
     def _of_vertex(cls, value: Fraction, word: TurnWord | None) -> MarkovFraction:
@@ -1024,14 +1027,17 @@ def solve_congruence(q: int) -> list[int]:
 # -- exhaustive scans --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnicityReport:
+class UnicityReport(_Value):
     """Result of grouping enumerated fractions by denominator."""
 
-    depth: int
-    vertex_count: int
-    distinct_denominators: int
-    duplicates: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    __slots__ = ("depth", "vertex_count", "distinct_denominators", "duplicates")
+
+    def __init__(self, depth: int, vertex_count: int, distinct_denominators: int,
+                 duplicates: tuple[tuple[int, tuple[Fraction, ...]], ...]) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "distinct_denominators", distinct_denominators)
+        object.__setattr__(self, "duplicates", duplicates)
 
     @property
     def all_unique(self) -> bool:
@@ -1070,24 +1076,24 @@ def unicity_scan(depth: int) -> UnicityReport:
 # -- generalized equations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralizedEquation:
+class GeneralizedEquation(_Value):
     """Coefficients of a*x**2 + b*y**2 + c*z**2 = d*x*y*z with a + b + c = d.
 
     The condition a + b + c = d makes (1, 1, 1) a solution; each coefficient
     divides d in the supported instances, so all Vieta flips stay integral.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        if self.a + self.b + self.c != self.d:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        if a + b + c != d:
             raise ValueError("coefficients must satisfy a + b + c = d")
-        if min(self.a, self.b, self.c) < 1:
+        if min(a, b, c) < 1:
             raise ValueError("coefficients must be positive")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def satisfied_by(self, x: int, y: int, z: int) -> bool:
         return (self.a * x * x + self.b * y * y + self.c * z * z

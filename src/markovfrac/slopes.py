@@ -21,11 +21,10 @@ level, one midpoint step per vertex of the streamed [0, 1] tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import DyadicRational, _check_value_bits, _coprime_fraction
+from .exact import DyadicRational, _Value, _check_value_bits, _coprime_fraction
 from .farey import TurnWord
 from .markov import (
     MarkovFraction,
@@ -153,13 +152,16 @@ def _identity_holds(p1: int, q1: int, p2: int, q2: int) -> bool:
     return num * m_den == m_num * den
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Value):
     """Level-by-level comparison of the slope image with the mediant tree."""
 
-    depth: int
-    level_sizes: tuple[int, ...]
-    levels_equal: tuple[bool, ...]
+    __slots__ = ("depth", "level_sizes", "levels_equal")
+
+    def __init__(self, depth: int, level_sizes: tuple[int, ...],
+                 levels_equal: tuple[bool, ...]) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "level_sizes", level_sizes)
+        object.__setattr__(self, "levels_equal", levels_equal)
 
     @property
     def equal(self) -> bool:
@@ -188,13 +190,15 @@ def set_equivalence(depth: int) -> EquivalenceReport:
                              tuple(n < first_unequal for n in range(depth + 1)))
 
 
-@dataclass(frozen=True)
-class SlopeNormalization:
+class SlopeNormalization(_Value):
     """x written as n + sign*r with r in [0, 1/2]."""
 
-    n: int
-    sign: int
-    reduced: Fraction
+    __slots__ = ("n", "sign", "reduced")
+
+    def __init__(self, n: int, sign: int, reduced: Fraction) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "reduced", reduced)
 
     @property
     def original(self) -> Fraction:
@@ -217,8 +221,7 @@ def normalize_slope(x: Fraction) -> SlopeNormalization:
     return SlopeNormalization(n + 1, -1, _coprime_fraction(q - rem, q))
 
 
-@dataclass(frozen=True)
-class SlopeDecision:
+class SlopeDecision(_Value):
     """Outcome of the exceptional-slope membership test.
 
     For accepted slopes ``witness`` is the turn word of the reduced value
@@ -228,10 +231,15 @@ class SlopeDecision:
     no deeper vertex can match.
     """
 
-    accepted: bool
-    normalization: SlopeNormalization
-    witness: TurnWord | None = None
-    stopped_at_denominator: int | None = None
+    __slots__ = ("accepted", "normalization", "witness", "stopped_at_denominator")
+
+    def __init__(self, accepted: bool, normalization: SlopeNormalization,
+                 witness: TurnWord | None = None,
+                 stopped_at_denominator: int | None = None) -> None:
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "normalization", normalization)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "stopped_at_denominator", stopped_at_denominator)
 
     @property
     def reduced(self) -> Fraction:
@@ -329,19 +337,21 @@ def is_exceptional_slope(x: Fraction) -> SlopeDecision:
             word.append(letter * length)
 
 
-@dataclass(frozen=True)
-class BundleInvariants:
+class BundleInvariants(_Value):
     """Numerical invariants attached to an exceptional slope p/q in [0, 1/2].
 
     ``s`` is the cofactor (p**2 + 1)/q; the associated quadratic form
     q*X**2 + (3q - 2p)*X*Y + (s - 3p)*Y**2 has discriminant 9*q**2 - 4.
     """
 
-    rank: int
-    c1: int
-    s: int
-    c2: int
-    form: tuple[int, int, int]
+    __slots__ = ("rank", "c1", "s", "c2", "form")
+
+    def __init__(self, rank: int, c1: int, s: int, c2: int, form: tuple[int, int, int]) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "form", form)
 
     @property
     def form_discriminant(self) -> int:

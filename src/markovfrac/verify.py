@@ -44,11 +44,11 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain, zip_longest
 from math import gcd
+from operator import attrgetter
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -60,7 +60,7 @@ from .analysis import (
     markov_interval,
     mcshane_partial_sums,
 )
-from .exact import DyadicRational, surd_compare
+from .exact import DyadicRational, _Value, surd_compare
 from .farey import (
     farey_path_to,
     question_mark_farey,
@@ -109,15 +109,19 @@ _APPROX_BOUND = 1000           # approximation_bound: denominators of tree fract
 _FREENESS_BOUND = 1_000_000    # interval_freeness: denominators searched
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    failures: int = 0
-    detail: str = ""
-    #: Wall seconds of the suite, set by run_all; results compare without it.
-    seconds: float | None = field(default=None, compare=False)
+class CheckResult(_Value):
+    __slots__ = ("name", "passed", "checked", "failures", "detail", "seconds")
+    # seconds, the suite's wall time set by run_all, takes no part in equality.
+    _key = attrgetter("name", "passed", "checked", "failures", "detail")
+
+    def __init__(self, name: str, passed: bool, checked: int, failures: int = 0,
+                 detail: str = "", seconds: float | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "seconds", seconds)
 
 
 def _result(name: str, checked: int, failures: int, detail: str = "") -> CheckResult:
@@ -509,7 +513,7 @@ def _timed(check: Callable[..., CheckResult], *args: object) -> CheckResult:
     """check(*args) with its wall seconds in the result."""
     start = perf_counter()
     result = check(*args)
-    return replace(result, seconds=perf_counter() - start)
+    return result._replace(seconds=perf_counter() - start)
 
 
 #: A task runs one suite and returns its timed result.

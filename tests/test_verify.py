@@ -17,7 +17,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -161,7 +160,7 @@ def test_run_all_times_every_suite():
     results = verify.run_all(1)
     assert all(isinstance(r.seconds, float) and r.seconds >= 0 for r in results)
     # The seconds take no part in a result's equality.
-    assert results[0] == replace(results[0], seconds=None)
+    assert results[0] == results[0]._replace(seconds=None)
 
 
 def test_usable_cpus():
@@ -445,7 +444,7 @@ def test_slope_image_counts_a_wrong_level(monkeypatch):
 
     def report(depth):
         found = real(depth)
-        return replace(found, levels_equal=(True, False) + found.levels_equal[2:])
+        return found._replace(levels_equal=(True, False) + found.levels_equal[2:])
 
     monkeypatch.setattr(verify, "set_equivalence", report)
     result = verify.check_slope_image(2)
@@ -539,7 +538,7 @@ def test_interval_geometry_counts_a_wrong_interval(monkeypatch):
 
     def interval(f):
         found = real(f)
-        return replace(found, hi=found.hi + F(1, 10)) if f.value == F(2, 5) else found
+        return found._replace(hi=found.hi + F(1, 10)) if f.value == F(2, 5) else found
 
     monkeypatch.setattr(verify, "markov_interval", interval)
     result = verify.check_interval_geometry(2)
@@ -568,7 +567,7 @@ def test_unicity_counts_a_duplicate(monkeypatch):
     real = verify.unicity_scan
 
     def scan(depth):
-        return replace(real(depth), duplicates=((5, (F(2, 5), F(3, 5))),))
+        return real(depth)._replace(duplicates=((5, (F(2, 5), F(3, 5))),))
 
     monkeypatch.setattr(verify, "unicity_scan", scan)
     result = verify.check_unicity(2)
