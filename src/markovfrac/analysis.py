@@ -20,8 +20,8 @@ from itertools import chain
 from math import exp, floor, isqrt, log, log1p
 from typing import Iterable, Iterator, Sequence
 
-from .exact import QuadraticSurd, _Value, surd_enclose
-from .markov import MarkovFraction, _rank_walk, mu, tree_walk
+from .exact import QuadraticSurd, _Value, _coprime_fraction, surd_enclose
+from .markov import MarkovFraction, _shared_rank_walk, mu, tree_walk
 
 __all__ = [
     "FreenessReport",
@@ -393,6 +393,19 @@ def _dyadic_add(acc: list[int], lo: int, hi: int, e: int) -> None:
     acc[1] += hi
 
 
+def _merged(n: int, parts: Iterable[dict[int, list[int]]]) -> list[list[int]]:
+    """n dyadic slots [lo, hi, e], each the exact sum of its entries in the parts.
+
+    A slot's exponent ends as the largest of its terms' (or 0), whatever
+    their order, so the slots are those of one walk that added every term.
+    """
+    slots = [[0, 0, 0] for _ in range(n)]
+    for part in parts:
+        for i, slot in part.items():
+            _dyadic_add(slots[i], *slot)
+    return slots
+
+
 def saltus_samples(
     xs: Sequence[Fraction], depth: int, precision: int
 ) -> list[tuple[Fraction, Fraction]]:
@@ -414,6 +427,12 @@ def saltus_samples(
     1/1000 to depth 19 it visits 20 vertices, not 2**20 - 1.  Every bound
     is an exact dyadic sum, the enclosure width is below 10**-precision,
     and no table of jumps is kept.
+
+    The walk is shared across the usable CPUs by subtrees
+    (markov._shared_rank_walk) when enough of it is left after the cut;
+    each subtree sends back the sums of the points its jumps reach, and
+    the exact merge gives the bytes of one walk.  At 1/1000 one subtree is
+    left, and nothing is shared.
     """
     for x in xs:
         if not 0 <= x <= 1:
@@ -425,17 +444,15 @@ def saltus_samples(
     nums = [x.numerator for x in points]
     dens = [x.denominator for x in points]
     n = len(points)
-    slots = [[0, 0, 0] for _ in points]
 
-    def add(i: int, lo: int, hi: int, e: int) -> None:
+    def add(sums: dict[int, list[int]], i: int, lo: int, hi: int, e: int) -> None:
         if i < n:
-            _dyadic_add(slots[i], lo, hi, e)
+            slot = sums.get(i)
+            if slot is None:
+                sums[i] = [lo, hi, e]
+            else:
+                _dyadic_add(slot, lo, hi, e)
 
-    # The seeds add l(1)/2 at every x > 0 and l(2)/2 at x = 1 only.
-    lo, hi, e = _length_bounds(1, guard)
-    add(bisect_right(points, 0), lo, hi, e + 1)
-    lo, hi, e = _length_bounds(2, guard)
-    add(bisect_left(points, 1), lo, hi, e + 1)
     # A subtree whose left Farey parent is at or right of the last point
     # lies past it, and every jump there would fall past the last slot.
     # With no point, -1/1 cuts the root.
@@ -445,26 +462,43 @@ def saltus_samples(
         _, (a1, b1, _, _), _ = item
         return a1 * x_den >= x_num * b1
 
-    for (_, _, q), (a1, b1, a2, b2), _ in _rank_walk(depth, past_last):
-        # Bisect for the first point at or right of the jump a/b on integer
-        # cross products, so no vertex pays for a Fraction.
-        a, b = a1 + a2, b1 + b2
-        i, j = 0, n
-        while i < j:
-            k = (i + j) >> 1
-            if nums[k] * b < a * dens[k]:
-                i = k + 1
+    def part(walk: Iterable[tuple]) -> dict[int, list[int]]:
+        sums: dict[int, list[int]] = {}
+        for (_, _, q), (a1, b1, a2, b2), _ in walk:
+            # Bisect for the first point at or right of the jump a/b on
+            # integer cross products, so no vertex pays for a Fraction.
+            a, b = a1 + a2, b1 + b2
+            i, j = 0, n
+            while i < j:
+                k = (i + j) >> 1
+                if nums[k] * b < a * dens[k]:
+                    i = k + 1
+                else:
+                    j = k
+            if i == n:
+                continue
+            lo, hi, e = _length_bounds(q, guard)
+            if nums[i] * b == a * dens[i]:
+                add(sums, i, lo, hi, e + 1)
+                add(sums, i + 1, lo, hi, e + 1)
             else:
-                j = k
-        if i == n:
-            continue
-        lo, hi, e = _length_bounds(q, guard)
-        if nums[i] * b == a * dens[i]:
-            add(i, lo, hi, e + 1)
-            add(i + 1, lo, hi, e + 1)
-        else:
-            add(i, lo, hi, e)
-    return _prefix_enclosures(slots)
+                add(sums, i, lo, hi, e)
+        return sums
+
+    # The seeds add l(1)/2 at every x > 0 and l(2)/2 at x = 1 only.
+    seeds: dict[int, list[int]] = {}
+    lo, hi, e = _length_bounds(1, guard)
+    add(seeds, bisect_right(points, 0), lo, hi, e + 1)
+    lo, hi, e = _length_bounds(2, guard)
+    add(seeds, bisect_left(points, 1), lo, hi, e + 1)
+    parts = _shared_rank_walk(depth, past_last, part)
+    return _prefix_enclosures(_merged(n, [seeds, *parts]))
+
+
+def _dyadic_fraction(m: int, e: int) -> Fraction:
+    """m/2**e for m >= 0, reduced by the power of two m ends in instead of a gcd."""
+    k = min(e, (m & -m).bit_length() - 1) if m else e
+    return _coprime_fraction(m >> k, 1 << (e - k))
 
 
 def _prefix_enclosures(slots: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
@@ -474,7 +508,7 @@ def _prefix_enclosures(slots: list[list[int]]) -> list[tuple[Fraction, Fraction]
     for slot in slots:
         _dyadic_add(total, *slot)
         lo, hi, e = total
-        sums.append((Fraction(lo, 1 << e), Fraction(hi, 1 << e)))
+        sums.append((_dyadic_fraction(lo, e), _dyadic_fraction(hi, e)))
     return sums
 
 
@@ -484,17 +518,24 @@ def mcshane_partial_sums(depth: int, precision: int) -> list[tuple[Fraction, Fra
     One walk of the Markov numbers (markov._rank_walk) serves every level:
     each vertex adds its length bounds to the slot of its level, and the
     levels take prefix sums, so each entry equals the single-depth
-    enclosure exactly.
+    enclosure exactly.  From depth 11 the walk is shared across the
+    usable CPUs by subtrees (markov._shared_rank_walk), each sending back
+    its sums by level, and the exact merge gives the bytes of one walk.
     """
     guard = _guard_bits(precision)
-    walk = _rank_walk(depth)
-    slots = [[0, 0, 0] for _ in range(depth + 1)]
+
+    def part(walk: Iterable[tuple]) -> dict[int, list[int]]:
+        sums = [[0, 0, 0] for _ in range(depth + 1)]
+        for (_, _, q), _, level in walk:
+            _dyadic_add(sums[level], *_length_bounds(q, guard))
+        return dict(enumerate(sums))
+
+    seeds = [0, 0, 0]
     for q in (1, 2):
         lo, hi, e = _length_bounds(q, guard)
-        _dyadic_add(slots[0], lo, hi, e + 1)
-    for (_, _, q), _, level in walk:
-        _dyadic_add(slots[level], *_length_bounds(q, guard))
-    return _prefix_enclosures(slots)
+        _dyadic_add(seeds, lo, hi, e + 1)
+    parts = _shared_rank_walk(depth, None, part)
+    return _prefix_enclosures(_merged(depth + 1, [{0: seeds}, *parts]))
 
 
 def mcshane_partial_sum(depth: int, precision: int) -> tuple[Fraction, Fraction]:

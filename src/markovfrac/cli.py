@@ -21,9 +21,7 @@ operation's domain, an unsupported equation, a failing `verify` run),
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 from contextlib import contextmanager
@@ -148,6 +146,8 @@ class OutputRecord(_Value):
         self.error_detail = error_detail
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "command": self.command,
@@ -174,6 +174,8 @@ def _plain_lines(outputs: dict[str, object]) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list[object]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -18,12 +18,14 @@ L moves toward smaller fractions, R toward larger ones.
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import sys
 from fractions import Fraction
-from itertools import compress, cycle
+from itertools import chain, compress, cycle
 from math import floor, gcd, isqrt, log2, sqrt
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from .exact import _Value, _check_value_bits, _coprime_fraction
 from .farey import TurnWord, _spell, _turn_runs, check_word
@@ -255,6 +257,7 @@ Vertex = tuple[int, int, int, int, int, int]
 #: Farey parents (a1, b1, a2, b2) of the Farey-tree vertex (a1 + a2)/(b1 + b2).
 FareyPair = tuple[int, int, int, int]
 _Node = TypeVar("_Node")  # a Vertex, or the Markov triple of _rank_walk
+_T = TypeVar("_T")
 
 
 def _root(seeds: tuple[Fraction, Fraction]) -> Vertex:
@@ -305,16 +308,18 @@ def _root_of(seeds: tuple[Fraction, Fraction]) -> Vertex:
     return _root(seeds)
 
 
-def _walk(root: _Node, children: Callable[[_Node], tuple[_Node, _Node]], depth: int | None,
-          cut: Callable[[tuple[_Node, FareyPair, int]], bool] | None,
+def _walk(start: tuple[_Node, FareyPair, int], children: Callable[[_Node], tuple[_Node, _Node]],
+          depth: int | None, cut: Callable[[tuple[_Node, FareyPair, int]], bool] | None,
           ) -> Iterator[tuple[_Node, FareyPair, int]]:
-    """The loop of the integer walks: (node, farey_pair, level) depth-first from root.
+    """The loop of the integer walks: (node, farey_pair, level) depth-first from start.
 
-    children(node) gives its (L, R) children, walked L first; farey_pair is
-    the Farey parents at the same word.  cut(item) skips the item with its
-    subtree, and depth None walks until it ends every branch.
+    start is the item of the subtree's root, (root, (0, 1, 1, 1), 0) for
+    the whole tree.  children(node) gives its (L, R) children, walked L
+    first; farey_pair is the Farey parents at the same word.  cut(item)
+    skips the item with its subtree, and depth None walks until it ends
+    every branch.
     """
-    stack = [(root, (0, 1, 1, 1), 0)]
+    stack = [start]
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
@@ -367,7 +372,8 @@ def tree_walk(
         return ((max_denominator is not None and item[0][5] > max_denominator)
                 or (prune is not None and prune(item[0])))
 
-    return _walk(_root_of(seeds), lambda v: (_vieta_child(v, "L"), _vieta_child(v, "R")),
+    return _walk((_root_of(seeds), (0, 1, 1, 1), 0),
+                 lambda v: (_vieta_child(v, "L"), _vieta_child(v, "R")),
                  depth, None if max_denominator is None and prune is None else cut)
 
 
@@ -380,7 +386,12 @@ def _flips(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, in
     return (q1, q3, 3 * q1 * q3 - q2), (q3, q2, 3 * q2 * q3 - q1)
 
 
-def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None) -> Iterator[_RankItem]:
+#: The first item of the rank walk: the root's denominators (1, 2, 5).
+_RANK_ROOT: _RankItem = (_REDUCED_ROOT[1::2], (0, 1, 1, 1), 0)
+
+
+def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None,
+               start: _RankItem = _RANK_ROOT) -> Iterator[_RankItem]:
     """tree_walk(depth) on the denominators alone: the Markov numbers, not the fractions.
 
     Yields ((q1, q2, q3), farey_pair, level) for the vertices of the reduced
@@ -389,10 +400,183 @@ def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None) -> 
     3*q_kept*q3 - q_dropped of the other, so no numerator is carried: one
     product per child.  prune(item) returning True skips the item with its
     subtree; every Farey vertex below the pair (a1, b1, a2, b2) lies
-    strictly between a1/b1 and a2/b2.
+    strictly between a1/b1 and a2/b2.  With start, an item of the walk,
+    only its subtree is walked, down to the same depth.
     """
     _check_scan_depth(depth)
-    return _walk(_REDUCED_ROOT[1::2], _flips, depth, prune)
+    return _walk(start, _flips, depth, prune)
+
+
+# The rank walk is split at this level, into 2**5 = 32 subtrees: tasks
+# enough for the pull of _share to even out their unequal costs (a pruned
+# saltus walk keeps some of them whole and others not at all), and parts
+# few enough to pickle and merge cheaply.  On two CPUs levels 3 to 7 took
+# the same time within the noise: mcshane_partial_sums(14, 12) 95-101 ms,
+# saltus_samples on 230 points at depth 12 34-40 ms and saltus_mu(188/229)
+# at depth 12 24-27 ms, against 143, 44 and 31 ms in one walk (medians of
+# 6 rounds of 9 calls, Python 3.11 on a shared 2-core x86-64 host).
+_SPLIT_LEVEL = 5
+# Fewest vertices that the surviving subtrees hold, uncut, for the split
+# walk to be shared: the break-even of forking a child, pickling its parts
+# and merging them.  mcshane_partial_sums(depth, 12) took, shared on two
+# CPUs against one walk, 7.5 against 4-6 ms at depth 9 (1,023 vertices),
+# 11.5 against 10.3-12.8 ms at depth 10 (2,047) and 17-18 against
+# 21-24 ms at depth 11 (4,095); medians of 31 calls, three rounds, Python
+# 3.11 on a shared 2-core x86-64 host.
+_SHARE_MIN_VERTICES = 1 << 11
+
+
+def _shared_rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None,
+                      part: Callable[[Iterable[_RankItem]], _T]) -> list[_T]:
+    """part(items) over pieces that cover _rank_walk(depth, prune) once each, shared out.
+
+    The walk above _SPLIT_LEVEL, with prune, is one piece and goes to part
+    in this process.  Each subtree at that level that prune keeps is one
+    more, and _share runs them when at least two are kept and, uncut, they
+    hold _SHARE_MIN_VERTICES or more vertices.  Otherwise the pieces are
+    chained into one walk for one part, as a serial walk would be.  A
+    piece comes in walk order, but the pieces do not, so the caller's
+    merge of the parts must not depend on the order of the vertices.
+    """
+    _check_scan_depth(depth)
+    starts = []
+
+    def cut(item: _RankItem) -> bool:
+        if prune is not None and prune(item):
+            return True
+        if item[2] == _SPLIT_LEVEL:
+            starts.append(item)
+            return True
+        return False
+
+    upper = list(_walk(_RANK_ROOT, _flips, depth, cut))
+    if len(starts) > 1 and len(starts) * ((2 << (depth - _SPLIT_LEVEL)) - 1) >= _SHARE_MIN_VERTICES:
+        return [part(upper), *_share([lambda start=start: part(_rank_walk(depth, prune, start))
+                                      for start in starts])]
+    return [part(chain(upper, *(_rank_walk(depth, prune, start) for start in starts)))]
+
+
+# -- the task pool ------------------------------------------------------------
+
+# True inside a share: in the process that called _share, until it returns,
+# and in its children, which it keeps from sharing again.
+_sharing = False
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _threads_alive() -> bool:
+    """Whether a second thread runs: a child would hold locks that no thread of its own frees."""
+    threading = sys.modules.get("threading")
+    return threading is not None and threading.active_count() > 1
+
+
+def _pull(queue: int, tasks: Sequence[Callable[[], _T]]) -> list[tuple[int, _T]]:
+    """Run tasks by the indices read from the pipe queue, one byte each, until it is empty.
+
+    A one-byte read takes a byte no other reader of the pipe gets, so the
+    processes that share it run each task once.
+    """
+    done = []
+    while index := os.read(queue, 1):
+        done.append((index[0], tasks[index[0]]()))
+    return done
+
+
+def _serve(queue: int, out: int, tasks: Sequence[Callable[[], object]]) -> NoReturn:
+    """A forked child: run the tasks pulled from queue, write the outcome to out, exit.
+
+    The outcome is the pickled list of (index, result) pairs, or the
+    exception a task raised.  The child ends in os._exit whatever happens,
+    so it never returns into the caller's frames nor flushes its buffers;
+    its status is 1 when it could not write the outcome.
+    """
+    status = 1
+    try:
+        import pickle
+
+        try:
+            outcome: object = _pull(queue, tasks)
+        except BaseException as exc:  # reported to _share, which raises it
+            outcome = exc
+        data = memoryview(pickle.dumps(outcome))
+        while data:
+            data = data[os.write(out, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _share(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
+    """[task() for task in tasks], run by this process and one forked child per spare CPU.
+
+    Every process takes the next task index from one pipe until none is
+    left, so the split follows the CPU count and the task costs as they
+    fall, and the results come back in task order.  Everything runs here,
+    one task after another, with fewer than two tasks or usable CPUs, off
+    Linux (a fork without exec is unsafe on macOS, and Windows has no
+    fork), inside a share (a task's own call, or a child's), and while a
+    second thread is alive.  A task's exception, in whichever process, is
+    raised here, and a child that ends without an outcome raises
+    RuntimeError.  Each child is read to its end and reaped before this
+    returns; on any exception here, an interrupt too, the children still
+    alive are killed and reaped before it propagates.  An index is one
+    byte, so a share takes at most 256 tasks.
+    """
+    global _sharing
+    if len(tasks) > 256:
+        raise ValueError("a share takes at most 256 tasks")
+    forkable = not _sharing and sys.platform == "linux" and not _threads_alive()
+    children = min(_usable_cpus(), len(tasks)) - 1 if forkable else 0
+    if children < 1:
+        return [task() for task in tasks]
+    import pickle
+    import signal
+
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(tasks))))
+    os.close(feed)
+    outs: list[int] = []  # read ends of the children's outcome pipes
+    alive: list[int] = []  # children not yet reaped
+    _sharing = True
+    try:
+        for _ in range(children):
+            out, into = os.pipe()
+            outs.append(out)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(queue, into, tasks)
+                alive.append(pid)
+            finally:
+                os.close(into)
+        done = dict(_pull(queue, tasks))
+        for pid, out in list(zip(alive, outs)):
+            with open(out, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            alive.remove(pid)
+            if status or not data:
+                raise RuntimeError(f"a worker exited with status {status}")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            done.update(outcome)
+    except BaseException:
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        _sharing = False
+        for fd in (queue, *outs):
+            os.close(fd)
+    return [done[index] for index in range(len(tasks))]
 
 
 _RUN = re.compile(r"L+|R+")

@@ -28,29 +28,26 @@ The slope-side suites take one midpoint step per vertex:
 each reference vertex, and `slope_transport` by dyadic, so each value is
 one step from its two neighbours.
 
-The suites are independent, so `run_all` shares them out as tasks, one
-per suite.  The main process runs tasks itself, beside one spawned
-worker interpreter per further CPU it may use; each process takes the
-next task from one pipe until none is left, so the split follows the
-CPU count and the task costs as they fall, with no cost table.  With one
-usable CPU no worker starts.  Each result records its suite's wall
-seconds in the process that ran it, which the results' equality ignores.
+The suites are independent, so `run_all` hands them to the task pool
+`markov._share`, one task per suite: the main process runs tasks itself,
+beside one forked child per further CPU it may use, and each process
+takes the next task from one pipe until none is left, so the split
+follows the CPU count and the task costs as they fall, with no cost
+table.  With one usable CPU no child starts.  Each result records its
+suite's wall seconds in the process that ran it, which the results'
+equality ignores.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
 from itertools import chain, zip_longest
 from math import gcd
 from operator import attrgetter
 from time import perf_counter
-from typing import TYPE_CHECKING
 
 from .analysis import (
     _fractions_inside_by_scan,
@@ -75,6 +72,7 @@ from .markov import (
     _check_scan_depth,
     _rank_walk,
     _relations,
+    _share,
     congruence_brute,
     descend_value,
     enumerate_tree,
@@ -95,9 +93,6 @@ from .slopes import (
     normalize_slope,
     set_equivalence,
 )
-
-if TYPE_CHECKING:
-    import subprocess
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -545,99 +540,17 @@ def _tasks(depth: int) -> list[Task]:
     ]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pull(queue: int, tasks: list[Task]) -> list[tuple[int, CheckResult]]:
-    """Run tasks by the indices read from the pipe queue, one byte each, until it is empty.
-
-    A one-byte read takes a byte no other reader of the pipe gets, so the
-    processes that share it run each task once.
-    """
-    done = []
-    while index := os.read(queue, 1):
-        done.append((index[0], tasks[index[0]]()))
-    return done
-
-
-def _serve(depth: int) -> None:
-    """A worker: pull the tasks of run_all(depth) from stdin, write the outcome to stdout.
-
-    The outcome is the pickled list of (index, result) pairs, or the
-    exception a task raised, which run_all raises again.
-    """
-    import pickle
-
-    try:
-        outcome: object = _pull(sys.stdin.fileno(), _tasks(depth))
-    except Exception as exc:  # reported to run_all, which raises it
-        outcome = exc
-    pickle.dump(outcome, sys.stdout.buffer)
-
-
-#: The worker's program: argv holds the depth and then the parent's sys.path,
-#: so the worker imports the same markovfrac.
-_WORKER = ("import sys; sys.path[:] = sys.argv[2:]; "
-           "from markovfrac.verify import _serve; _serve(int(sys.argv[1]))")
-
-
-def _start_worker(depth: int, queue: int) -> subprocess.Popen[bytes]:
-    """A worker that pulls the tasks of run_all(depth) from the pipe queue."""
-    import subprocess
-
-    # subprocess, not multiprocessing: a spawn context starts a resource
-    # tracker that outlives run_all.  The flags are the ones its spawn passes.
-    command = [sys.executable, *subprocess._args_from_interpreter_flags(),
-               "-c", _WORKER, str(depth), *sys.path]
-    return subprocess.Popen(command, stdin=queue, stdout=subprocess.PIPE)
-
-
-def _worker_outcome(worker: subprocess.Popen[bytes]) -> list[tuple[int, CheckResult]]:
-    """The (index, result) pairs of a worker once it has exited; its failure raises."""
-    import pickle
-
-    out, _ = worker.communicate()
-    if worker.returncode:
-        raise RuntimeError(f"a verify worker exited with status {worker.returncode}")
-    outcome = pickle.loads(out)
-    if isinstance(outcome, BaseException):
-        raise outcome
-    return outcome
-
-
 def run_all(depth: int) -> list[CheckResult]:
     """Run every check, bounded by depth where applicable; deterministic order.
 
-    The tasks are shared by this process and one worker process per
-    further usable CPU (none with one CPU).  Each worker is a fresh
-    interpreter, started here with this one's flags and sys.path; every
-    process takes the next task from one pipe until none is left, and
-    the workers send their results back.  Every worker is reaped before
-    run_all returns or raises, and a task's exception, in whichever
-    process, is raised here.  The depth is checked before any worker
-    starts.  The results come in report order, each with its suite's
-    wall seconds in the process that ran it.
+    The suites are the tasks of markov._share: this process and, on Linux,
+    one forked child per further usable CPU take them one at a time from
+    one pipe.  Everything runs in this process with one usable CPU, off
+    Linux, or while a second thread is alive.  Every child is reaped
+    before run_all returns or raises, and a suite's exception, in
+    whichever process, is raised here.  The depth is checked before any
+    child starts.  The results come in report order, each with its
+    suite's wall seconds in the process that ran it.
     """
     _check_scan_depth(depth)
-    tasks = _tasks(depth)
-    queue, feed = os.pipe()
-    with ExitStack() as stack:
-        stack.callback(os.close, queue)
-        with open(feed, "wb") as pipe:
-            pipe.write(bytes(range(len(tasks))))
-        workers: list[subprocess.Popen[bytes]] = []
-        try:
-            for _ in range(min(_usable_cpus(), len(tasks)) - 1):
-                workers.append(stack.enter_context(_start_worker(depth, queue)))
-            done = dict(_pull(queue, tasks))
-            for worker in workers:
-                done.update(_worker_outcome(worker))
-        except BaseException:
-            for worker in workers:
-                worker.kill()
-            raise
-    return [done[index] for index in range(len(tasks))]
+    return _share(_tasks(depth))

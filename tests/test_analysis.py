@@ -5,8 +5,10 @@ at 60 digits for the jump-length partial sums, and exact big-integer
 descent for the Lyapunov trajectory at small step counts.
 """
 
+import hashlib
 import itertools
 import math
+import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
@@ -37,7 +39,7 @@ from markovfrac import (
     surd_compare,
     tree_walk,
 )
-from markovfrac import analysis
+from markovfrac import analysis, markov
 from markovfrac.markov import MarkovFraction
 from markovfrac.analysis import (
     _fractions_inside_by_scan,
@@ -505,7 +507,7 @@ def test_precision_refused_before_the_walk(monkeypatch, call):
     def no_walk(*args, **kwargs):
         raise AssertionError("walked past the precision budget")
 
-    monkeypatch.setattr(analysis, "_rank_walk", no_walk)
+    monkeypatch.setattr(analysis, "_shared_rank_walk", no_walk)
     budget = analysis._MAX_PRECISION_DIGITS
     with pytest.raises(ValueError, match=f"the precision exceeds the {budget}-digit budget"):
         call(budget + 1)
@@ -604,16 +606,23 @@ def test_saltus_walks_only_up_to_the_last_point(monkeypatch):
     # Every subtree whose left Farey parent is at or right of 1/1000 is cut:
     # the walk visits the 19 vertices L^k, k <= 18, not 2**19 - 1.  The full
     # walk took 7.0 s to the same value (Python 3.11, one core of a shared
-    # 2-core x86-64 host).
+    # 2-core x86-64 host).  One subtree below the split level is left, so
+    # the walk is not shared even with a second CPU, and every vertex it
+    # visits passes the counting loop in this process.
     visited = []
-    real = analysis._rank_walk
+    real = markov._walk
 
     def counting(*args, **kwargs):
         for item in real(*args, **kwargs):
             visited.append(item)
             yield item
 
-    monkeypatch.setattr(analysis, "_rank_walk", counting)
+    def no_fork():
+        raise AssertionError("the walk to 1/1000 was shared")
+
+    monkeypatch.setattr(markov, "_walk", counting)
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert saltus_samples([F(1, 1000)], 18, 12) == [(
         F(68145013531101411565966019392206853510828265,
           178405961588244985132285746181186892047843328),
@@ -672,6 +681,79 @@ def test_saltus_samples_match_fraction_reference():
 def test_saltus_samples_match_fraction_reference_on_random_points(points):
     xs = sorted(points)
     assert saltus_samples(xs, 5, 8) == _saltus_samples_reference(xs, 5, 8)
+
+
+# -- jump sums shared across processes ----------------------------------------------------
+
+
+def _one_walk_sums(depth: int, precision: int) -> list[tuple[F, F]]:
+    """mcshane_partial_sums as one walk adding every vertex to dense slots, in walk order."""
+    guard = _guard_bits(precision)
+    slots = [[0, 0, 0] for _ in range(depth + 1)]
+    for q in (1, 2):
+        lo, hi, e = _length_bounds(q, guard)
+        analysis._dyadic_add(slots[0], lo, hi, e + 1)
+    for (_, _, q), _, level in markov._rank_walk(depth):
+        analysis._dyadic_add(slots[level], *_length_bounds(q, guard))
+    total, sums = [0, 0, 0], []
+    for slot in slots:
+        analysis._dyadic_add(total, *slot)
+        lo, hi, e = total
+        sums.append((F(lo, 1 << e), F(hi, 1 << e)))
+    return sums
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _on_cpus(monkeypatch, cpus, call):
+    """call() as on a host with the given number of usable CPUs."""
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: cpus)
+    return call()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("depth, precision", [(11, 12), (12, 40), (14, 12)])
+def test_mcshane_shared_equals_serial_byte_for_byte(monkeypatch, depth, precision):
+    # Every level-5 subtree goes to the pool from depth 11 (32 * 127 vertices).
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    shared = _on_cpus(monkeypatch, 2, lambda: mcshane_partial_sums(depth, precision))
+    _assert_no_child_left()
+    assert len(forks) == 1
+    serial = _on_cpus(monkeypatch, 1, lambda: mcshane_partial_sums(depth, precision))
+    assert len(forks) == 1
+    assert _digest(shared) == _digest(serial) == _digest(_one_walk_sums(depth, precision))
+
+
+def test_saltus_grid_shared_equals_serial_byte_for_byte(monkeypatch):
+    xs = [F(i, 229) for i in range(230)]
+    shared = _on_cpus(monkeypatch, 2, lambda: saltus_samples(xs, 12, 12))
+    _assert_no_child_left()
+    serial = _on_cpus(monkeypatch, 1, lambda: saltus_samples(xs, 12, 12))
+    assert _digest(shared) == _digest(serial)
+    assert shared[-1] == mcshane_partial_sum(12, 12)
+
+
+@pytest.mark.parametrize("x", [F(1, 7), F(1, 3), F(188, 229), F(1)])
+def test_saltus_point_shared_equals_serial_byte_for_byte(monkeypatch, x):
+    shared = _on_cpus(monkeypatch, 2, lambda: saltus_mu(x, 13, 12))
+    _assert_no_child_left()
+    serial = _on_cpus(monkeypatch, 1, lambda: saltus_mu(x, 13, 12))
+    assert _digest(shared) == _digest(serial)
 
 
 # -- Markov irrationalities --------------------------------------------------------------

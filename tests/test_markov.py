@@ -9,7 +9,9 @@ check_relations decides on integers.
 
 import itertools
 import math
+import os
 import random
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -304,6 +306,123 @@ def test_rank_walk_prune_cuts_subtrees(prune):
     for depth in (0, 5, 9):
         assert list(_rank_walk(depth, prune)) == [
             item for item in _rank_walk(depth) if not prune(item)]
+
+
+def test_rank_walk_from_a_start_walks_its_subtree():
+    walk = list(_rank_walk(9))
+    starts = [item for item in walk if item[2] == 5]
+    assert len(starts) == 32
+    below = [list(_rank_walk(9, start=start)) for start in starts]
+    assert all(len(items) == 31 and items[0] == start for items, start in zip(below, starts))
+    # The subtrees at level 5 and the 31 vertices above them are the walk.
+    above = [item for item in walk if item[2] < 5]
+    assert sorted(above + [item for items in below for item in items]) == sorted(walk)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.mark.parametrize("depth, prune, shared", [
+    (4, None, False),
+    (10, None, False),   # 32 subtrees of 63 vertices: 2016, below the threshold
+    (11, None, True),
+    (12, _farey_at_or_right_of(F(1, 1000)), False),   # one subtree is left
+    (12, _farey_at_or_right_of(F(1, 3)), False),   # 8 subtrees of 255 vertices: 2040
+    (12, _farey_at_or_right_of(F(1, 2)), True),    # 16 of them
+    (12, lambda item: True, False),
+])
+def test_shared_rank_walk_covers_the_walk_once(monkeypatch, forks, depth, prune, shared):
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    parts = markov._shared_rank_walk(depth, prune, list)
+    _assert_no_child_left()
+    assert len(forks) == shared
+    # The part above the split level and one per subtree kept, or one part.
+    assert (len(parts) > 1) == shared
+    assert sorted(item for part in parts for item in part) == sorted(_rank_walk(depth, prune))
+
+
+def test_shared_rank_walk_refuses_a_depth_before_any_vertex():
+    def part(items):
+        raise AssertionError("walked a depth past the budget")
+
+    with pytest.raises(ValueError, match="depth 20 exceeds the 1048576 vertex budget"):
+        markov._shared_rank_walk(20, None, part)
+
+
+# -- the task pool -----------------------------------------------------------
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refuse_to_fork():
+    raise AssertionError("a child was forked")
+
+
+def test_share_returns_the_results_in_task_order(monkeypatch):
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    assert markov._share([lambda i=i: i * i for i in range(40)]) == [i * i for i in range(40)]
+    _assert_no_child_left()
+    assert markov._share([]) == []
+
+
+def test_share_refuses_more_than_256_tasks(monkeypatch):
+    # An index is one byte.
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    assert markov._share([lambda i=i: i for i in range(256)]) == list(range(256))
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+    with pytest.raises(ValueError, match="at most 256 tasks"):
+        markov._share([lambda: 0] * 257)
+
+
+def test_share_runs_serially_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+    assert markov._share([os.getpid] * 3) == [os.getpid()] * 3
+    _assert_no_child_left()
+
+
+def test_share_runs_serially_when_nested(monkeypatch, forks):
+    # A task's own share, in this process or in the child, runs where the
+    # task runs: one fork in all, for the outer share.
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    inner = [os.getpid] * 3
+    results = markov._share([lambda: markov._share(inner)] * 4)
+    _assert_no_child_left()
+    assert len(forks) == 1
+    assert all(pids == [pids[0]] * 3 for pids in results)
+    assert not markov._sharing
+
+
+def test_share_runs_serially_beside_a_second_thread(monkeypatch):
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert markov._share([os.getpid] * 3) == [os.getpid()] * 3
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    _assert_no_child_left()
 
 
 def test_rank_walk_refuses_a_depth_before_any_vertex():

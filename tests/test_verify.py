@@ -9,20 +9,19 @@ suite counts.
 
 import inspect
 import itertools
-import io
 import json
 import os
 import pickle
+import select
 import signal
-import subprocess
-import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 
-from markovfrac import analysis, verify
+from markovfrac import analysis, markov, verify
 from markovfrac.cli import main
 from markovfrac.exact import DyadicRational
 from markovfrac.markov import FractionTriple
@@ -131,8 +130,8 @@ def test_suites_take_no_optional_parameters():
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Run every suite of run_all in this process, where a monkeypatch reaches it."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    """Run every suite of run_all in this process, where what it records stays."""
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 1)
 
 
 def assert_no_child_left():
@@ -164,102 +163,147 @@ def test_run_all_times_every_suite():
 
 
 def test_usable_cpus():
-    assert 1 <= verify._usable_cpus() <= os.cpu_count()
+    # run_all reads the count of markov's task pool.
+    assert not hasattr(verify, "_usable_cpus")
+    assert 1 <= markov._usable_cpus() <= os.cpu_count()
 
 
 @pytest.mark.parametrize("depth", range(7))
 def test_run_all_with_a_worker_matches_one_process(monkeypatch, depth):
-    # One worker is started even on a one-CPU host; where a suite runs
+    # One child is forked even on a one-CPU host; where a suite runs
     # changes nothing but its seconds.
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
     shared = verify.run_all(depth)
     assert_no_child_left()
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 1)
     assert shared == verify.run_all(depth)
 
 
-def _refuse_to_start(*args, **kwargs):
-    raise AssertionError("a worker was started")
+def _refuse_to_fork():
+    raise AssertionError("a child was forked")
 
 
 def test_run_all_on_one_cpu_starts_no_worker(monkeypatch, in_process):
-    monkeypatch.setattr(subprocess, "Popen", _refuse_to_start)
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
     assert all(r.passed for r in verify.run_all(1))
 
 
 def test_run_all_checks_the_depth_before_any_worker(monkeypatch):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(subprocess, "Popen", _refuse_to_start)
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
     with pytest.raises(ValueError, match="depth 20 exceeds the 1048576 vertex budget"):
         verify.run_all(20)
 
 
-def _serve(monkeypatch, depth, indices):
-    """The outcome a worker writes after pulling the given task indices."""
+def _serve(tasks, indices):
+    """The outcome a forked child writes after pulling the given task indices."""
     queue, feed = os.pipe()
     os.write(feed, bytes(indices))
     os.close(feed)
-    out = io.BytesIO()
-    with open(queue, "rb") as stdin:
-        monkeypatch.setattr(sys, "stdin", stdin)
-        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out))
-        verify._serve(depth)
-        sys.stdout.flush()
-    return pickle.loads(out.getvalue())
+    out, into = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        markov._serve(queue, into, tasks)
+    os.close(into)
+    os.close(queue)
+    with open(out, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return pickle.loads(data)
 
 
-def test_worker_sends_the_results_of_the_tasks_it_pulls(monkeypatch):
+def test_worker_sends_the_results_of_the_tasks_it_pulls():
     tasks = verify._tasks(2)
     assert len(tasks) == 19
-    outcome = _serve(monkeypatch, 2, [1, 5])
+    outcome = _serve(tasks, [1, 5])
+    assert_no_child_left()
     assert outcome == [(1, tasks[1]()), (5, tasks[5]())]
     assert [result.name for _, result in outcome] == ["tree_walk", "slope_image"]
 
 
-def test_worker_sends_a_task_exception(monkeypatch):
+def test_worker_sends_a_task_exception():
     def fails():
         raise ValueError("suite failed")
 
-    monkeypatch.setattr(verify, "_tasks", lambda depth: [fails])
-    outcome = _serve(monkeypatch, 2, [0])
+    outcome = _serve([fails], [0])
+    assert_no_child_left()
     assert isinstance(outcome, ValueError) and outcome.args == ("suite failed",)
 
 
-@pytest.mark.parametrize("program, error, message", [
-    # A worker that takes a task and reports an exception for it.
-    ("import os, pickle, sys; os.read(0, 1); "
-     "pickle.dump(ValueError('suite failed'), sys.stdout.buffer)", ValueError, "suite failed"),
-    # A worker that dies without an outcome.
-    ("raise SystemExit(3)", RuntimeError, "a verify worker exited with status 3"),
+@pytest.fixture
+def two_process_tasks():
+    """make(here, in_child): two tasks, of which this process runs here() and the child in_child().
+
+    The task this process takes first waits until the child has taken the
+    other one, so neither process can run both.
+    """
+    pipes = []
+
+    def make(here, in_child):
+        parent = os.getpid()
+        taken, tell = os.pipe()
+        pipes.append((taken, tell))
+
+        def task():
+            if os.getpid() == parent:
+                readable, _, _ = select.select([taken], [], [], 30)
+                assert readable, "the child took no task"
+                return here()
+            os.write(tell, b"x")
+            return in_child()
+
+        return [task, task]
+
+    yield make
+    for pipe in pipes:
+        for fd in pipe:
+            os.close(fd)
+
+
+def _fails():
+    raise ValueError("suite failed")
+
+
+def _exits():
+    os._exit(3)
+
+
+@pytest.mark.parametrize("in_child, error, message", [
+    # A child's task raises; the child reports the exception for it.
+    (_fails, ValueError, "suite failed"),
+    # A child that dies without an outcome.
+    (_exits, RuntimeError, "a worker exited with status 3"),
 ], ids=["exception", "exit_status"])
-def test_a_worker_failure_fails_run_all(monkeypatch, program, error, message):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "_WORKER", program)
+def test_a_worker_failure_fails_run_all(monkeypatch, two_process_tasks, in_child, error, message):
+    tasks = two_process_tasks(lambda: None, in_child)
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_tasks", lambda depth: tasks)
     with pytest.raises(error, match=message):
         verify.run_all(1)
     assert_no_child_left()
 
 
-def test_a_failure_in_this_process_kills_the_workers(monkeypatch):
-    # The worker runs the real tasks of depth 12, about a second of work;
-    # this process fails at its first task and kills the worker rather
-    # than wait for it.
-    def fails():
-        raise ValueError("suite failed")
+def test_a_failure_in_this_process_kills_the_workers(monkeypatch, two_process_tasks):
+    # The child's task sleeps for a minute; this process fails its own task
+    # once the child has taken one, and kills the child rather than wait.
+    tasks = two_process_tasks(_fails, lambda: time.sleep(60))
+    statuses = []
+    real_waitpid = os.waitpid
 
-    started = []
+    def recording_waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "_tasks", lambda depth: [fails] * 19)
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_tasks", lambda depth: tasks)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    start = time.monotonic()
     with pytest.raises(ValueError, match="suite failed"):
         verify.run_all(12)
-    assert [worker.returncode for worker in started] == [-signal.SIGKILL]
+    assert time.monotonic() - start < 30
+    assert statuses == [-signal.SIGKILL]
     assert_no_child_left()
 
 
