@@ -7,11 +7,13 @@ enclosures as a lower/upper pair of exact fractions.  Fields whose values
 are inherently approximate carry an `_approx` suffix; everything else
 parses back to the exact internal value.
 
-Each handler returns an `Answer(inputs, outputs, text=None, failure="")`
-and only `main` builds the `OutputRecord`, named after the subcommand.
-The plain and csv formats print `text`, or the outputs as "key: value"
-lines when it is None; a nonempty `failure` is the record's error detail,
-with status "error" and exit 1.
+Each handler returns an `Answer(outputs, text=None, failure="")` and only
+`main` builds the `OutputRecord`, named after the subcommand.  Its inputs
+are the parsed arguments in parser order, less `--format`, `--timings`
+and options left unset.  The plain and csv formats print what `text()`
+builds, or the outputs as "key: value" lines when `text` is None; the
+json format never calls it.  A nonempty `failure` is the record's error
+detail, with status "error" and exit 1.
 
 Exit status: 0 on success, 1 on domain errors (a fraction outside an
 operation's domain, an unsupported equation, a failing `verify` run),
@@ -27,7 +29,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import cycle, repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .analysis import (
     approx_constant_detail,
@@ -189,9 +191,8 @@ def _csv_text(header: list[str], rows: list[list[object]]) -> str:
 class Answer(NamedTuple):
     """What a handler returns; `main` turns it into the record and the exit code."""
 
-    inputs: dict[str, str]
     outputs: dict[str, object]
-    text: str | None = None
+    text: Callable[[], str] | None = None
     failure: str = ""
 
 
@@ -201,22 +202,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     rows = sorted(([len(word), word, fraction_str(t.f1), fraction_str(t.f3), fraction_str(t.f2)]
                    for word, t in enumerate_tree(args.depth)), key=lambda row: row[0])
     vertices = [dict(zip(header, row)) for row in rows]
-    return Answer({"depth": str(args.depth)}, {"count": len(vertices), "vertices": vertices},
-                  _csv_text(header, rows))
+    return Answer({"count": len(vertices), "vertices": vertices}, lambda: _csv_text(header, rows))
 
 
 def _cmd_mu(args: argparse.Namespace) -> Answer:
     image = mu(args.x)
-    outputs = {
-        "value": fraction_str(image.value),
-        "word": image.word,
-        "depth": image.depth,
-    }
-    return Answer({"x": fraction_str(args.x)}, outputs)
+    return Answer({"value": fraction_str(image.value), "word": image.word, "depth": image.depth})
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> Answer:
-    return Answer({"x": str(args.x)}, {"value": fraction_str(epsilon(args.x))})
+    return Answer({"value": fraction_str(epsilon(args.x))})
 
 
 def _cmd_slope(args: argparse.Namespace) -> Answer:
@@ -228,22 +223,21 @@ def _cmd_slope(args: argparse.Namespace) -> Answer:
         "sign": norm.sign,
         "member": decision.accepted,
     }
-    text = None
-    if decision.accepted:
-        inv = decision.bundle_invariants()
-        outputs.update({
-            "word": decision.witness,
-            "rank": inv.rank,
-            "c1": inv.c1,
-            "s": inv.s,
-            "c2": inv.c2,
-            "form": list(inv.form),
-            "discriminant": inv.form_discriminant,
-        })
-        text = _plain_lines({**outputs, "form": "({}, {}, {})".format(*inv.form)})
-    else:
+    if not decision.accepted:
         outputs["stopped_at_denominator"] = decision.stopped_at_denominator
-    return Answer({"x": fraction_str(args.x)}, outputs, text)
+        return Answer(outputs)
+    inv = decision.bundle_invariants()
+    outputs.update({
+        "word": decision.witness,
+        "rank": inv.rank,
+        "c1": inv.c1,
+        "s": inv.s,
+        "c2": inv.c2,
+        "form": list(inv.form),
+        "discriminant": inv.form_discriminant,
+    })
+    form = "({}, {}, {})".format(*inv.form)
+    return Answer(outputs, lambda: _plain_lines({**outputs, "form": form}))
 
 
 def _cmd_qmark(args: argparse.Namespace) -> Answer:
@@ -260,21 +254,24 @@ def _cmd_qmark(args: argparse.Namespace) -> Answer:
         y = DyadicRational(1, 0)
     else:
         y = question_mark_of_word(farey_path_to(x))
-    outputs = {"value": str(y), "fraction": fraction_str(y.value), "method": args.method}
-    return Answer({"x": fraction_str(x), "method": args.method}, outputs)
+    return Answer({"value": str(y), "fraction": fraction_str(y.value), "method": args.method})
 
 
 def _cmd_verify(args: argparse.Namespace) -> Answer:
     results = run_all(args.depth)
-    lines = []
-    for r in results:
-        suffix = f" ({r.detail})" if r.detail else ""
-        if r.passed:
-            lines.append(f"PASS {r.name}: {r.checked} checks{suffix}")
-        else:
-            lines.append(f"FAIL {r.name}: {r.failures} of {r.checked} checks failed{suffix}")
     failed = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - failed}/{len(results)} invariant suites passed")
+
+    def text() -> str:
+        lines = []
+        for r in results:
+            suffix = f" ({r.detail})" if r.detail else ""
+            if r.passed:
+                lines.append(f"PASS {r.name}: {r.checked} checks{suffix}")
+            else:
+                lines.append(f"FAIL {r.name}: {r.failures} of {r.checked} checks failed{suffix}")
+        lines.append(f"{len(results) - failed}/{len(results)} invariant suites passed")
+        return "\n".join(lines)
+
     outputs = {
         "depth": args.depth,
         "results": [
@@ -290,18 +287,16 @@ def _cmd_verify(args: argparse.Namespace) -> Answer:
         ],
         "all_passed": not failed,
     }
-    return Answer({"depth": str(args.depth)}, outputs, "\n".join(lines),
-                  f"{failed} invariant suites failed" if failed else "")
+    return Answer(outputs, text, f"{failed} invariant suites failed" if failed else "")
 
 
 def _cmd_approx_const(args: argparse.Namespace) -> Answer:
     constant, witness = approx_constant_detail(args.x)
-    outputs = {
+    return Answer({
         "constant": fraction_str(constant),
         "witness": fraction_str(witness),
         "at_least_one_third": constant >= Fraction(1, 3),
-    }
-    return Answer({"x": fraction_str(args.x)}, outputs)
+    })
 
 
 def _require_markov_fraction(x: Fraction):
@@ -324,14 +319,12 @@ def _cmd_interval(args: argparse.Namespace) -> Answer:
         "lo_approx": _surd_decimal(iv.lo, 12, round_up=False),
         "hi_approx": _surd_decimal(iv.hi, 12, round_up=True),
     }
-    inputs = {"x": fraction_str(args.x)}
     if args.freeness_bound is not None:
         report = interval_freeness(f, args.freeness_bound)
         outputs["freeness_bound"] = args.freeness_bound
         outputs["free"] = report.free
         outputs["intruders"] = [fraction_str(g) for g in report.intruders]
-        inputs["freeness_bound"] = str(args.freeness_bound)
-    return Answer(inputs, outputs)
+    return Answer(outputs)
 
 
 def _enclosure_outputs(lo: Fraction, hi: Fraction, digits: int) -> dict[str, object]:
@@ -348,23 +341,18 @@ def _cmd_mcshane(args: argparse.Namespace) -> Answer:
     outputs = _enclosure_outputs(lo, hi, args.precision)
     gap_lo, gap_hi = _outward(Fraction(1, 2) - hi, Fraction(1, 2) - lo, args.precision)
     outputs["gap_below_half"] = [fraction_str(gap_lo), fraction_str(gap_hi)]
-    return Answer({"depth": str(args.depth), "precision": str(args.precision)}, outputs)
+    return Answer(outputs)
 
 
 def _cmd_saltus(args: argparse.Namespace) -> Answer:
     lo, hi = saltus_mu(args.x, args.depth, args.precision)
-    inputs = {
-        "x": fraction_str(args.x),
-        "depth": str(args.depth),
-        "precision": str(args.precision),
-    }
-    return Answer(inputs, _enclosure_outputs(lo, hi, args.precision))
+    return Answer(_enclosure_outputs(lo, hi, args.precision))
 
 
 def _cmd_lyapunov(args: argparse.Namespace) -> Answer:
     turns = repeat("L") if args.word == "const" else cycle("LR")
     estimate = lyapunov_estimate(turns, args.steps)
-    return Answer({"word": args.word, "steps": str(args.steps)}, {"estimate_approx": estimate})
+    return Answer({"estimate_approx": estimate})
 
 
 def _cmd_unicity(args: argparse.Namespace) -> Answer:
@@ -378,32 +366,30 @@ def _cmd_unicity(args: argparse.Namespace) -> Answer:
             for q, vals in report.duplicates
         ],
     }
-    plain = {k: outputs[k] for k in ("vertices", "distinct_denominators", "all_unique")}
-    text = _plain_lines(plain)
-    for q, vals in report.duplicates:
-        text += f"\nduplicate {q}: " + " ".join(fraction_str(v) for v in vals)
-    return Answer({"depth": str(args.depth)}, outputs, text)
+
+    def text() -> str:
+        plain = {k: outputs[k] for k in ("vertices", "distinct_denominators", "all_unique")}
+        lines = [_plain_lines(plain)]
+        lines.extend(f"duplicate {dup['denominator']}: " + " ".join(dup["fractions"])
+                     for dup in outputs["duplicates"])
+        return "\n".join(lines)
+
+    return Answer(outputs, text)
 
 
 def _cmd_triples(args: argparse.Namespace) -> Answer:
     eq = SUPPORTED_EQUATIONS[args.equation]
     triples = sorted(generalized_enumerate(eq, args.depth))
-    return Answer(
-        {"equation": args.equation, "depth": str(args.depth)},
-        {"count": len(triples), "triples": [list(t) for t in triples]},
-        "\n".join(f"{x} {y} {z}" for x, y, z in triples),
-    )
+    return Answer({"count": len(triples), "triples": [list(t) for t in triples]},
+                  lambda: "\n".join(f"{x} {y} {z}" for x, y, z in triples))
 
 
 def _cmd_congruence(args: argparse.Namespace) -> Answer:
     if args.modulus < 1:
         raise ValueError(f"modulus must be positive; got {args.modulus}")
     solutions = solve_congruence(args.modulus)
-    return Answer(
-        {"modulus": str(args.modulus)},
-        {"modulus": args.modulus, "solutions": solutions, "count": len(solutions)},
-        " ".join(str(s) for s in solutions),
-    )
+    return Answer({"modulus": args.modulus, "solutions": solutions, "count": len(solutions)},
+                  lambda: " ".join(str(s) for s in solutions))
 
 
 _PLOT_DIGITS = 12
@@ -418,22 +404,21 @@ def _cmd_plot_mu(args: argparse.Namespace) -> Answer:
         raise ValueError(f"grid {args.grid} exceeds the {_MAX_PLOT_POINTS} sample point budget")
     xs = [Fraction(i, args.grid - 1) for i in range(args.grid)]
     header = ["x", "mu_lower", "mu_upper", "x_approx", "mu_approx"]
-    rows: list[list[object]] = []
+    lowers: list[Fraction] = []
+    points: list[dict[str, str]] = []
     for x, bounds in zip(xs, saltus_samples(xs, args.depth, _PLOT_DIGITS)):
         lo, hi = _outward(*bounds, _PLOT_DIGITS)
-        rows.append(
-            [
-                fraction_str(x),
-                fraction_str(lo),
-                fraction_str(hi),
-                _decimal_str(x, _PLOT_DIGITS, round_up=False),
-                _decimal_str(lo, _PLOT_DIGITS, round_up=False),
-            ]
-        )
-    # The json points carry the three exact columns.
-    points = [dict(zip(header[:3], row)) for row in rows]
-    return Answer({"grid": str(args.grid), "depth": str(args.depth)},
-                  {"count": len(points), "points": points}, _csv_text(header, rows))
+        lowers.append(lo)
+        points.append(dict(zip(header, (fraction_str(x), fraction_str(lo), fraction_str(hi)))))
+
+    def text() -> str:
+        # The csv rows add two decimal columns to the exact ones of the json points.
+        rows = [[*point.values(), _decimal_str(x, _PLOT_DIGITS, round_up=False),
+                 _decimal_str(lo, _PLOT_DIGITS, round_up=False)]
+                for point, x, lo in zip(points, xs, lowers)]
+        return _csv_text(header, rows)
+
+    return Answer({"count": len(points), "points": points}, text)
 
 
 # -- parser ------------------------------------------------------------------
@@ -557,6 +542,10 @@ def _budget_digits():
         sys.set_int_max_str_digits(limit)
 
 
+# Parsed values that are not the subcommand's inputs.
+_NOT_INPUTS = frozenset({"command", "handler", "format", "timings"})
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -572,11 +561,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {detail}", file=sys.stderr)
             return 1
         if args.format == "json":
+            inputs = {key: fraction_str(value) if isinstance(value, Fraction) else str(value)
+                      for key, value in vars(args).items()
+                      if key not in _NOT_INPUTS and value is not None}
             status = "error" if answer.failure else "ok"
-            print(OutputRecord(args.command, answer.inputs, answer.outputs, status,
+            print(OutputRecord(args.command, inputs, answer.outputs, status,
                                answer.failure).to_json())
         else:
-            print(_plain_lines(answer.outputs) if answer.text is None else answer.text)
+            print(_plain_lines(answer.outputs) if answer.text is None else answer.text())
     return 1 if answer.failure else 0
 
 

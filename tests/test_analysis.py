@@ -47,6 +47,7 @@ from markovfrac.analysis import (
     _leading_length_bounds,
     _length_bounds,
 )
+from conftest import assert_no_child_left, refuse_to_fork
 
 LN_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -558,6 +559,19 @@ def test_saltus_endpoints():
     assert saltus_mu(F(1), 5, 9) == mcshane_partial_sum(5, 9)
 
 
+@pytest.mark.parametrize("precision", [1, 12, 40])
+def test_saltus_at_one_is_the_length_sum_byte_for_byte(precision):
+    # The positional sum places each length by its vertex's Farey point and
+    # the per-level sum by its depth; they share only _length_bounds and the
+    # merge, so each checks the other.
+    for depth in (0, 1, 5, 10, 13):
+        assert repr(saltus_mu(F(1), depth, precision)) == repr(
+            mcshane_partial_sum(depth, precision))
+    levels = mcshane_partial_sums(13, precision)
+    assert [repr(saltus_mu(F(1), depth, precision)) for depth in range(14)] == [
+        repr(level) for level in levels]
+
+
 def test_saltus_converges_from_below():
     for x, target in ((F(1, 2), F(2, 5)), (F(1, 3), F(5, 13)), (F(1, 4), F(13, 34))):
         lo, hi = saltus_mu(x, 6, 10)
@@ -602,7 +616,7 @@ def test_saltus_samples_match_mpmath_oracle():
     assert saltus_samples([F(1)], 5, 12) == [samples[-1]]
 
 
-def test_saltus_walks_only_up_to_the_last_point(monkeypatch):
+def test_saltus_walks_only_up_to_the_last_point(monkeypatch, usable_cpus):
     # Every subtree whose left Farey parent is at or right of 1/1000 is cut:
     # the walk visits the 19 vertices L^k, k <= 18, not 2**19 - 1.  The full
     # walk took 7.0 s to the same value (Python 3.11, one core of a shared
@@ -617,12 +631,9 @@ def test_saltus_walks_only_up_to_the_last_point(monkeypatch):
             visited.append(item)
             yield item
 
-    def no_fork():
-        raise AssertionError("the walk to 1/1000 was shared")
-
     monkeypatch.setattr(markov, "_walk", counting)
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", no_fork)
+    usable_cpus(2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     assert saltus_samples([F(1, 1000)], 18, 12) == [(
         F(68145013531101411565966019392206853510828265,
           178405961588244985132285746181186892047843328),
@@ -707,52 +718,37 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def _on_cpus(monkeypatch, cpus, call):
-    """call() as on a host with the given number of usable CPUs."""
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: cpus)
-    return call()
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("depth, precision", [(11, 12), (12, 40), (14, 12)])
-def test_mcshane_shared_equals_serial_byte_for_byte(monkeypatch, depth, precision):
+def test_mcshane_shared_equals_serial_byte_for_byte(usable_cpus, forks, depth, precision):
     # Every level-5 subtree goes to the pool from depth 11 (32 * 127 vertices).
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    shared = _on_cpus(monkeypatch, 2, lambda: mcshane_partial_sums(depth, precision))
-    _assert_no_child_left()
+    usable_cpus(2)
+    shared = mcshane_partial_sums(depth, precision)
+    assert_no_child_left()
     assert len(forks) == 1
-    serial = _on_cpus(monkeypatch, 1, lambda: mcshane_partial_sums(depth, precision))
+    usable_cpus(1)
+    serial = mcshane_partial_sums(depth, precision)
     assert len(forks) == 1
     assert _digest(shared) == _digest(serial) == _digest(_one_walk_sums(depth, precision))
 
 
-def test_saltus_grid_shared_equals_serial_byte_for_byte(monkeypatch):
+def test_saltus_grid_shared_equals_serial_byte_for_byte(usable_cpus):
     xs = [F(i, 229) for i in range(230)]
-    shared = _on_cpus(monkeypatch, 2, lambda: saltus_samples(xs, 12, 12))
-    _assert_no_child_left()
-    serial = _on_cpus(monkeypatch, 1, lambda: saltus_samples(xs, 12, 12))
+    usable_cpus(2)
+    shared = saltus_samples(xs, 12, 12)
+    assert_no_child_left()
+    usable_cpus(1)
+    serial = saltus_samples(xs, 12, 12)
     assert _digest(shared) == _digest(serial)
     assert shared[-1] == mcshane_partial_sum(12, 12)
 
 
 @pytest.mark.parametrize("x", [F(1, 7), F(1, 3), F(188, 229), F(1)])
-def test_saltus_point_shared_equals_serial_byte_for_byte(monkeypatch, x):
-    shared = _on_cpus(monkeypatch, 2, lambda: saltus_mu(x, 13, 12))
-    _assert_no_child_left()
-    serial = _on_cpus(monkeypatch, 1, lambda: saltus_mu(x, 13, 12))
+def test_saltus_point_shared_equals_serial_byte_for_byte(usable_cpus, x):
+    usable_cpus(2)
+    shared = saltus_mu(x, 13, 12)
+    assert_no_child_left()
+    usable_cpus(1)
+    serial = saltus_mu(x, 13, 12)
     assert _digest(shared) == _digest(serial)
 
 

@@ -82,6 +82,50 @@ def test_json_record_is_named_after_its_subcommand(capsys, call):
     assert (record["command"], record["status"], record["error_detail"]) == (call[0], "ok", "")
 
 
+# The json inputs of each smallest call and of some more, in key order: the
+# arguments in parser order, with `--format`, `--timings` and absent options left out.
+_RECORD_INPUTS = [
+    (("enumerate", "--depth", "0"), 0, [("depth", "0")]),
+    (("mu", "1/2"), 0, [("x", "1/2")]),
+    (("epsilon", "1/2"), 0, [("x", "1/2^1")]),
+    (("slope", "1/2"), 0, [("x", "1/2")]),
+    (("qmark", "1/2"), 0, [("x", "1/2"), ("method", "farey")]),
+    (("verify", "--depth", "0"), 0, [("depth", "0")]),
+    (("approx-const", "1/2"), 0, [("x", "1/2")]),
+    (("interval", "2/5"), 0, [("x", "2/5")]),
+    (("mcshane", "--depth", "0", "--precision", "1"), 0, [("depth", "0"), ("precision", "1")]),
+    (("saltus", "1/2", "--depth", "0", "--precision", "1"), 0,
+     [("x", "1/2"), ("depth", "0"), ("precision", "1")]),
+    (("lyapunov", "--word", "const", "--steps", "1"), 0, [("word", "const"), ("steps", "1")]),
+    (("unicity", "--depth", "0"), 0, [("depth", "0")]),
+    (("triples", "--equation", "markov", "--depth", "0"), 0,
+     [("equation", "markov"), ("depth", "0")]),
+    (("congruence", "1"), 0, [("modulus", "1")]),
+    (("plot-mu", "--grid", "2", "--depth", "0"), 0, [("grid", "2"), ("depth", "0")]),
+    (("interval", "2/5", "--freeness-bound", "1000"), 0,
+     [("x", "2/5"), ("freeness_bound", "1000")]),
+    (("qmark", "1/3", "--method", "salem"), 0, [("x", "1/3"), ("method", "salem")]),
+    (("qmark", "1/3"), 0, [("x", "1/3"), ("method", "farey")]),
+    (("epsilon", "3/16"), 0, [("x", "3/2^4")]),
+    (("mu", "1"), 0, [("x", "1/1")]),
+    (("verify", "--depth", "0", "--timings"), 0, [("depth", "0")]),
+    # An error record keeps no inputs.
+    (("mu", "3/2"), 1, []),
+]
+
+
+def test_record_inputs_cover_every_smallest_call():
+    assert [call for call, _, _ in _RECORD_INPUTS[:len(_SMALLEST_CALLS)]] == _SMALLEST_CALLS
+
+
+@pytest.mark.parametrize("call, code, inputs", _RECORD_INPUTS,
+                         ids=[" ".join(call) for call, _, _ in _RECORD_INPUTS])
+def test_json_record_inputs(capsys, call, code, inputs):
+    got, out, _ = run_cli(capsys, *call, "--format", "json")
+    assert got == code
+    assert list(json.loads(out)["inputs"].items()) == inputs
+
+
 # -- enumerate ---------------------------------------------------------------
 
 
@@ -431,6 +475,38 @@ def test_plot_mu_csv(capsys):
         "1/1,249998950763/500000000000,499997901527/1000000000000,"
         "1.000000000000,0.499997901526\n"
     )
+
+
+# The csv module is imported only to build csv text, which json output never does.
+_PRINTS_CSV = ("import sys; from markovfrac.cli import main; code = main(sys.argv[1:]); "
+               "print('csv' in sys.modules, file=sys.stderr); sys.exit(code)")
+
+
+@pytest.mark.parametrize("call", [
+    ("plot-mu", "--grid", "5", "--depth", "3"),
+    ("enumerate", "--depth", "3"),
+], ids=lambda call: call[0])
+@pytest.mark.parametrize("fmt, imported", [("json", "False"), ("csv", "True")])
+def test_only_csv_output_imports_csv(call, fmt, imported):
+    # A fresh interpreter, so that no other test has imported csv.
+    proc = subprocess.run([sys.executable, "-c", _PRINTS_CSV, *call, "--format", fmt],
+                          capture_output=True, text=True, env=_CHILD_ENV)
+    assert (proc.returncode, proc.stderr) == (0, imported + "\n")
+
+
+@pytest.mark.parametrize("fmt, calls", [("json", 0), ("csv", 10)])
+def test_only_csv_plot_mu_formats_decimals(capsys, monkeypatch, fmt, calls):
+    # Two decimal columns per point, in the csv text alone.
+    counted = []
+    real = cli._decimal_str
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_decimal_str", counting)
+    code, _, _ = run_cli(capsys, "plot-mu", "--grid", "5", "--depth", "3", "--format", fmt)
+    assert (code, len(counted)) == (0, calls)
 
 
 # -- exit codes and error reporting ---------------------------------------------

@@ -57,6 +57,7 @@ from markovfrac.markov import (
     _vieta_child,
     congruence_brute,
 )
+from conftest import assert_no_child_left, refuse_to_fork
 
 words = st.text(alphabet="LR", min_size=0, max_size=10)
 
@@ -319,22 +320,6 @@ def test_rank_walk_from_a_start_walks_its_subtree():
     assert sorted(above + [item for items in below for item in items]) == sorted(walk)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
 @pytest.mark.parametrize("depth, prune, shared", [
     (4, None, False),
     (10, None, False),   # 32 subtrees of 63 vertices: 2016, below the threshold
@@ -344,10 +329,10 @@ def forks(monkeypatch):
     (12, _farey_at_or_right_of(F(1, 2)), True),    # 16 of them
     (12, lambda item: True, False),
 ])
-def test_shared_rank_walk_covers_the_walk_once(monkeypatch, forks, depth, prune, shared):
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+def test_shared_rank_walk_covers_the_walk_once(usable_cpus, forks, depth, prune, shared):
+    usable_cpus(2)
     parts = markov._shared_rank_walk(depth, prune, list)
-    _assert_no_child_left()
+    assert_no_child_left()
     assert len(forks) == shared
     # The part above the split level and one per subtree kept, or one part.
     assert (len(parts) > 1) == shared
@@ -365,54 +350,45 @@ def test_shared_rank_walk_refuses_a_depth_before_any_vertex():
 # -- the task pool -----------------------------------------------------------
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _refuse_to_fork():
-    raise AssertionError("a child was forked")
-
-
-def test_share_returns_the_results_in_task_order(monkeypatch):
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+def test_share_returns_the_results_in_task_order(usable_cpus):
+    usable_cpus(2)
     assert markov._share([lambda i=i: i * i for i in range(40)]) == [i * i for i in range(40)]
-    _assert_no_child_left()
+    assert_no_child_left()
     assert markov._share([]) == []
 
 
-def test_share_refuses_more_than_256_tasks(monkeypatch):
+def test_share_refuses_more_than_256_tasks(monkeypatch, usable_cpus):
     # An index is one byte.
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    usable_cpus(2)
     assert markov._share([lambda i=i: i for i in range(256)]) == list(range(256))
-    _assert_no_child_left()
-    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     with pytest.raises(ValueError, match="at most 256 tasks"):
         markov._share([lambda: 0] * 257)
 
 
-def test_share_runs_serially_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+def test_share_runs_serially_on_one_cpu(monkeypatch, usable_cpus):
+    usable_cpus(1)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     assert markov._share([os.getpid] * 3) == [os.getpid()] * 3
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_share_runs_serially_when_nested(monkeypatch, forks):
+def test_share_runs_serially_when_nested(usable_cpus, forks):
     # A task's own share, in this process or in the child, runs where the
     # task runs: one fork in all, for the outer share.
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    usable_cpus(2)
     inner = [os.getpid] * 3
     results = markov._share([lambda: markov._share(inner)] * 4)
-    _assert_no_child_left()
+    assert_no_child_left()
     assert len(forks) == 1
     assert all(pids == [pids[0]] * 3 for pids in results)
     assert not markov._sharing
 
 
-def test_share_runs_serially_beside_a_second_thread(monkeypatch):
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+def test_share_runs_serially_beside_a_second_thread(monkeypatch, usable_cpus):
+    usable_cpus(2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -422,7 +398,7 @@ def test_share_runs_serially_beside_a_second_thread(monkeypatch):
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_rank_walk_refuses_a_depth_before_any_vertex():

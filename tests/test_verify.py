@@ -26,6 +26,7 @@ from markovfrac.cli import main
 from markovfrac.exact import DyadicRational
 from markovfrac.markov import FractionTriple
 from markovfrac.slopes import _epsilon_by_midpoints
+from conftest import assert_no_child_left, refuse_to_fork
 
 
 def run_cli(capsys, *args):
@@ -128,17 +129,6 @@ def test_suites_take_no_optional_parameters():
         assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
 
 
-@pytest.fixture
-def in_process(monkeypatch):
-    """Run every suite of run_all in this process, where what it records stays."""
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 1)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_run_all_calls_enumerate_tree_three_times(monkeypatch, in_process):
     calls = []
     real = verify.enumerate_tree
@@ -169,28 +159,24 @@ def test_usable_cpus():
 
 
 @pytest.mark.parametrize("depth", range(7))
-def test_run_all_with_a_worker_matches_one_process(monkeypatch, depth):
+def test_run_all_with_a_worker_matches_one_process(usable_cpus, depth):
     # One child is forked even on a one-CPU host; where a suite runs
     # changes nothing but its seconds.
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    usable_cpus(2)
     shared = verify.run_all(depth)
     assert_no_child_left()
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 1)
+    usable_cpus(1)
     assert shared == verify.run_all(depth)
 
 
-def _refuse_to_fork():
-    raise AssertionError("a child was forked")
-
-
 def test_run_all_on_one_cpu_starts_no_worker(monkeypatch, in_process):
-    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     assert all(r.passed for r in verify.run_all(1))
 
 
-def test_run_all_checks_the_depth_before_any_worker(monkeypatch):
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+def test_run_all_checks_the_depth_before_any_worker(monkeypatch, usable_cpus):
+    usable_cpus(2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     with pytest.raises(ValueError, match="depth 20 exceeds the 1048576 vertex budget"):
         verify.run_all(20)
 
@@ -275,16 +261,17 @@ def _exits():
     # A child that dies without an outcome.
     (_exits, RuntimeError, "a worker exited with status 3"),
 ], ids=["exception", "exit_status"])
-def test_a_worker_failure_fails_run_all(monkeypatch, two_process_tasks, in_child, error, message):
+def test_a_worker_failure_fails_run_all(monkeypatch, usable_cpus, two_process_tasks, in_child,
+                                        error, message):
     tasks = two_process_tasks(lambda: None, in_child)
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    usable_cpus(2)
     monkeypatch.setattr(verify, "_tasks", lambda depth: tasks)
     with pytest.raises(error, match=message):
         verify.run_all(1)
     assert_no_child_left()
 
 
-def test_a_failure_in_this_process_kills_the_workers(monkeypatch, two_process_tasks):
+def test_a_failure_in_this_process_kills_the_workers(monkeypatch, usable_cpus, two_process_tasks):
     # The child's task sleeps for a minute; this process fails its own task
     # once the child has taken one, and kills the child rather than wait.
     tasks = two_process_tasks(_fails, lambda: time.sleep(60))
@@ -296,7 +283,7 @@ def test_a_failure_in_this_process_kills_the_workers(monkeypatch, two_process_ta
         statuses.append(os.waitstatus_to_exitcode(reaped[1]))
         return reaped
 
-    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+    usable_cpus(2)
     monkeypatch.setattr(verify, "_tasks", lambda depth: tasks)
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
     start = time.monotonic()
