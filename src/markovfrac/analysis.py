@@ -20,7 +20,7 @@ from itertools import chain
 from math import exp, floor, isqrt, log, log1p
 from typing import Iterable, Iterator, Sequence
 
-from .exact import QuadraticSurd, _Value, _coprime_fraction, surd_enclose
+from .exact import DyadicRational, QuadraticSurd, _Value, surd_enclose
 from .markov import MarkovFraction, _shared_rank_walk, mu, tree_walk
 
 __all__ = [
@@ -114,24 +114,12 @@ class MarkovInterval(_Value):
 
     __slots__ = ("center", "lo", "hi", "length")
 
-    def __init__(self, center: Fraction, lo: QuadraticSurd, hi: QuadraticSurd,
-                 length: QuadraticSurd) -> None:
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "length", length)
-
 
 def markov_interval(f: MarkovFraction) -> MarkovInterval:
     """Exact free interval around a Markov fraction."""
     length = _length_surd(f.value.denominator)
     half = length * Fraction(1, 2)
-    return MarkovInterval(
-        center=f.value,
-        lo=f.value - half,
-        hi=f.value + half,
-        length=length,
-    )
+    return MarkovInterval(f.value, f.value - half, f.value + half, length)
 
 
 def _check_freeness_bound(denominator_bound: int) -> None:
@@ -268,12 +256,6 @@ class FreenessReport(_Value):
     """Whether an interval is free of other Markov fractions up to a bound."""
 
     __slots__ = ("center", "denominator_bound", "intruders")
-
-    def __init__(self, center: Fraction, denominator_bound: int,
-                 intruders: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "denominator_bound", denominator_bound)
-        object.__setattr__(self, "intruders", intruders)
 
     @property
     def free(self) -> bool:
@@ -495,12 +477,6 @@ def saltus_samples(
     return _prefix_enclosures(_merged(n, [seeds, *parts]))
 
 
-def _dyadic_fraction(m: int, e: int) -> Fraction:
-    """m/2**e for m >= 0, reduced by the power of two m ends in instead of a gcd."""
-    k = min(e, (m & -m).bit_length() - 1) if m else e
-    return _coprime_fraction(m >> k, 1 << (e - k))
-
-
 def _prefix_enclosures(slots: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
     """Running totals of dyadic slots [lo, hi, e], as exact fraction pairs."""
     total = [0, 0, 0]
@@ -508,7 +484,7 @@ def _prefix_enclosures(slots: list[list[int]]) -> list[tuple[Fraction, Fraction]
     for slot in slots:
         _dyadic_add(total, *slot)
         lo, hi, e = total
-        sums.append((_dyadic_fraction(lo, e), _dyadic_fraction(hi, e)))
+        sums.append((DyadicRational(lo, e).value, DyadicRational(hi, e).value))
     return sums
 
 
@@ -564,13 +540,6 @@ class MarkovIrrationality(_Value):
     """
 
     __slots__ = ("center", "minus", "plus", "lagrange")
-
-    def __init__(self, center: Fraction, minus: QuadraticSurd, plus: QuadraticSurd,
-                 lagrange: QuadraticSurd) -> None:
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "lagrange", lagrange)
 
 
 def markov_irrationality(x: Fraction) -> MarkovIrrationality:

@@ -127,39 +127,17 @@ def _surd_decimal(x: QuadraticSurd, digits: int, round_up: bool) -> str:
 
 
 class OutputRecord(_Value):
-    """One result record; the json format emits it verbatim.
+    """One result record; the json format emits it verbatim, fields in slot order.
 
-    The one mutable value type: its fields may be assigned, so it is not
-    hashable.  ``outputs`` defaults to a new empty dict.
+    Like every value type it is immutable; its dict fields make it unhashable.
     """
 
     __slots__ = ("command", "inputs", "outputs", "status", "error_detail")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, command: str, inputs: dict[str, str],
-                 outputs: dict[str, object] | None = None, status: str = "ok",
-                 error_detail: str = "") -> None:
-        self.command = command
-        self.inputs = inputs
-        self.outputs = {} if outputs is None else outputs
-        self.status = status
-        self.error_detail = error_detail
 
     def to_json(self) -> str:
         import json
 
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-                "status": self.status,
-                "error_detail": self.error_detail,
-            },
-            indent=2,
-        )
+        return json.dumps(dict(zip(self.__slots__, self._key(self))), indent=2)
 
 
 def _plain_lines(outputs: dict[str, object]) -> str:
@@ -448,15 +426,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, formats: tuple[str, ...] = ("plain", "json"),
-            default_format: str = "plain"):
+    def add(name: str, handler, help_text: str, formats: tuple[str, ...] = ("plain", "json")):
+        # A command's default format is its first.
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--format", choices=formats, default=default_format)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(handler=handler)
         return p
 
     p = add("enumerate", _cmd_enumerate, "Breadth-first vertices of the fraction tree.",
-            formats=("plain", "json", "csv"), default_format="plain")
+            formats=("plain", "json", "csv"))
     p.add_argument("--depth", type=int, required=True, metavar="N")
 
     p = add("mu", _cmd_mu, "Transport of a rational in [0, 1] into the tree.")
@@ -501,8 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("unicity", _cmd_unicity, "Scan for duplicate denominators in the tree.")
     p.add_argument("--depth", type=int, required=True, metavar="N")
 
-    p = add("triples", _cmd_triples, "Vieta closure of (1,1,1) for a supported equation.",
-            formats=("plain", "json"))
+    p = add("triples", _cmd_triples, "Vieta closure of (1,1,1) for a supported equation.")
     p.add_argument("--equation", choices=sorted(SUPPORTED_EQUATIONS), required=True)
     p.add_argument("--depth", type=int, required=True, metavar="N")
 
@@ -510,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("modulus", type=int, metavar="Q")
 
     p = add("plot-mu", _cmd_plot_mu, "CSV samples of the transport step function.",
-            formats=("csv", "json"), default_format="csv")
+            formats=("csv", "json"))
     p.add_argument("--grid", type=int, required=True, metavar="K",
                    help=f"number of sample points, from 2 to {_MAX_PLOT_POINTS}")
     p.add_argument("--depth", type=int, required=True, metavar="N")

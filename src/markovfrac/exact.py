@@ -74,23 +74,52 @@ def _coprime_fraction(p: int, q: int) -> Fraction:
 def _restore(cls: type, values: tuple) -> "_Value":
     """Unpickle a _Value: store its fields as pickled, without the constructor's checks."""
     x = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(x, name, value)
+    _Value.__init__(x, *values)
     return x
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The fields of cls in slot order, from positional and keyword arguments.
+
+    Raises TypeError for a surplus positional argument, an unknown field,
+    a field given twice and a missing field.
+    """
+    names, name = cls.__slots__, cls.__qualname__
+    if len(args) > len(names):
+        raise TypeError(f"{name}() takes {len(names)} fields but {len(args)} were given")
+    for field in kwargs:
+        if field not in names:
+            raise TypeError(f"{name}() got an unexpected field {field!r}")
+        if names.index(field) < len(args):
+            raise TypeError(f"{name}() got multiple values for field {field!r}")
+    missing = [field for field in names[len(args):] if field not in kwargs]
+    if missing:
+        raise TypeError(f"{name}() is missing fields: {', '.join(missing)}")
+    return args + tuple(kwargs[field] for field in names[len(args):])
 
 
 class _Value:
     """Base of the value types: an immutable record of the fields in ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` in constructor order, and
-    its ``__init__`` takes them in that order and stores them with
-    ``object.__setattr__``.  Instances compare equal when they have the same
-    class and equal fields, and hash, print as ``Name(field=value, ...)``
-    and pickle by those fields.  ``_key`` gets the compared fields; a
-    subclass that compares on fewer sets its own.
+    A subclass lists its fields in ``__slots__`` in constructor order.  One
+    with no invariant to check and no default defines no constructor: this
+    ``__init__`` takes the fields positionally or by name and stores them
+    as given.  A subclass that checks, normalizes or defaults its fields
+    defines its own ``__init__``, which takes them in the same order and
+    stores them with ``object.__setattr__``.  Instances compare equal when
+    they have the same class and equal fields, and hash, print as
+    ``Name(field=value, ...)`` and pickle by those fields.  ``_key`` gets
+    the compared fields; a subclass that compares on fewer sets its own.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self), args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls) -> None:
         if "_key" not in cls.__dict__:
@@ -209,7 +238,8 @@ class DyadicRational(_Value):
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.m, 1 << self.n)
+        # m is odd or n == 0, so m/2**n is already in lowest terms.
+        return _coprime_fraction(self.m, 1 << self.n)
 
     def __str__(self) -> str:
         return str(self.m) if self.n == 0 else f"{self.m}/2^{self.n}"

@@ -106,7 +106,7 @@ class MarkovTriple(_Value):
         object.__setattr__(self, "z", z)
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
+        return self._key(self)
 
 
 def vieta_mutate(t: MarkovTriple, index: int) -> MarkovTriple:
@@ -135,11 +135,6 @@ class FractionTriple(_Value):
 
     __slots__ = ("f1", "f2", "f3")
 
-    def __init__(self, f1: Fraction, f2: Fraction, f3: Fraction) -> None:
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-        object.__setattr__(self, "f3", f3)
-
 
 class RelationReport(_Value):
     """Truth of each exact relation tying a vertex to its neighbours.
@@ -161,28 +156,12 @@ class RelationReport(_Value):
     __slots__ = ("det_f2_f3_is_q1", "det_f3_f1_is_q2", "det_f2_f1_is_flip",
                  "left_child_consistent", "right_child_consistent")
 
-    def __init__(self, det_f2_f3_is_q1: bool, det_f3_f1_is_q2: bool, det_f2_f1_is_flip: bool,
-                 left_child_consistent: bool, right_child_consistent: bool) -> None:
-        object.__setattr__(self, "det_f2_f3_is_q1", det_f2_f3_is_q1)
-        object.__setattr__(self, "det_f3_f1_is_q2", det_f3_f1_is_q2)
-        object.__setattr__(self, "det_f2_f1_is_flip", det_f2_f1_is_flip)
-        object.__setattr__(self, "left_child_consistent", left_child_consistent)
-        object.__setattr__(self, "right_child_consistent", right_child_consistent)
-
     @property
     def all_hold(self) -> bool:
-        return (self.det_f2_f3_is_q1 and self.det_f3_f1_is_q2
-                and self.det_f2_f1_is_flip
-                and self.left_child_consistent and self.right_child_consistent)
+        return all(self._key(self))
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "det_f2_f3_is_q1": self.det_f2_f3_is_q1,
-            "det_f3_f1_is_q2": self.det_f3_f1_is_q2,
-            "det_f2_f1_is_flip": self.det_f2_f1_is_flip,
-            "left_child_consistent": self.left_child_consistent,
-            "right_child_consistent": self.right_child_consistent,
-        }
+        return dict(zip(self.__slots__, self._key(self)))
 
 
 def _child_consistent(ordered: bool, num: int, den: int, q: int,
@@ -212,15 +191,13 @@ def _relations(p1: int, q1: int, p2: int, q2: int, p3: int, q3: int) -> Relation
     flip = (qq12 % q3 == 0
             and p2 * q1 - p1 * q2 == qq12 // q3 == 3 * q1 * q2 - q3)
     return RelationReport(
-        det_f2_f3_is_q1=(d23 == q1),
-        det_f3_f1_is_q2=(d31 == q2),
-        det_f2_f1_is_flip=flip,
-        left_child_consistent=_child_consistent(
-            d31 > 0, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2,
-            3 * q1 * p3 - p2, 3 * q1 * q3 - q2),
-        right_child_consistent=_child_consistent(
-            d23 > 0, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1,
-            3 * q2 * p3 - p1, 3 * q2 * q3 - q1),
+        d23 == q1,
+        d31 == q2,
+        flip,
+        _child_consistent(d31 > 0, p1 * q1 + p3 * q3, q1 * q1 + q3 * q3, q2,
+                          3 * q1 * p3 - p2, 3 * q1 * q3 - q2),
+        _child_consistent(d23 > 0, p2 * q2 + p3 * q3, q2 * q2 + q3 * q3, q1,
+                          3 * q2 * p3 - p1, 3 * q2 * q3 - q1),
     )
 
 
@@ -1215,13 +1192,6 @@ class UnicityReport(_Value):
     """Result of grouping enumerated fractions by denominator."""
 
     __slots__ = ("depth", "vertex_count", "distinct_denominators", "duplicates")
-
-    def __init__(self, depth: int, vertex_count: int, distinct_denominators: int,
-                 duplicates: tuple[tuple[int, tuple[Fraction, ...]], ...]) -> None:
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "distinct_denominators", distinct_denominators)
-        object.__setattr__(self, "duplicates", duplicates)
 
     @property
     def all_unique(self) -> bool:

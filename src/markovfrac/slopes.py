@@ -157,12 +157,6 @@ class EquivalenceReport(_Value):
 
     __slots__ = ("depth", "level_sizes", "levels_equal")
 
-    def __init__(self, depth: int, level_sizes: tuple[int, ...],
-                 levels_equal: tuple[bool, ...]) -> None:
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "level_sizes", level_sizes)
-        object.__setattr__(self, "levels_equal", levels_equal)
-
     @property
     def equal(self) -> bool:
         return all(self.levels_equal)
@@ -194,11 +188,6 @@ class SlopeNormalization(_Value):
     """x written as n + sign*r with r in [0, 1/2]."""
 
     __slots__ = ("n", "sign", "reduced")
-
-    def __init__(self, n: int, sign: int, reduced: Fraction) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "reduced", reduced)
 
     @property
     def original(self) -> Fraction:
@@ -261,7 +250,7 @@ class SlopeDecision(_Value):
         p, q = self.reduced.numerator, self.reduced.denominator
         s = (p * p + 1) // q
         c2 = (q - 1) * (s + 1) // 2
-        return BundleInvariants(rank=q, c1=p, s=s, c2=c2, form=(q, 3 * q - 2 * p, s - 3 * p))
+        return BundleInvariants(q, p, s, c2, (q, 3 * q - 2 * p, s - 3 * p))
 
 
 #: Letters of a run that the membership search takes one Vieta step at a
@@ -345,13 +334,6 @@ class BundleInvariants(_Value):
     """
 
     __slots__ = ("rank", "c1", "s", "c2", "form")
-
-    def __init__(self, rank: int, c1: int, s: int, c2: int, form: tuple[int, int, int]) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "form", form)
 
     @property
     def form_discriminant(self) -> int:

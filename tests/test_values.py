@@ -1,9 +1,9 @@
 """The value types keep one contract, and the package imports without dataclasses.
 
 Each public result type is an immutable value: keyword and positional
-construction agree, equal values compare and hash equal, a pickle round
-trip gives an equal value, fields cannot be assigned, and the repr is
-``Name(field=value, ...)``.  ``OutputRecord`` is the one mutable record.
+construction agree, a surplus, unknown or missing field is a TypeError,
+equal values compare and hash equal, a pickle round trip gives an equal
+value, fields cannot be assigned, and the repr is ``Name(field=value, ...)``.
 """
 
 import os
@@ -18,7 +18,7 @@ import pytest
 import markovfrac
 from markovfrac.analysis import FreenessReport, MarkovInterval, MarkovIrrationality
 from markovfrac.cli import OutputRecord
-from markovfrac.exact import ContinuedFraction, DyadicRational, QuadraticSurd
+from markovfrac.exact import ContinuedFraction, DyadicRational, QuadraticSurd, _Value
 from markovfrac.farey import FareyNode
 from markovfrac.markov import (
     FractionTriple,
@@ -74,13 +74,26 @@ _EXAMPLES = [
      ("mu", {"x": "1/2"}, {"value": "2/5"}, "ok", ""), False),
 ]
 
+# The types whose trailing fields have defaults.
+_DEFAULTED = {SlopeDecision, CheckResult}
+
 
 @pytest.mark.parametrize("cls, names, values, hashable", _EXAMPLES,
                          ids=[example[0].__name__ for example in _EXAMPLES])
 def test_value_type_contract(cls, names, values, hashable):
     x = cls(*values)
     assert cls(**dict(zip(names, values))) == x
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == x
     assert [getattr(x, name) for name in names] == list(values)
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+    if cls not in _DEFAULTED:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
 
     copy = cls(*values)
     assert copy == x and not copy != x
@@ -101,15 +114,16 @@ def test_value_type_contract(cls, names, values, hashable):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
         assert repr(x) == f"{cls.__name__}({fields})"
 
-    if cls is OutputRecord:
-        x.status = "error"
-        assert x.status == "error" and x != copy
-    else:
-        with pytest.raises(AttributeError):
-            setattr(x, names[0], values[0])
-        with pytest.raises(AttributeError):
-            delattr(x, names[0])
-        assert getattr(x, names[0]) == values[0]
+    with pytest.raises(AttributeError):
+        setattr(x, names[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(x, names[0])
+    assert getattr(x, names[0]) == values[0]
+
+
+def test_examples_list_every_value_type():
+    in_package = {cls for cls in _Value.__subclasses__() if cls.__module__.startswith("markovfrac.")}
+    assert in_package == {example[0] for example in _EXAMPLES}
 
 
 def test_value_types_normalize_at_construction():
@@ -135,12 +149,6 @@ def test_check_result_equality_ignores_seconds():
     assert timed == untimed and hash(timed) == hash(untimed)
     assert timed != CheckResult("tree_walk", True, 7, 1, "", seconds=0.25)
     assert untimed.seconds is None and untimed.failures == 0 and untimed.detail == ""
-
-
-def test_output_record_defaults_are_fresh_per_record():
-    a, b = OutputRecord("mu", {}), OutputRecord("mu", {})
-    a.outputs["value"] = "2/5"
-    assert b.outputs == {} and b.status == "ok" and b.error_detail == ""
 
 
 def test_package_imports_without_dataclasses_or_inspect():
