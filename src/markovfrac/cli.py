@@ -16,14 +16,14 @@ json format never calls it.  A nonempty `failure` is the record's error
 detail, with status "error" and exit 1.
 
 Exit status: 0 on success, 1 on domain errors (a fraction outside an
-operation's domain, an unsupported equation, a failing `verify` run),
-2 on usage errors such as malformed literals.
+operation's domain, an unsupported equation, a failing `verify` run) or
+a closed standard output, 2 on usage errors such as malformed literals.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -154,13 +154,8 @@ def _plain_lines(outputs: dict[str, object]) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list[object]]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()[:-1]
+    # No field needs quoting: they are fractions, turn words, decimals and ints.
+    return "\n".join(",".join(map(str, row)) for row in (header, *rows))
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -528,24 +523,32 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "timings", False) and args.format != "json":
         parser.error("--timings needs --format json")
-    with _budget_digits():
-        try:
-            answer = args.handler(args)
-        except (ValueError, ZeroDivisionError) as exc:
-            detail = str(exc)
+    try:
+        with _budget_digits():
+            try:
+                answer = args.handler(args)
+            except (ValueError, ZeroDivisionError) as exc:
+                detail = str(exc)
+                if args.format == "json":
+                    print(OutputRecord(args.command, {}, {}, "error", detail).to_json())
+                print(f"error: {detail}", file=sys.stderr)
+                sys.stdout.flush()
+                return 1
             if args.format == "json":
-                print(OutputRecord(args.command, {}, {}, "error", detail).to_json())
-            print(f"error: {detail}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            inputs = {key: fraction_str(value) if isinstance(value, Fraction) else str(value)
-                      for key, value in vars(args).items()
-                      if key not in _NOT_INPUTS and value is not None}
-            status = "error" if answer.failure else "ok"
-            print(OutputRecord(args.command, inputs, answer.outputs, status,
-                               answer.failure).to_json())
-        else:
-            print(_plain_lines(answer.outputs) if answer.text is None else answer.text())
+                inputs = {key: fraction_str(value) if isinstance(value, Fraction) else str(value)
+                          for key, value in vars(args).items()
+                          if key not in _NOT_INPUTS and value is not None}
+                status = "error" if answer.failure else "ok"
+                print(OutputRecord(args.command, inputs, answer.outputs, status,
+                                   answer.failure).to_json())
+            else:
+                print(_plain_lines(answer.outputs) if answer.text is None else answer.text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output: point it at os.devnull, as the
+        # signal module's documentation advises, so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if answer.failure else 0
 
 

@@ -57,9 +57,7 @@ class FareyNode(_Value):
         det = (rp.numerator * lp.denominator - lp.numerator * rp.denominator)
         if det != 1:
             raise ValueError("parents are not Farey neighbours")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "left_parent", lp)
-        object.__setattr__(self, "right_parent", rp)
+        super().__init__(value, lp, rp)
 
 
 def farey_node_at(word: TurnWord) -> FareyNode:

@@ -101,9 +101,7 @@ class MarkovTriple(_Value):
             raise ValueError("Markov triples are positive")
         if x * x + y * y + z * z != 3 * x * y * z:
             raise ValueError(f"({x}, {y}, {z}) does not solve the Markov equation")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        super().__init__(x, y, z)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return self._key(self)
@@ -668,9 +666,7 @@ class MarkovFraction(_Value):
                 raise ValueError(f"{value} is not a seed, so it needs its turn word")
         elif descend_value(word) != value:
             raise ValueError(f"the tree vertex at {word!r} is not {value}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "word", word)
+        super().__init__(value, depth, word)
 
     @classmethod
     def _of_vertex(cls, value: Fraction, word: TurnWord | None) -> MarkovFraction:
@@ -1244,10 +1240,7 @@ class GeneralizedEquation(_Value):
             raise ValueError("coefficients must satisfy a + b + c = d")
         if min(a, b, c) < 1:
             raise ValueError("coefficients must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, c, d)
 
     def satisfied_by(self, x: int, y: int, z: int) -> bool:
         return (self.a * x * x + self.b * y * y + self.c * z * z

@@ -223,8 +223,7 @@ class SlopeDecision(_Value):
     __slots__ = ("accepted", "normalization", "witness", "stopped_at_denominator")
 
     def __init__(self, accepted: bool, normalization: SlopeNormalization,
-                 witness: TurnWord | None = None,
-                 stopped_at_denominator: int | None = None) -> None:
+                 witness: TurnWord | None, stopped_at_denominator: int | None) -> None:
         object.__setattr__(self, "accepted", accepted)
         object.__setattr__(self, "normalization", normalization)
         object.__setattr__(self, "witness", witness)
@@ -305,16 +304,16 @@ def is_exceptional_slope(x: Fraction) -> SlopeDecision:
     norm = normalize_slope(x)
     rp, rq = norm.reduced.numerator, norm.reduced.denominator
     if rp == 0 or 2 * rp == rq:
-        return SlopeDecision(True, norm)
+        return SlopeDecision(True, norm, None, None)
     v = _REDUCED_ROOT
     word: list[str] = []
     last, run = "", 0
     while True:
         p3, q3 = v[4], v[5]
         if p3 == rp and q3 == rq:
-            return SlopeDecision(True, norm, witness="".join(word))
+            return SlopeDecision(True, norm, "".join(word), None)
         if q3 > rq:
-            return SlopeDecision(False, norm, stopped_at_denominator=q3)
+            return SlopeDecision(False, norm, None, q3)
         letter = "L" if rp * q3 < p3 * rq else "R"
         run = run + 1 if letter == last else 1
         last = letter

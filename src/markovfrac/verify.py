@@ -109,18 +109,9 @@ class CheckResult(_Value):
     # seconds, the suite's wall time set by run_all, takes no part in equality.
     _key = attrgetter("name", "passed", "checked", "failures", "detail")
 
-    def __init__(self, name: str, passed: bool, checked: int, failures: int = 0,
-                 detail: str = "", seconds: float | None = None) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "seconds", seconds)
-
 
 def _result(name: str, checked: int, failures: int, detail: str = "") -> CheckResult:
-    return CheckResult(name, failures == 0, checked, failures, detail)
+    return CheckResult(name, failures == 0, checked, failures, detail, None)
 
 
 def _tally(name: str, outcomes: Iterable[object], detail: str = "") -> CheckResult:

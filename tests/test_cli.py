@@ -477,7 +477,7 @@ def test_plot_mu_csv(capsys):
     )
 
 
-# The csv module is imported only to build csv text, which json output never does.
+# csv text is a plain comma join, so no format imports the csv module.
 _PRINTS_CSV = ("import sys; from markovfrac.cli import main; code = main(sys.argv[1:]); "
                "print('csv' in sys.modules, file=sys.stderr); sys.exit(code)")
 
@@ -486,12 +486,12 @@ _PRINTS_CSV = ("import sys; from markovfrac.cli import main; code = main(sys.arg
     ("plot-mu", "--grid", "5", "--depth", "3"),
     ("enumerate", "--depth", "3"),
 ], ids=lambda call: call[0])
-@pytest.mark.parametrize("fmt, imported", [("json", "False"), ("csv", "True")])
-def test_only_csv_output_imports_csv(call, fmt, imported):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_no_output_format_imports_csv(call, fmt):
     # A fresh interpreter, so that no other test has imported csv.
     proc = subprocess.run([sys.executable, "-c", _PRINTS_CSV, *call, "--format", fmt],
                           capture_output=True, text=True, env=_CHILD_ENV)
-    assert (proc.returncode, proc.stderr) == (0, imported + "\n")
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
 
 
 @pytest.mark.parametrize("fmt, calls", [("json", 0), ("csv", 10)])
@@ -620,6 +620,25 @@ def test_importing_the_entry_point_runs_no_command():
     # Worker processes and tools import the module; only `python -m` runs main.
     namespace = runpy.run_module("markovfrac.__main__", run_name="not_main")
     assert namespace["main"] is main
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # Block-buffered, mu's answer waits for the flush; unbuffered, print itself meets the pipe.
+    env = {**_CHILD_ENV, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as gone:
+        proc = subprocess.run([sys.executable, "-m", "markovfrac", "mu", "3/7"],
+                              stdout=gone, stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    # Its reader stops after one line of the 8,191 vertices.
+    proc = subprocess.Popen([sys.executable, "-m", "markovfrac", "enumerate", "--depth", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"depth,word,left,value,right\n"
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+    proc.stderr.close()
 
 
 def test_byte_identical_reruns():

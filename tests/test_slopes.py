@@ -486,16 +486,16 @@ def _membership_by_letters(x):
     norm = normalize_slope(x)
     r = norm.reduced
     if r == 0 or 2 * r == 1:
-        return SlopeDecision(True, norm)
+        return SlopeDecision(True, norm, None, None)
     rp, rq = r.numerator, r.denominator
     v = _REDUCED_ROOT
     letters = []
     while True:
         p3, q3 = v[4], v[5]
         if p3 == rp and q3 == rq:
-            return SlopeDecision(True, norm, witness="".join(letters))
+            return SlopeDecision(True, norm, "".join(letters), None)
         if q3 > rq:
-            return SlopeDecision(False, norm, stopped_at_denominator=q3)
+            return SlopeDecision(False, norm, None, q3)
         letter = "L" if rp * q3 < p3 * rq else "R"
         letters.append(letter)
         v = _vieta_child(v, letter)
