@@ -529,9 +529,9 @@ def main(argv: list[str] | None = None) -> int:
                 answer = args.handler(args)
             except (ValueError, ZeroDivisionError) as exc:
                 detail = str(exc)
+                print(f"error: {detail}", file=sys.stderr)
                 if args.format == "json":
                     print(OutputRecord(args.command, {}, {}, "error", detail).to_json())
-                print(f"error: {detail}", file=sys.stderr)
                 sys.stdout.flush()
                 return 1
             if args.format == "json":

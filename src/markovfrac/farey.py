@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import cycle
 from operator import mul
 
-from .exact import DyadicRational, _Value, _check_value_bits, farey_mediant, to_continued_fraction
+from .exact import (DyadicRational, _Value, _check_value_bits, _coprime_fraction, farey_mediant,
+                    to_continued_fraction)
 
 __all__ = [
     "FareyNode",
@@ -33,8 +34,6 @@ __all__ = [
 # Finite sequence over {L, R}; plain strings keep addresses printable.
 TurnWord = str
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _WORD = re.compile(r"[LR]*")
 
 
@@ -61,16 +60,23 @@ class FareyNode(_Value):
 
 
 def farey_node_at(word: TurnWord) -> FareyNode:
-    """Vertex of the Farey tree addressed by a turn word ('' is the root 1/2)."""
+    """Vertex of the Farey tree addressed by a turn word ('' is the root 1/2).
+
+    One letter per step on the integer parents a1/b1 < a2/b2, as in
+    question_mark_farey; Farey neighbours are in lowest terms, so the three
+    values are built once, without a gcd.  The word is held to the value
+    budget in letters, as farey_path_to holds its words.
+    """
     check_word(word)
-    lp, rp = _ZERO, _ONE
+    _check_value_bits(len(word), "the turn word")
+    a1, b1, a2, b2 = 0, 1, 1, 1
     for ch in word:
-        value = farey_mediant(lp, rp)
         if ch == "L":
-            rp = value
+            a2, b2 = a1 + a2, b1 + b2
         else:
-            lp = value
-    return FareyNode(farey_mediant(lp, rp), lp, rp)
+            a1, b1 = a1 + a2, b1 + b2
+    return FareyNode(_coprime_fraction(a1 + a2, b1 + b2),
+                     _coprime_fraction(a1, b1), _coprime_fraction(a2, b2))
 
 
 def _turn_runs(p: int, q: int) -> list[int]:

@@ -24,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain, compress, cycle
-from math import floor, gcd, isqrt, log2, sqrt
+from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from .exact import _Value, _check_value_bits, _coprime_fraction
@@ -673,10 +673,9 @@ class MarkovFraction(_Value):
         """The vertex at word with the given value, without the checks of the constructor.
 
         Precondition: value is the tree vertex at word, or a seed with word
-        None, as a descent, a search or a branch's closed form builds it, so
-        it lies in [0, 1/2] and meets the numerator congruence.  Nothing is
-        checked; the congruence alone is a long division on the denominator,
-        most of a deep mu.
+        None, as a descent or a search builds it, so it lies in [0, 1/2] and
+        meets the numerator congruence.  Nothing is checked; the congruence
+        alone is a long division on the denominator, most of a deep mu.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "value", value)
@@ -708,26 +707,18 @@ def mu(x: Fraction) -> MarkovFraction:
     return MarkovFraction._of_vertex(_coprime_fraction(v[4], v[5]), _spell(runs))
 
 
-def _branch_bits(n: int, alpha: float) -> int:
-    """Bit length of u(n), n >= 3, for u(n) = (alpha**n - (-1/alpha)**n)/(alpha + 1/alpha).
+def _branch(k: int, letter: str, what: str) -> MarkovFraction:
+    """k-th fraction (k >= 1) of the boundary branch down the constant word letter.
 
-    With alpha the golden ratio u is the Fibonacci sequence, with 1 + sqrt(2)
-    the Pell sequence.  The bit length is read off this closed form in
-    floating point, without building u(n); the tests check it against the
-    built values for every n up to the value budget.
+    The vertex is one run step from the root 2/5, which holds the
+    denominator to the value budget (see _run_step); the run of k = 1 is
+    empty and takes no step, so the budget is checked once more here.
     """
-    return floor(n * log2(alpha) - log2(alpha + 1 / alpha)
-                 + log2(1 - (-1 / alpha ** 2) ** n)) + 1
-
-
-def _check_branch_bits(n: int, alpha: float, what: str) -> None:
-    """Refuse a branch value whose denominator u(n) passes the value budget.
-
-    Both sequences have u(n + 2) >= 2*u(n), so u(n) has at least n//2 bits:
-    that bound refuses a long n first, which keeps the closed form finite.
-    """
-    _check_value_bits(n // 2, what)
-    _check_value_bits(_branch_bits(n, alpha), what)
+    if k < 1:
+        raise ValueError("branch index starts at 1")
+    v = _descend(((letter, k - 1),), _REDUCED_ROOT, what)
+    _check_value_bits(v[5].bit_length(), what)
+    return MarkovFraction._of_vertex(_coprime_fraction(v[4], v[5]), letter * (k - 1))
 
 
 def fibonacci_branch(k: int) -> MarkovFraction:
@@ -737,18 +728,9 @@ def fibonacci_branch(k: int) -> MarkovFraction:
     0/1, i.e. descends by the constant word 'L'.  Numerators and
     denominators are every second Fibonacci number, q(k) = F(2k + 3):
     p(k+1) = q(k) and q(k+1) = 3*q(k) - q(k-1), anchored by q(0) = 2,
-    q(1) = 5.  The step keeps gcd(q(k), q(k+1)) = gcd(q(k-1), q(k)) = 1, so
-    the value is built in lowest terms without a gcd.  A k whose
-    denominator passes the value budget is refused before anything is
-    built.
+    q(1) = 5.  A k whose value passes the budget is refused.
     """
-    if k < 1:
-        raise ValueError("branch index starts at 1")
-    _check_branch_bits(2 * k + 3, (1 + sqrt(5)) / 2, "fibonacci_branch(k)")
-    prev_q, q = 2, 5
-    for _ in range(k - 1):
-        prev_q, q = q, 3 * q - prev_q
-    return MarkovFraction._of_vertex(_coprime_fraction(prev_q, q), "L" * (k - 1))
+    return _branch(k, "L", "fibonacci_branch(k)")
 
 
 def pell_branch(k: int) -> MarkovFraction:
@@ -758,17 +740,9 @@ def pell_branch(k: int) -> MarkovFraction:
     1/2, i.e. descends by the constant word 'R'.  The values are ratios
     y(2k)/y(2k+1) of consecutive Pell numbers (y(1), y(2) = 1, 2 and
     y(n+1) = 2*y(n) + y(n-1)); the companion x-sequence solves
-    x**2 - 2*y**2 = +-1.  Consecutive Pell numbers are coprime, so the
-    value is built in lowest terms without a gcd.  A k whose denominator
-    passes the value budget is refused before anything is built.
+    x**2 - 2*y**2 = +-1.  A k whose value passes the budget is refused.
     """
-    if k < 1:
-        raise ValueError("branch index starts at 1")
-    _check_branch_bits(2 * k + 1, 1 + sqrt(2), "pell_branch(k)")
-    y, next_y = 1, 2
-    for _ in range(2 * k - 1):
-        y, next_y = next_y, 2 * next_y + y
-    return MarkovFraction._of_vertex(_coprime_fraction(y, next_y), "R" * (k - 1))
+    return _branch(k, "R", "pell_branch(k)")
 
 
 # -- congruence x**2 + 1 == 0 (mod q) ---------------------------------------

@@ -288,11 +288,19 @@ def check_question_mark() -> CheckResult:
 
 
 def check_branches() -> CheckResult:
-    """Closed-form boundary branches match tree descent; Pell pairs solve x^2-2y^2=+-1."""
+    """The branches match the Fibonacci and Pell numbers; Pell pairs solve x^2-2y^2=+-1.
+
+    The oracle is additive, not the descent: fibonacci_branch(k) is
+    F(2k+1)/F(2k+3), and pell_branch(k) is y(2k)/y(2k+1) for y(1), y(2) = 1, 2.
+    """
     def outcomes():
+        f, g = 2, 3            # F(2k + 1), F(2k + 2)
+        y, z = 2, 5            # y(2k), y(2k + 1); y(n+1) = 2*y(n) + y(n-1)
         for k in range(1, _BRANCH_KMAX + 1):
-            yield fibonacci_branch(k).value == descend_value("L" * (k - 1))
-            yield pell_branch(k).value == descend_value("R" * (k - 1))
+            yield fibonacci_branch(k).value == Fraction(f, f + g)
+            yield pell_branch(k).value == Fraction(y, z)
+            f, g = f + g, f + 2 * g
+            y, z = 2 * z + y, 5 * z + 2 * y
         # x + y*sqrt(2) runs over the powers of 1 + sqrt(2), whose norms alternate.
         x, y = 1, 1
         for n in range(2 * _BRANCH_KMAX):

@@ -625,13 +625,17 @@ def test_importing_the_entry_point_runs_no_command():
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
     # Block-buffered, mu's answer waits for the flush; unbuffered, print itself meets the pipe.
+    # A refusal's error line reaches stderr before its json record meets the pipe.
     env = {**_CHILD_ENV, "PYTHONUNBUFFERED": unbuffered}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    with os.fdopen(write_end, "wb") as gone:
-        proc = subprocess.run([sys.executable, "-m", "markovfrac", "mu", "3/7"],
-                              stdout=gone, stderr=subprocess.PIPE, env=env)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    for argv, stderr in ((("mu", "3/7"), b""),
+                         (("mu", "3/2", "--format", "json"),
+                          b"error: mu is defined on [0, 1]; got 3/2\n")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as gone:
+            proc = subprocess.run([sys.executable, "-m", "markovfrac", *argv],
+                                  stdout=gone, stderr=subprocess.PIPE, env=env)
+        assert (proc.returncode, proc.stderr) == (1, stderr), argv
     # Its reader stops after one line of the 8,191 vertices.
     proc = subprocess.Popen([sys.executable, "-m", "markovfrac", "enumerate", "--depth", "12"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

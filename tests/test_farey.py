@@ -131,6 +131,19 @@ def test_farey_roundtrip(word):
 
 
 @given(words)
+def test_farey_node_matches_the_fraction_walk(word):
+    # Oracle: one reduced Fraction mediant per letter.
+    lp, rp = F(0), F(1)
+    for ch in word:
+        if ch == "L":
+            rp = farey_mediant(lp, rp)
+        else:
+            lp = farey_mediant(lp, rp)
+    node = farey_node_at(word)
+    assert (node.value, node.left_parent, node.right_parent) == (farey_mediant(lp, rp), lp, rp)
+
+
+@given(words)
 def test_farey_node_invariants(word):
     node = farey_node_at(word)
     lp, rp = node.left_parent, node.right_parent
@@ -260,6 +273,14 @@ def test_question_mark_budget_boundary():
             route(rejected)
     with pytest.raises(ValueError, match="262144-bit value budget"):
         question_mark_of_word("L" * (MAX_VALUE_BITS - 1))
+
+
+def test_farey_node_budget_boundary():
+    # A word of n letters has a denominator of at least n + 2; the budget
+    # holds the word to MAX_VALUE_BITS letters, as farey_path_to holds its words.
+    assert farey_node_at("L" * MAX_VALUE_BITS).value == F(1, MAX_VALUE_BITS + 2)
+    with pytest.raises(ValueError, match="^the turn word exceeds the 262144-bit value budget$"):
+        farey_node_at("LR" * (MAX_VALUE_BITS // 2) + "L")
 
 
 @pytest.mark.parametrize("x", [F(1, 10 ** 12), F(10 ** 12 - 1, 10 ** 12), F(1, 3) + F(1, 10 ** 9)])

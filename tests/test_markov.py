@@ -48,7 +48,6 @@ from markovfrac import exact, markov
 from markovfrac.exact import MAX_VALUE_BITS
 from markovfrac.markov import (
     MarkovFraction,
-    _branch_bits,
     _is_probable_prime,
     _lucas_pair,
     _rank_walk,
@@ -924,19 +923,6 @@ def test_long_branches_match_descent():
     # fibonacci_branch(20000) took 26 s by the recurrence with a long division.
     assert fibonacci_branch(20_000).value == descend_value("L" * 19_999)
     assert pell_branch(10_000).value == descend_value("R" * 9_999)
-
-
-def test_branch_bits_match_the_built_values():
-    # Every denominator up to the value budget, and one past it: the closed
-    # form's bit length decides each budget refusal.  The denominators are
-    # the Fibonacci numbers F(2k + 3) and the Pell numbers P(2k + 1), odd
-    # indices n of sequences with u(n + 2) = t*u(n) - u(n - 2).
-    for alpha, t, u, next_u in (((1 + math.sqrt(5)) / 2, 3, 2, 5), (1 + math.sqrt(2), 6, 5, 29)):
-        n = 3
-        while u.bit_length() <= MAX_VALUE_BITS:
-            assert _branch_bits(n, alpha) == u.bit_length(), n
-            n, u, next_u = n + 2, next_u, t * next_u - u
-        assert _branch_bits(n, alpha) == u.bit_length(), n
 
 
 def test_branch_budget_boundary():

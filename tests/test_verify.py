@@ -556,8 +556,9 @@ def test_question_mark_counts_a_monotonicity_break(monkeypatch):
     assert (result.passed, result.checked, result.failures) == (False, 3099, 5)
 
 
-def test_boundary_branches_counts_a_wrong_branch(monkeypatch):
-    _wrong_at(monkeypatch, "pell_branch", 3, lambda f: SimpleNamespace(value=f.value + 1))
+@pytest.mark.parametrize("branch", ["fibonacci_branch", "pell_branch"])
+def test_boundary_branches_counts_a_wrong_branch(monkeypatch, branch):
+    _wrong_at(monkeypatch, branch, 3, lambda f: SimpleNamespace(value=f.value + 1))
     result = verify.check_branches()
     assert (result.passed, result.checked, result.failures) == (False, 60, 1)
 
