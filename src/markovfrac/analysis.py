@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 from math import exp, floor, isqrt, log, log1p
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exact import DyadicRational, QuadraticSurd, _Value, surd_enclose
 from .markov import MarkovFraction, _shared_rank_walk, mu, tree_walk
@@ -344,15 +344,11 @@ def _guard_bits(precision: int) -> int:
     Every vertex divides numbers of about 2*bits(q) + guard bits, or of
     about 6 * guard bits once q is longer than 2 * guard + 32 bits (see
     _leading_length_bounds), so the cost grows with the digits as well as
-    with the depth.  The budget was set when every vertex took the full
-    products: to depth 15 the sums took 0.7 s at 12 digits, 1.8 s at 100
-    and 26 s at 1,000, and to depth 19 159 s at 100 digits against 112 s
-    at 12.  On the leading bits and the walk of the Markov numbers
-    (markov._rank_walk) they take 0.36 s and 0.80 s to depth 15, and
-    31 s and 21 s to depth 19, so at _MAX_PRECISION_DIGITS = 100 the
-    digits stay a fraction of the cost at the vertex budget (Python 3.11,
-    one core of a shared 2-core x86-64 host).  The check runs before any
-    walk.
+    with the depth, and without a budget the digits, not the vertex
+    budget, would bound it.  At _MAX_PRECISION_DIGITS = 100 they stay a
+    small factor: to depth 15 the sums take 0.25 s at 12 digits and 0.87 s
+    at 100, and to depth 17 2.0 s and 4.0 s (Python 3.11.7, one core of a
+    shared 2-core x86-64 host).  The check runs before any walk.
     """
     if precision < 1:
         raise ValueError("precision must be a positive digit count")
@@ -547,12 +543,8 @@ def markov_irrationality(x: Fraction) -> MarkovIrrationality:
     image = mu(x)
     interval = markov_interval(image)
     q = image.value.denominator
-    return MarkovIrrationality(
-        center=image.value,
-        minus=interval.lo,
-        plus=interval.hi,
-        lagrange=QuadraticSurd(0, 1, q, 9 * q * q - 4),
-    )
+    return MarkovIrrationality(image.value, interval.lo, interval.hi,
+                               QuadraticSurd(0, 1, q, 9 * q * q - 4))
 
 
 # -- denominator growth along a branch ------------------------------------------

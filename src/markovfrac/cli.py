@@ -7,10 +7,11 @@ enclosures as a lower/upper pair of exact fractions.  Fields whose values
 are inherently approximate carry an `_approx` suffix; everything else
 parses back to the exact internal value.
 
-Each handler returns an `Answer(outputs, text=None, failure="")` and only
-`main` builds the `OutputRecord`, named after the subcommand.  Its inputs
-are the parsed arguments in parser order, less `--format`, `--timings`
-and options left unset.  The plain and csv formats print what `text()`
+Each handler returns an `Answer(outputs, text=None, failure="")`, and
+only `main` prints the json format's record, a dict of the subcommand's
+name, inputs, outputs, status and error detail.  Its inputs are the
+parsed arguments in parser order, less `--format`, `--timings` and
+options left unset.  The plain and csv formats print what `text()`
 builds, or the outputs as "key: value" lines when `text` is None; the
 json format never calls it.  A nonempty `failure` is the record's error
 detail, with status "error" and exit 1.
@@ -40,7 +41,7 @@ from .analysis import (
     saltus_mu,
     saltus_samples,
 )
-from .exact import MAX_VALUE_BITS, DyadicRational, QuadraticSurd, _Value, surd_enclose
+from .exact import MAX_VALUE_BITS, DyadicRational, QuadraticSurd, surd_enclose
 from .farey import (
     farey_path_to,
     question_mark_farey,
@@ -58,7 +59,7 @@ from .markov import (
 from .slopes import epsilon, is_exceptional_slope
 from .verify import run_all
 
-__all__ = ["OutputRecord", "main"]
+__all__ = ["main"]
 
 
 # -- canonical text forms ------------------------------------------------------
@@ -126,18 +127,13 @@ def _surd_decimal(x: QuadraticSurd, digits: int, round_up: bool) -> str:
 # -- output record --------------------------------------------------------------
 
 
-class OutputRecord(_Value):
-    """One result record; the json format emits it verbatim, fields in slot order.
+def _print_record(command: str, inputs: dict[str, str], outputs: dict[str, object],
+                  status: str, error_detail: str) -> None:
+    """Print the json format's one result record."""
+    import json
 
-    Like every value type it is immutable; its dict fields make it unhashable.
-    """
-
-    __slots__ = ("command", "inputs", "outputs", "status", "error_detail")
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(dict(zip(self.__slots__, self._key(self))), indent=2)
+    print(json.dumps({"command": command, "inputs": inputs, "outputs": outputs,
+                      "status": status, "error_detail": error_detail}, indent=2))
 
 
 def _plain_lines(outputs: dict[str, object]) -> str:
@@ -531,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
                 detail = str(exc)
                 print(f"error: {detail}", file=sys.stderr)
                 if args.format == "json":
-                    print(OutputRecord(args.command, {}, {}, "error", detail).to_json())
+                    _print_record(args.command, {}, {}, "error", detail)
                 sys.stdout.flush()
                 return 1
             if args.format == "json":
@@ -539,8 +535,7 @@ def main(argv: list[str] | None = None) -> int:
                           for key, value in vars(args).items()
                           if key not in _NOT_INPUTS and value is not None}
                 status = "error" if answer.failure else "ok"
-                print(OutputRecord(args.command, inputs, answer.outputs, status,
-                                   answer.failure).to_json())
+                _print_record(args.command, inputs, answer.outputs, status, answer.failure)
             else:
                 print(_plain_lines(answer.outputs) if answer.text is None else answer.text())
         sys.stdout.flush()

@@ -111,12 +111,11 @@ class _Value:
     fields.  ``_key`` gets the compared fields; a subclass that compares on
     fewer sets its own.
 
-    Five builders on the point-query path store directly, as a call of this
+    Four builders on the point-query path store directly, as a call of this
     ``__init__`` costs 0.4-0.6 us a value (timeit, Python 3.11.7, 2-CPU
     x86-64): ``MarkovFraction._of_vertex`` (``mu``), ``to_continued_fraction``
-    (two ``?`` routes), ``DyadicRational`` (``?`` answers),
-    ``slopes.SlopeDecision`` (slope answers) and ``QuadraticSurd._set_canonical``
-    (``markov_interval``: 12 against 19 us).
+    (two ``?`` routes), ``DyadicRational`` (``?`` answers) and
+    ``QuadraticSurd._set_canonical`` (``markov_interval``: 12 against 19 us).
     """
 
     __slots__ = ()

@@ -573,7 +573,7 @@ def _lucas_pair(k: int, r: int) -> tuple[int, int]:
     return u1, u0
 
 
-def _run_step(v: Vertex, letter: str, r: int, what: str | None = None) -> Vertex:
+def _run_step(v: Vertex, letter: str, r: int) -> Vertex:
     """The vertex r >= 1 letters down a run of equal letters from v.
 
     Along a run the kept neighbour a/c stays fixed, so the Vieta step
@@ -582,31 +582,21 @@ def _run_step(v: Vertex, letter: str, r: int, what: str | None = None) -> Vertex
     [[k, -1], [1, 0]] (see _lucas_pair), O(log r) multiplications, and
     run steps compose, step(step(v, r), s) = step(v, r + s).  A run of one
     letter is the Vieta step itself, _vieta_child, which the power equals
-    at r = 1 with less work.  With a name, the denominator is held to the
-    value budget and a refusal names ``what``: each letter at least
-    multiplies it by k - 1 >= 2, which bounds the run's growth from below
-    before its power is taken.
+    at r = 1 with less work.  Nothing is checked: _descend holds the
+    value budget.
     """
-    p1, q1, p2, q2, p3, q3 = v
-    left = letter == "L"
-    k = 3 * (q1 if left else q2)
-    if what is not None:
-        _check_value_bits(q3.bit_length() + r * ((k - 1).bit_length() - 1), what)
     if r == 1:
-        v = _vieta_child(v, letter)
-    else:
-        u1, u0 = _lucas_pair(k, r)
-        um = k * u0 - u1
-        # M**r takes (vertex, dropped neighbour) to (new vertex, its neighbour on that side).
-        if left:
-            v = (p1, q1, u0 * p3 - um * p2, u0 * q3 - um * q2,
-                 u1 * p3 - u0 * p2, u1 * q3 - u0 * q2)
-        else:
-            v = (u0 * p3 - um * p1, u0 * q3 - um * q1, p2, q2,
-                 u1 * p3 - u0 * p1, u1 * q3 - u0 * q1)
-    if what is not None:
-        _check_value_bits(v[5].bit_length(), what)
-    return v
+        return _vieta_child(v, letter)
+    p1, q1, p2, q2, p3, q3 = v
+    k = 3 * (q1 if letter == "L" else q2)
+    u1, u0 = _lucas_pair(k, r)
+    um = k * u0 - u1
+    # M**r takes (vertex, dropped neighbour) to (new vertex, its neighbour on that side).
+    if letter == "L":
+        return (p1, q1, u0 * p3 - um * p2, u0 * q3 - um * q2,
+                u1 * p3 - u0 * p2, u1 * q3 - u0 * q2)
+    return (u0 * p3 - um * p1, u0 * q3 - um * q1, p2, q2,
+            u1 * p3 - u0 * p1, u1 * q3 - u0 * q1)
 
 
 def _word_runs(word: TurnWord) -> Iterator[tuple[str, int]]:
@@ -617,14 +607,21 @@ def _word_runs(word: TurnWord) -> Iterator[tuple[str, int]]:
 def _descend(runs: Iterable[tuple[str, int]], v: Vertex, what: str) -> Vertex:
     """The vertex below v down the runs (letter, length); refusals name ``what``.
 
-    A run of length 0 is no step.  v must be a _root vertex or a vertex
-    below one: _root checks the relations that the Vieta step carries to
-    every vertex below, and those make each vertex reduced with a positive
-    denominator, so its value is built without a gcd.
+    A run of length 0 is no step.  The denominator is held to the value
+    budget: each letter of a run multiplies it at least by k - 1 >= 2, with
+    k = 3 * the kept neighbour's denominator, which bounds the run's growth
+    from below before its power is taken, and the vertex reached is checked
+    once at the end, an empty descent too.  v must be a _root vertex or a
+    vertex below one: _root checks the relations that the Vieta step
+    carries to every vertex below, and those make each vertex reduced with
+    a positive denominator, so its value is built without a gcd.
     """
     for letter, r in runs:
         if r:
-            v = _run_step(v, letter, r, what)
+            k = 3 * (v[1] if letter == "L" else v[3])
+            _check_value_bits(v[5].bit_length() + r * ((k - 1).bit_length() - 1), what)
+            v = _run_step(v, letter, r)
+    _check_value_bits(v[5].bit_length(), what)
     return v
 
 
@@ -634,7 +631,7 @@ def descend_value(word: TurnWord, seeds: tuple[Fraction, Fraction] = REDUCED_SEE
     The seeds must span a Markov fraction tree, as REDUCED_SEEDS, UNIT_SEEDS
     and their integer translates do.  The descent takes one step per run
     of equal letters, one matrix power each (see _run_step), and holds the
-    denominator to the value budget before and after each run.
+    denominator to the value budget (see _descend).
     """
     check_word(word)
     v = _descend(_word_runs(word), _root_of(seeds), "the tree vertex")
@@ -710,14 +707,12 @@ def mu(x: Fraction) -> MarkovFraction:
 def _branch(k: int, letter: str, what: str) -> MarkovFraction:
     """k-th fraction (k >= 1) of the boundary branch down the constant word letter.
 
-    The vertex is one run step from the root 2/5, which holds the
-    denominator to the value budget (see _run_step); the run of k = 1 is
-    empty and takes no step, so the budget is checked once more here.
+    The vertex is one run step from the root 2/5; the descent holds its
+    denominator to the value budget (see _descend).
     """
     if k < 1:
         raise ValueError("branch index starts at 1")
     v = _descend(((letter, k - 1),), _REDUCED_ROOT, what)
-    _check_value_bits(v[5].bit_length(), what)
     return MarkovFraction._of_vertex(_coprime_fraction(v[4], v[5]), letter * (k - 1))
 
 

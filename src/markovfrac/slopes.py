@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import gcd
 
 from .exact import DyadicRational, _Value, _check_value_bits, _coprime_fraction
-from .farey import TurnWord
 from .markov import (
     MarkovFraction,
     UNIT_SEEDS,
@@ -221,13 +220,6 @@ class SlopeDecision(_Value):
     """
 
     __slots__ = ("accepted", "normalization", "witness", "stopped_at_denominator")
-
-    def __init__(self, accepted: bool, normalization: SlopeNormalization,
-                 witness: TurnWord | None, stopped_at_denominator: int | None) -> None:
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "normalization", normalization)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "stopped_at_denominator", stopped_at_denominator)
 
     @property
     def reduced(self) -> Fraction:

@@ -79,6 +79,7 @@ def test_json_record_is_named_after_its_subcommand(capsys, call):
     code, out, err = run_cli(capsys, *call, "--format", "json")
     assert (code, err) == (0, "")
     record = json.loads(out)
+    assert list(record) == ["command", "inputs", "outputs", "status", "error_detail"]
     assert (record["command"], record["status"], record["error_detail"]) == (call[0], "ok", "")
 
 

@@ -591,7 +591,8 @@ def test_descend_value_refuses_a_run_before_its_power(monkeypatch):
 
 def test_descend_value_budget_is_exact(monkeypatch):
     # Under a budget of exactly its own bits a value is admitted; one bit less
-    # refuses it.  The root takes no step, so the empty word is not checked.
+    # refuses it.  The empty word is the root, which test_branch_budget_is_exact
+    # checks as the first branch index.
     rng = random.Random(18)
     words = [w for w in _words_with_long_runs(rng, 40, 3000) if w]
     words += ["L" * n for n in range(1420, 1450)]
@@ -612,7 +613,7 @@ def test_run_step_of_one_letter_is_the_vieta_child():
         for v, _, _ in tree_walk(8, seeds=seeds):
             for letter in "LR":
                 child = _vieta_child(v, letter)
-                assert _run_step(v, letter, 1) == _run_step(v, letter, 1, "x") == child
+                assert _run_step(v, letter, 1) == child
                 for r in (1, 2):
                     assert _run_step(child, letter, r) == _run_step(v, letter, r + 1)
 
@@ -867,9 +868,10 @@ def test_fibonacci_branch_matches_fibonacci_numbers():
 
 
 def test_fibonacci_branch_matches_descent():
+    # One reduced mediant per letter, not the run step that the branch takes.
     for k in (1, 2, 5, 10):
         branch = fibonacci_branch(k)
-        assert branch.value == descend_value(branch.word)
+        assert branch.value == _mediant_descents("L" * (k - 1), REDUCED_SEEDS)[-1]
         assert branch.word == "L" * (k - 1)
 
 
@@ -906,9 +908,10 @@ def test_pell_companion_pairs():
 
 
 def test_pell_branch_matches_descent():
+    # One reduced mediant per letter, not the run step that the branch takes.
     for k in (1, 2, 4, 8):
         branch = pell_branch(k)
-        assert branch.value == descend_value(branch.word)
+        assert branch.value == _mediant_descents("R" * (k - 1), REDUCED_SEEDS)[-1]
         assert branch.word == "R" * (k - 1)
 
 
@@ -920,9 +923,21 @@ def test_branch_index_validation():
 
 
 def test_long_branches_match_descent():
-    # fibonacci_branch(20000) took 26 s by the recurrence with a long division.
-    assert fibonacci_branch(20_000).value == descend_value("L" * 19_999)
-    assert pell_branch(10_000).value == descend_value("R" * 9_999)
+    # One Vieta step per letter and no matrix power: 0.06 s at k = 20,000.
+    assert fibonacci_branch(20_000).value == _vieta_fold("L" * 19_999, REDUCED_SEEDS)
+    assert pell_branch(10_000).value == _vieta_fold("R" * 9_999, REDUCED_SEEDS)
+
+
+def test_branch_oracles_catch_a_wrong_run_step(monkeypatch):
+    # Negative control: a matrix power one letter short for runs of two or
+    # more letters moves each branch, and every branch oracle sees it.
+    lucas_pair = markov._lucas_pair
+    monkeypatch.setattr(markov, "_lucas_pair",
+                        lambda k, r: lucas_pair(k, r - 1) if r >= 2 else lucas_pair(k, r))
+    for test in (test_fibonacci_branch_matches_descent, test_pell_branch_matches_descent,
+                 test_long_branches_match_descent):
+        with pytest.raises(AssertionError):
+            test()
 
 
 def test_branch_budget_boundary():

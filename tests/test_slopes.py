@@ -132,9 +132,9 @@ def test_epsilon_budget_is_exact(monkeypatch):
     run_step, lucas_pair = markov._run_step, markov._lucas_pair
     runs, steps = [], []
 
-    def recording_run(v, letter, r, what=None):
+    def recording_run(v, letter, r):
         runs.append((v, letter))
-        return run_step(v, letter, r, what)
+        return run_step(v, letter, r)
 
     def recording_power(k, r):
         # A run of r letters multiplies the denominator by more than (k - 1)**r.

@@ -17,7 +17,6 @@ import pytest
 
 import markovfrac
 from markovfrac.analysis import FreenessReport, MarkovInterval, MarkovIrrationality
-from markovfrac.cli import OutputRecord
 from markovfrac.exact import ContinuedFraction, DyadicRational, QuadraticSurd, _Value
 from markovfrac.farey import FareyNode
 from markovfrac.markov import (
@@ -70,8 +69,6 @@ _EXAMPLES = [
      (F(2, 5), _LO, _HI, _LAGRANGE), False),
     (CheckResult, ("name", "passed", "checked", "failures", "detail", "seconds"),
      ("tree_walk", False, 7, 1, "first failure at 'LR'", 0.25), True),
-    (OutputRecord, ("command", "inputs", "outputs", "status", "error_detail"),
-     ("mu", {"x": "1/2"}, {"value": "2/5"}, "ok", ""), False),
 ]
 
 
