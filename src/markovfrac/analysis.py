@@ -21,7 +21,7 @@ from math import exp, floor, isqrt, log, log1p
 from typing import Iterable, Sequence
 
 from .exact import DyadicRational, QuadraticSurd, _Value, surd_enclose
-from .markov import MarkovFraction, _shared_rank_walk, mu, tree_walk
+from .markov import UNIT_SEEDS, MarkovFraction, _shared_rank_walk, mu, tree_walk
 
 __all__ = [
     "FreenessReport",
@@ -49,9 +49,10 @@ _MAX_LYAPUNOV_STEPS = 10_000
 #: are in fractions_strictly_inside.  It admits 10**300.
 _MAX_FREENESS_BITS = 1024
 
-#: Budget of integer translates n that fractions_strictly_inside tests:
-#: each adds two windows over up to all of [0, 1/2].  A Markov interval,
-#: shorter than 1, needs at most 3.
+#: Budget of the integer translates n at which fractions_strictly_inside seeks
+#: n + r, r on the [0, 1] tree: one window of r each, over up to all of
+#: [0, 1).  It counts floor(hi) - floor(lo) + 2 translates, one more than
+#: the windows; a Markov interval, shorter than 1, counts at most 3.
 _MAX_WINDOW_TRANSLATES = 16
 
 #: Digit budget of the jump-sum precision of mcshane_partial_sum(s),
@@ -153,16 +154,17 @@ def fractions_strictly_inside(
     denominator_bound: int,
     exclude: Fraction | None = None,
 ) -> list[Fraction]:
-    """Markov fractions n + r and n - r with denominator <= B strictly between lo and hi.
+    """Markov fractions n + r with denominator <= B strictly between lo and hi.
 
-    Every such value, with r a reduced tree fraction in [0, 1/2] (the
-    seeds 0 and 1/2 included) and n an integer, is found, as by the full
-    scan of every reduced fraction.  Here r is confined to the windows
-    (lo - n, hi - n) and (n - hi, n - lo), and one walk of the tree cuts
+    Every such value, with n an integer and r = 0 or a vertex of the
+    tree on UNIT_SEEDS (the Markov fractions in (0, 1): 1/2 and each
+    reduced fraction with its reflection), is found, as by the full scan of
+    every reduced fraction.  Here r is confined to one window
+    (lo - n, hi - n) per translate n, and one walk of that tree cuts
     every vertex whose neighbours p1/q1 < p2/q2 miss all windows, since
     its whole subtree lies strictly between them.  So only the branches
     that reach the interval are walked: for the Markov interval of 2/5,
-    10 vertices at B = 10**6 and 341 at 10**200.
+    11 vertices at B = 10**6 and 342 at 10**200.
 
     lo and hi are enclosed once, to 2*digits(B) + 4 digits.  Tree
     fractions pile up at the interval's ends, and a quadratic irrational
@@ -175,11 +177,11 @@ def fractions_strictly_inside(
     B may have at most _MAX_FREENESS_BITS = 1024 bits, and the interval
     may reach at most _MAX_WINDOW_TRANSLATES = 16 integer translates n;
     past either budget ValueError is raised before the walk.  At the bit
-    budget a Markov interval walks 525 vertices in about 0.01 s, while
-    the worst case, a window over all of [0, 1/2], cuts nothing: it
-    returns all 91,331 reduced fractions in about 3 s and 110 MB (Python
-    3.11, one core of a shared 2-core x86-64 host; 0.8 s and 38,583
-    fractions at 10**200).
+    budget a Markov interval walks 526 vertices in about 0.01 s, while
+    the worst case, a window over all of [0, 1], cuts nothing: it returns
+    all 182,661 fractions in about 3.6 s and 200 MB, and over [0, 1/2]
+    91,331 in 1.8 s and 108 MB (Python 3.11.7, one core of a shared
+    2-core x86-64 host; 1.1 s and 77,023 fractions in [0, 1] at 10**200).
     """
     _check_freeness_bound(denominator_bound)
     precision = 2 * (denominator_bound.bit_length() * 3 // 10 + 1) + 4
@@ -187,36 +189,31 @@ def fractions_strictly_inside(
     hi_in, hi_out = surd_enclose(hi, precision)
     if floor(hi_out) - floor(lo_out) + 2 > _MAX_WINDOW_TRANSLATES:
         raise ValueError(f"the interval exceeds the {_MAX_WINDOW_TRANSLATES}-translate budget")
-    half = Fraction(1, 2)
-    # (n, sign, outer r-window, inner r-window) as integer terms: a candidate
-    # n + sign*r lies outside (lo, hi) unless r is inside the outer window,
-    # and inside it when r is inside the inner one.  With r in [0, 1/2],
-    # only floor(lo) <= n <= floor(hi) + 1 can reach the interval.
-    windows = []
-    for n in range(floor(lo_out), floor(hi_out) + 2):
-        for sign, a, b, c, d in ((1, lo_out - n, hi_out - n, lo_in - n, hi_in - n),
-                                 (-1, n - hi_out, n - lo_out, n - hi_in, n - lo_in)):
-            if a < half and b > 0:
-                windows.append((n, sign, *_terms(a, b, c, d)))
+    # (n, outer r-window, inner r-window) as integer terms: a candidate n + r
+    # lies outside (lo, hi) unless r is inside the outer window, and inside
+    # it when r is inside the inner one.  With r in [0, 1), only
+    # floor(lo) <= n <= floor(hi) can reach the interval.
+    windows = [(n, *_terms(lo_out - n, hi_out - n, lo_in - n, hi_in - n))
+               for n in range(floor(lo_out), floor(hi_out) + 1)]
 
     def misses_every_window(v: tuple[int, ...]) -> bool:
         p1, q1, p2, q2 = v[:4]
         return not any(p2 * ad > an * q2 and p1 * bd < bn * q1
-                       for _, _, an, ad, bn, bd, _, _, _, _ in windows)
+                       for _, an, ad, bn, bd, _, _, _, _ in windows)
 
-    seeds = [(p, q) for p, q in ((0, 1), (1, 2)) if q <= denominator_bound]
     walked = ((v[4], v[5]) for v, _, _ in tree_walk(None, denominator_bound,
-                                                      prune=misses_every_window))
+                                                      prune=misses_every_window,
+                                                      seeds=UNIT_SEEDS))
     skip = None if exclude is None else _terms(exclude)
     # Distinct candidates, all with denominators <= B, differ by at least
     # 1/B**2, so floor(x * 2**shift) keys them in order, on integers alone.
     shift = 2 * denominator_bound.bit_length() + 1
     intruders = {}
-    for p, q in chain(seeds, walked):
-        for n, sign, an, ad, bn, bd, cn, cd, dn, dd in windows:
+    for p, q in chain([(0, 1)], walked):
+        for n, an, ad, bn, bd, cn, cd, dn, dd in windows:
             if not (an * q < p * ad and p * bd < bn * q):
                 continue
-            num = n * q + sign * p  # x = num/q in lowest terms, as p/q is
+            num = n * q + p  # x = num/q in lowest terms, as p/q is
             if (num, q) == skip:
                 continue
             if ((cn * q < p * cd and p * dd < dn * q)
@@ -539,12 +536,10 @@ class MarkovIrrationality(_Value):
 
 
 def markov_irrationality(x: Fraction) -> MarkovIrrationality:
-    """Endpoint irrationalities mu(x) -+ l(q)/2 of the transport of x."""
+    """Endpoint irrationalities mu(x) -+ l(q)/2 of the transport of x; lagrange is 3 - l(q)."""
     image = mu(x)
     interval = markov_interval(image)
-    q = image.value.denominator
-    return MarkovIrrationality(image.value, interval.lo, interval.hi,
-                               QuadraticSurd(0, 1, q, 9 * q * q - 4))
+    return MarkovIrrationality(image.value, interval.lo, interval.hi, 3 - interval.length)
 
 
 # -- denominator growth along a branch ------------------------------------------

@@ -111,11 +111,11 @@ class _Value:
     fields.  ``_key`` gets the compared fields; a subclass that compares on
     fewer sets its own.
 
-    Four builders on the point-query path store directly, as a call of this
+    Three builders on the point-query path store directly, as a call of this
     ``__init__`` costs 0.4-0.6 us a value (timeit, Python 3.11.7, 2-CPU
-    x86-64): ``MarkovFraction._of_vertex`` (``mu``), ``to_continued_fraction``
-    (two ``?`` routes), ``DyadicRational`` (``?`` answers) and
-    ``QuadraticSurd._set_canonical`` (``markov_interval``: 12 against 19 us).
+    x86-64): ``MarkovFraction._of_vertex`` (``mu``), ``DyadicRational``
+    (``?`` answers) and ``QuadraticSurd._set_canonical``
+    (``markov_interval``: 12 against 19 us).
     """
 
     __slots__ = ()
@@ -191,24 +191,20 @@ class ContinuedFraction(_Value):
         return len(self.quotients)
 
 
-def to_continued_fraction(f: Fraction) -> ContinuedFraction:
-    """Canonical continued fraction of a nonnegative rational.
-
-    The Euclidean algorithm emits a0 >= 0, later quotients >= 1 and never a
-    trailing quotient of 1 (a trailing 1 would have been absorbed into the
-    previous step), so its quotients are canonical as they come and the
-    result is stored without the constructor's checks.
-    """
-    p, q = f.numerator, f.denominator
-    if p < 0:
-        raise ValueError("continued fractions are only produced for f >= 0")
+def _quotients(p: int, q: int) -> list[int]:
+    """Quotients [a0, ..., an] of p/q >= 0 by one Euclidean pass: canonical, as they come."""
     quotients = []
     while q:
         quotients.append(p // q)
         p, q = q, p % q
-    cf = object.__new__(ContinuedFraction)
-    object.__setattr__(cf, "quotients", tuple(quotients))
-    return cf
+    return quotients
+
+
+def to_continued_fraction(f: Fraction) -> ContinuedFraction:
+    """Canonical continued fraction of a nonnegative rational, from _quotients."""
+    if f.numerator < 0:
+        raise ValueError("continued fractions are only produced for f >= 0")
+    return ContinuedFraction(tuple(_quotients(f.numerator, f.denominator)))
 
 
 def from_continued_fraction(cf: ContinuedFraction) -> Fraction:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import cycle
 from operator import mul
 
-from .exact import (DyadicRational, _Value, _check_value_bits, _coprime_fraction, farey_mediant,
-                    to_continued_fraction)
+from .exact import (DyadicRational, _Value, _check_value_bits, _coprime_fraction, _quotients,
+                    farey_mediant)
 
 __all__ = [
     "FareyNode",
@@ -84,14 +84,11 @@ def _turn_runs(p: int, q: int) -> list[int]:
 
     With p/q = [0; a1, ..., an] the word is L^(a1 - 1) R^a2 L^a3 ..., the
     last run one letter shorter, so the first run may be empty.  The
-    quotients come from one Euclidean pass on the two integers.  The word
-    spells ?(p/q) in binary, whose denominator 2**(a1 + ... + an - 1) is
-    held to the value budget, as in the question mark routes.
+    quotients [a1, ..., an] are those of q/p, from exact._quotients.  The
+    word spells ?(p/q) in binary, whose denominator 2**(a1 + ... + an - 1)
+    is held to the value budget, as in the question mark routes.
     """
-    runs = []
-    while p:
-        runs.append(q // p)
-        p, q = q % p, p
+    runs = _quotients(q, p)
     _check_value_bits(sum(runs), "the turn word of x")
     runs[0] -= 1
     runs[-1] -= 1
@@ -123,7 +120,7 @@ def question_mark_farey(x: Fraction) -> DyadicRational:
     pairs, and the image of their mediant is the midpoint m/2**n of the
     image interval, so each step is one cross-multiplied comparison and
     m -> 2*m - 1 or 2*m + 1.  This route does not read the continued
-    fraction, which only sets the budget check.
+    fraction, whose quotients (exact._quotients) only set the budget check.
     """
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
@@ -132,7 +129,7 @@ def question_mark_farey(x: Fraction) -> DyadicRational:
         return DyadicRational(0, 0)
     if p == q:
         return DyadicRational(1, 0)
-    _check_value_bits(sum(to_continued_fraction(x).quotients), "?(x)")
+    _check_value_bits(sum(_quotients(p, q)), "?(x)")
     a1, b1, a2, b2 = 0, 1, 1, 1
     m, n = 1, 1
     while True:
@@ -150,13 +147,14 @@ def question_mark_salem(x: Fraction) -> DyadicRational:
     """Question mark via the alternating series a0 + 2^(1-a1) - 2^(1-a1-a2) + ...
 
     The exponents accumulate the continued fraction quotients of
-    x = [a0; a1, ..., an].  Over the common denominator 2**(a1 + ... + an)
-    the series is one integer, summed by Horner's rule: m -> m*2**a +- 2
-    per quotient, with no rational addition and no gcd.
+    x = [a0; a1, ..., an], read as a plain list from exact._quotients.
+    Over the common denominator 2**(a1 + ... + an) the series is one
+    integer, summed by Horner's rule: m -> m*2**a +- 2 per quotient, with
+    no rational addition and no gcd.
     """
     if not 0 <= x.numerator <= x.denominator:
         raise ValueError(f"question mark is evaluated on [0, 1]; got {x}")
-    a0, *quotients = to_continued_fraction(x).quotients
+    a0, *quotients = _quotients(x.numerator, x.denominator)
     bits = a0 + sum(quotients)
     _check_value_bits(bits, "?(x)")
     m, term = a0, 2

@@ -22,6 +22,7 @@ import os
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, cycle
 from math import gcd, isqrt
@@ -1169,18 +1170,13 @@ def unicity_scan(depth: int) -> UnicityReport:
     Seeds are included.  A duplicate denominator would exhibit two Markov
     fractions sharing a Markov number, reported with its fractions in
     increasing order; none is known, and none occurs in any enumerable
-    range.  The scan reads the Markov numbers of _rank_walk, with no
-    numerator.  Only if one repeats does a second pass collect the Farey
+    range.  One set of the Markov numbers of _rank_walk, with no numerator,
+    decides.  Only if one repeats does a second pass collect the Farey
     positions x of the repeated ones, and each fraction is mu(x).
     """
-    seen = {1, 2}
-    repeated = set()
-    count = 2
-    for (_, _, q), _, _ in _rank_walk(depth):
-        count += 1
-        if q in seen:
-            repeated.add(q)
-        seen.add(q)
+    qs = [1, 2, *(q for (_, _, q), _, _ in _rank_walk(depth))]
+    distinct = set(qs)
+    repeated = set() if len(distinct) == len(qs) else {q for q, k in Counter(qs).items() if k > 1}
     duplicates: dict[int, list[Fraction]] = {
         q: [x] for q, x in ((1, Fraction(0)), (2, Fraction(1))) if q in repeated}
     if repeated:
@@ -1188,7 +1184,7 @@ def unicity_scan(depth: int) -> UnicityReport:
             if q in repeated:
                 duplicates.setdefault(q, []).append(Fraction(a1 + a2, b1 + b2))
     return UnicityReport(
-        depth, count, len(seen),
+        depth, len(qs), len(distinct),
         tuple((q, tuple(sorted(mu(x).value for x in xs))) for q, xs in sorted(duplicates.items())))
 
 

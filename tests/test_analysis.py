@@ -777,6 +777,20 @@ def test_markov_irrationality_matches_interval():
         assert surd_compare(ir.lagrange, F(3)) < 0  # Lagrange number < 3, exactly
 
 
+def test_markov_irrationality_lagrange_is_the_direct_surd():
+    # lagrange is 3 - l(q), from the interval's canonical surd: it has the
+    # fields, and so prints as, QuadraticSurd(0, 1, q, 9q**2 - 4), on every
+    # vertex to depth 9 and every x with denominator <= 30, seeds included.
+    positions = [F(a1 + a2, b1 + b2) for _, (a1, b1, a2, b2), _ in tree_walk(9)]
+    assert len(positions) == 1023
+    small = [F(p, q) for q in range(1, 31) for p in range(q + 1) if math.gcd(p, q) == 1]
+    for x in positions + small:
+        q = mu(x).value.denominator
+        got, want = markov_irrationality(x).lagrange, QuadraticSurd(0, 1, q, 9 * q * q - 4)
+        assert (got.a, got.b, got.c, got.d) == (want.a, want.b, want.c, want.d)
+        assert str(got) == str(want)
+
+
 # -- Lyapunov estimates ---------------------------------------------------------------------
 
 

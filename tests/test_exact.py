@@ -23,6 +23,7 @@ from markovfrac import (
     surd_enclose,
     to_continued_fraction,
 )
+from markovfrac import exact
 from markovfrac.exact import _decimal_digits
 
 _NONSQUARES = [2, 3, 5, 6, 7, 8, 10, 12, 13, 17, 21, 32, 48, 101, 221, 9996]
@@ -81,6 +82,21 @@ def test_continued_fraction_rejects_negative():
         to_continued_fraction(F(-1, 2))
 
 
+def test_continued_fraction_checks_the_quotients(monkeypatch):
+    # Negative control: the quotients go through the constructor's checks,
+    # so a pass that ended in a quotient 1 would be refused, not stored.
+    monkeypatch.setattr(exact, "_quotients", lambda p, q: [0, 2, 1])
+    with pytest.raises(ValueError, match="final quotient"):
+        to_continued_fraction(F(2, 5))
+
+
+def test_quotients_are_the_euclidean_quotients():
+    assert exact._quotients(2, 5) == [0, 2, 2]
+    assert exact._quotients(5, 2) == [2, 2]
+    assert exact._quotients(7, 1) == [7]
+    assert exact._quotients(0, 3) == [0]
+
+
 def test_continued_fraction_rejects_noncanonical():
     with pytest.raises(ValueError):
         ContinuedFraction((0, 2, 1))  # trailing 1 is the ambiguous form
@@ -94,7 +110,7 @@ def test_continued_fraction_rejects_noncanonical():
 def test_continued_fraction_roundtrip(f):
     cf = to_continued_fraction(f)
     assert from_continued_fraction(cf) == f
-    # Built without the constructor's checks, the result must pass them.
+    # Built by the checking constructor, the result passes its checks.
     assert ContinuedFraction(cf.quotients) == cf
     if len(cf) > 1:
         assert cf.quotients[-1] >= 2
