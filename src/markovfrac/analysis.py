@@ -51,8 +51,8 @@ _MAX_FREENESS_BITS = 1024
 
 #: Budget of the integer translates n at which fractions_strictly_inside seeks
 #: n + r, r on the [0, 1] tree: one window of r each, over up to all of
-#: [0, 1).  It counts floor(hi) - floor(lo) + 2 translates, one more than
-#: the windows; a Markov interval, shorter than 1, counts at most 3.
+#: [0, 1).  It counts the windows, floor(hi) - floor(lo) + 1; a Markov
+#: interval, shorter than 1, needs at most 2.
 _MAX_WINDOW_TRANSLATES = 16
 
 #: Digit budget of the jump-sum precision of mcshane_partial_sum(s),
@@ -175,19 +175,20 @@ def fractions_strictly_inside(
     surd comparison only where they cannot decide.
 
     B may have at most _MAX_FREENESS_BITS = 1024 bits, and the interval
-    may reach at most _MAX_WINDOW_TRANSLATES = 16 integer translates n;
-    past either budget ValueError is raised before the walk.  At the bit
-    budget a Markov interval walks 526 vertices in about 0.01 s, while
-    the worst case, a window over all of [0, 1], cuts nothing: it returns
-    all 182,661 fractions in about 3.6 s and 200 MB, and over [0, 1/2]
-    91,331 in 1.8 s and 108 MB (Python 3.11.7, one core of a shared
-    2-core x86-64 host; 1.1 s and 77,023 fractions in [0, 1] at 10**200).
+    may reach at most _MAX_WINDOW_TRANSLATES = 16 integer translates n,
+    floor(hi) - floor(lo) + 1 windows; past either budget ValueError is
+    raised before the walk.  At the bit budget a Markov interval walks
+    526 vertices in about 0.01 s, while the worst case, a window over all
+    of [0, 1], cuts nothing: it returns all 182,661 fractions in about
+    3.6 s and 200 MB, and over [0, 1/2] 91,331 in 1.8 s and 108 MB
+    (Python 3.11.7, one core of a shared 2-core x86-64 host; 1.1 s and
+    77,023 fractions in [0, 1] at 10**200).
     """
     _check_freeness_bound(denominator_bound)
     precision = 2 * (denominator_bound.bit_length() * 3 // 10 + 1) + 4
     lo_out, lo_in = surd_enclose(lo, precision)
     hi_in, hi_out = surd_enclose(hi, precision)
-    if floor(hi_out) - floor(lo_out) + 2 > _MAX_WINDOW_TRANSLATES:
+    if floor(hi_out) - floor(lo_out) + 1 > _MAX_WINDOW_TRANSLATES:
         raise ValueError(f"the interval exceeds the {_MAX_WINDOW_TRANSLATES}-translate budget")
     # (n, outer r-window, inner r-window) as integer terms: a candidate n + r
     # lies outside (lo, hi) unless r is inside the outer window, and inside

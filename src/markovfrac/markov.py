@@ -357,9 +357,28 @@ def tree_walk(
 _RankItem = tuple[tuple[int, int, int], FareyPair, int]
 
 
+_Flips = Callable[[tuple[int, int, int]], tuple[tuple[int, int, int], tuple[int, int, int]]]
+
+
 def _flips(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     q1, q2, q3 = t
     return (q1, q3, 3 * q1 * q3 - q2), (q3, q2, 3 * q2 * q3 - q1)
+
+
+#: The modulus of the residue walk, the Mersenne prime 2**61 - 1: for a
+#: positive int q, q % _RESIDUE_MODULUS is CPython's hash(q).  It exceeds
+#: the root's Markov numbers 1, 2 and 5, so every residue walked is reduced.
+#: Low bits would key worse: Markov numbers are 1, 2 or 5 mod 8, and of the
+#: 262,145 at depth 17 the low 36 bits repeat 5 times, where a uniform key
+#: expects 0.5, while the residues masked to 36 bits do not repeat.
+_RESIDUE_MODULUS = (1 << 61) - 1
+
+
+def _residue_flips(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """_flips mod _RESIDUE_MODULUS, a ring homomorphism: each child carries q mod the modulus."""
+    q1, q2, q3 = t
+    p = _RESIDUE_MODULUS
+    return (q1, q3, (3 * q1 * q3 - q2) % p), (q3, q2, (3 * q2 * q3 - q1) % p)
 
 
 #: The first item of the rank walk: the root's denominators (1, 2, 5).
@@ -367,7 +386,7 @@ _RANK_ROOT: _RankItem = (_REDUCED_ROOT[1::2], (0, 1, 1, 1), 0)
 
 
 def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None,
-               start: _RankItem = _RANK_ROOT) -> Iterator[_RankItem]:
+               start: _RankItem = _RANK_ROOT, step: _Flips = _flips) -> Iterator[_RankItem]:
     """tree_walk(depth) on the denominators alone: the Markov numbers, not the fractions.
 
     Yields ((q1, q2, q3), farey_pair, level) for the vertices of the reduced
@@ -377,10 +396,12 @@ def _rank_walk(depth: int, prune: Callable[[_RankItem], bool] | None = None,
     product per child.  prune(item) returning True skips the item with its
     subtree; every Farey vertex below the pair (a1, b1, a2, b2) lies
     strictly between a1/b1 and a2/b2.  With start, an item of the walk,
-    only its subtree is walked, down to the same depth.
+    only its subtree is walked, down to the same depth.  step is _flips, or
+    _residue_flips for the unicity scan, which then carries each q mod
+    _RESIDUE_MODULUS instead of q and builds no Markov number.
     """
     _check_scan_depth(depth)
-    return _walk(start, _flips, depth, prune)
+    return _walk(start, step, depth, prune)
 
 
 # The rank walk is split at this level, into 2**5 = 32 subtrees: tasks
@@ -1170,10 +1191,18 @@ def unicity_scan(depth: int) -> UnicityReport:
     Seeds are included.  A duplicate denominator would exhibit two Markov
     fractions sharing a Markov number, reported with its fractions in
     increasing order; none is known, and none occurs in any enumerable
-    range.  One set of the Markov numbers of _rank_walk, with no numerator,
-    decides.  Only if one repeats does a second pass collect the Farey
-    positions x of the repeated ones, and each fraction is mu(x).
+    range.  First the residues q mod _RESIDUE_MODULUS decide: the residue
+    walk (_rank_walk with _residue_flips) builds no Markov number.  Equal
+    numbers have equal residues, so all residues distinct prove all
+    numbers distinct.  Only if a residue repeats does the scan walk the
+    numbers themselves: one set of the Markov numbers of _rank_walk
+    decides, and if one repeats a second pass collects the Farey positions
+    x of the repeated ones, and each fraction is mu(x).
     """
+    residues = {1, 2, *(q for (_, _, q), _, _ in _rank_walk(depth, step=_residue_flips))}
+    count = (2 << depth) + 1  # the 2**(depth + 1) - 1 tree vertices and the seeds
+    if len(residues) == count:
+        return UnicityReport(depth, count, count, ())
     qs = [1, 2, *(q for (_, _, q), _, _ in _rank_walk(depth))]
     distinct = set(qs)
     repeated = set() if len(distinct) == len(qs) else {q for q, k in Counter(qs).items() if k > 1}

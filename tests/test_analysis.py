@@ -352,12 +352,13 @@ def test_reduced_fractions_bound_refused_before_the_walk(monkeypatch):
 
 
 def test_window_translate_budget():
-    # floor(hi) - floor(lo) + 2 translates n: [0, 14.5] takes 16, [0, 15.5] 17.
+    # One window per translate n, floor(hi) - floor(lo) + 1 of them:
+    # [1/2, 31/2] takes 16, the budget, and [1/2, 33/2] 17.
     budget = analysis._MAX_WINDOW_TRANSLATES
-    lo, hi = QuadraticSurd.from_fraction(F(0)), QuadraticSurd.from_fraction(F(29, 2))
+    lo, hi = QuadraticSurd.from_fraction(F(1, 2)), QuadraticSurd.from_fraction(F(31, 2))
     assert fractions_strictly_inside(lo, hi, 2) == _fractions_inside_by_scan(lo, hi, 2)
     with pytest.raises(ValueError, match=f"the interval exceeds the {budget}-translate budget"):
-        fractions_strictly_inside(lo, QuadraticSurd.from_fraction(F(31, 2)), 2)
+        fractions_strictly_inside(lo, QuadraticSurd.from_fraction(F(33, 2)), 2)
 
 
 def test_window_translate_budget_refused_before_the_walk(monkeypatch):

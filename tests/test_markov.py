@@ -1191,7 +1191,9 @@ def test_unicity_scan_reports_duplicates(monkeypatch):
     values = {F(0): F(0), F(1): F(1, 2), F(1, 3): F(3, 5), F(1, 4): F(2, 5),
               F(2, 5): F(5, 13), F(3, 5): F(3, 2), F(2, 3): F(4, 5)}
 
-    def fake_walk(depth):
+    def fake_walk(depth, step=markov._flips):
+        # The residues of the fake numbers are the numbers, so they repeat
+        # too and the exact path runs.
         assert depth == 3
         for a, b, q in ((1, 3, 5), (1, 4, 5), (2, 5, 13), (3, 5, 2), (2, 3, 5)):
             yield (1, 2, q), (a - 1, b - 1, 1, 1), 0
@@ -1208,6 +1210,83 @@ def test_unicity_scan_reports_duplicates(monkeypatch):
         (2, (F(1, 2), F(3, 2))),
         (5, (F(2, 5), F(3, 5), F(4, 5))),
     )
+    assert not report.all_unique
+
+
+P61 = (1 << 61) - 1
+
+
+def _exact_unicity(depth):
+    """The report of a scan without duplicates, counted on the numbers of tree_walk."""
+    qs = [1, 2, *(v[5] for v, _, _ in tree_walk(depth))]
+    assert len(set(qs)) == len(qs)
+    return markov.UnicityReport(depth, len(qs), len(qs), ())
+
+
+def _spy_rank_walk(monkeypatch):
+    """Record the step of every _rank_walk call: _flips only on the exact path."""
+    steps = []
+    real = markov._rank_walk
+
+    def spy(depth, prune=None, start=markov._RANK_ROOT, step=markov._flips):
+        steps.append(step)
+        return real(depth, prune, start, step)
+
+    monkeypatch.setattr(markov, "_rank_walk", spy)
+    return steps
+
+
+def test_residue_walk_carries_each_markov_number_mod_p():
+    assert markov._RESIDUE_MODULUS == P61
+    walked = list(_rank_walk(12))
+    residues = list(_rank_walk(12, step=markov._residue_flips))
+    assert len(residues) == len(walked) == (1 << 13) - 1
+    for (r, farey, level), (q, walked_farey, walked_level) in zip(residues, walked):
+        assert (farey, level) == (walked_farey, walked_level)
+        assert r == tuple(x % P61 for x in q) == tuple(hash(x) for x in q)
+    assert max(q for (_, _, q), _, _ in walked).bit_length() > 61  # the residues do reduce
+
+
+def test_unicity_scan_decides_on_residues_alone(monkeypatch):
+    steps = _spy_rank_walk(monkeypatch)
+    for depth in range(15):
+        assert unicity_scan(depth) == _exact_unicity(depth)
+    # One walk a depth, on residues.
+    assert steps == [markov._residue_flips] * 15
+
+
+@pytest.mark.parametrize("modulus, depths", [(7, range(1, 13)), (101, range(2, 13))])
+def test_unicity_scan_on_repeated_residues_takes_the_exact_path(monkeypatch, modulus, depths):
+    expected = {depth: unicity_scan(depth) for depth in depths}
+    steps = _spy_rank_walk(monkeypatch)
+    monkeypatch.setattr(markov, "_RESIDUE_MODULUS", modulus)
+    for depth in depths:
+        steps.clear()
+        report = unicity_scan(depth)
+        assert markov._flips in steps, f"depth {depth} stayed on residues mod {modulus}"
+        assert report == expected[depth]
+
+
+def test_unicity_scan_reports_a_duplicate_of_the_exact_path(monkeypatch):
+    # Negative control: residues mod 7 repeat, and the exact walk, faked to
+    # give its last vertex the Markov number 13, must be what is reported.
+    real = markov._rank_walk
+    last = list(real(6))[-1]
+
+    def walk_with_a_duplicate(depth, prune=None, start=markov._RANK_ROOT, step=markov._flips):
+        items = real(depth, prune, start, step)
+        if step is not markov._flips:
+            return items
+        (q1, q2, _), farey, level = last
+        return (((q1, q2, 13), farey, level) if item == last else item for item in items)
+
+    monkeypatch.setattr(markov, "_rank_walk", walk_with_a_duplicate)
+    monkeypatch.setattr(markov, "_RESIDUE_MODULUS", 7)
+    report = unicity_scan(6)
+    (a1, b1, a2, b2) = last[1]
+    assert report.vertex_count == 129
+    assert report.distinct_denominators == 128
+    assert report.duplicates == ((13, tuple(sorted([F(5, 13), mu(F(a1 + a2, b1 + b2)).value]))),)
     assert not report.all_unique
 
 
