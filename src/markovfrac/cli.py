@@ -335,15 +335,8 @@ def _cmd_unicity(args: argparse.Namespace) -> Answer:
             for q, vals in report.duplicates
         ],
     }
-
-    def text() -> str:
-        plain = {k: outputs[k] for k in ("vertices", "distinct_denominators", "all_unique")}
-        lines = [_plain_lines(plain)]
-        lines.extend(f"duplicate {dup['denominator']}: " + " ".join(dup["fractions"])
-                     for dup in outputs["duplicates"])
-        return "\n".join(lines)
-
-    return Answer(outputs, text)
+    plain = {k: outputs[k] for k in ("vertices", "distinct_denominators", "all_unique")}
+    return Answer(outputs, lambda: _plain_lines(plain))
 
 
 def _cmd_triples(args: argparse.Namespace) -> Answer:

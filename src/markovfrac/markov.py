@@ -22,7 +22,6 @@ import os
 import random
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, cycle
 from math import gcd, isqrt
@@ -1117,7 +1116,10 @@ def congruence_brute(q: int) -> list[int]:
     """Roots of x**2 + 1 == 0 (mod q) in [0, q), sorted, by trying every x <= q/2.
 
     Linear in q; the oracle for solve_congruence in tests and in verify.
+    ValueError for q < 1, as solve_congruence.
     """
+    if q < 1:
+        raise ValueError("modulus must be positive")
     if q == 1:
         return [0]
     found = []
@@ -1189,32 +1191,19 @@ def unicity_scan(depth: int) -> UnicityReport:
     """Check that no denominator repeats among tree fractions to the given depth.
 
     Seeds are included.  A duplicate denominator would exhibit two Markov
-    fractions sharing a Markov number, reported with its fractions in
-    increasing order; none is known, and none occurs in any enumerable
-    range.  First the residues q mod _RESIDUE_MODULUS decide: the residue
-    walk (_rank_walk with _residue_flips) builds no Markov number.  Equal
-    numbers have equal residues, so all residues distinct prove all
-    numbers distinct.  Only if a residue repeats does the scan walk the
-    numbers themselves: one set of the Markov numbers of _rank_walk
-    decides, and if one repeats a second pass collects the Farey positions
-    x of the repeated ones, and each fraction is mu(x).
+    fractions sharing a Markov number; none is known, and none occurs in
+    any enumerable range.  The residues q mod _RESIDUE_MODULUS decide: the
+    residue walk (_rank_walk with _residue_flips) builds no Markov number.
+    Equal numbers have equal residues, so all residues distinct prove all
+    numbers distinct.  They are distinct at every depth the vertex budget
+    accepts; a repeated residue proves nothing and raises ArithmeticError.
     """
     residues = {1, 2, *(q for (_, _, q), _, _ in _rank_walk(depth, step=_residue_flips))}
     count = (2 << depth) + 1  # the 2**(depth + 1) - 1 tree vertices and the seeds
-    if len(residues) == count:
-        return UnicityReport(depth, count, count, ())
-    qs = [1, 2, *(q for (_, _, q), _, _ in _rank_walk(depth))]
-    distinct = set(qs)
-    repeated = set() if len(distinct) == len(qs) else {q for q, k in Counter(qs).items() if k > 1}
-    duplicates: dict[int, list[Fraction]] = {
-        q: [x] for q, x in ((1, Fraction(0)), (2, Fraction(1))) if q in repeated}
-    if repeated:
-        for (_, _, q), (a1, b1, a2, b2), _ in _rank_walk(depth):
-            if q in repeated:
-                duplicates.setdefault(q, []).append(Fraction(a1 + a2, b1 + b2))
-    return UnicityReport(
-        depth, len(qs), len(distinct),
-        tuple((q, tuple(sorted(mu(x).value for x in xs))) for q, xs in sorted(duplicates.items())))
+    if len(residues) < count:
+        raise ArithmeticError(
+            f"unicity_scan({depth}): residues mod {_RESIDUE_MODULUS} repeat, so they do not decide")
+    return UnicityReport(depth, count, count, ())
 
 
 # -- generalized equations ---------------------------------------------------

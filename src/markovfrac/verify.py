@@ -424,10 +424,9 @@ def check_length_series(depth: int) -> CheckResult:
 
 def check_unicity(depth: int) -> CheckResult:
     """No Markov number appears as the denominator of two tree fractions."""
-    capped = min(depth, 19)
-    report = unicity_scan(capped)
+    report = unicity_scan(depth)
     return _result("unicity", report.vertex_count, len(report.duplicates),
-                   detail=f"depth {capped}, {report.distinct_denominators} denominators")
+                   detail=f"depth {depth}, {report.distinct_denominators} denominators")
 
 
 def check_congruence() -> CheckResult:

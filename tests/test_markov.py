@@ -978,8 +978,11 @@ def test_congruence_spot_values():
 
 
 def test_congruence_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        solve_congruence(0)
+    # The oracle refuses what the solver refuses.
+    for solve in (solve_congruence, congruence_brute):
+        for q in (0, -5):
+            with pytest.raises(ValueError, match="modulus must be positive"):
+                solve(q)
 
 
 def test_congruence_matches_sympy_oracle():
@@ -1185,34 +1188,6 @@ def test_unicity_scan_rejects_budget_overflow():
         unicity_scan(21)
 
 
-def test_unicity_scan_reports_duplicates(monkeypatch):
-    # No real walk repeats a denominator, so a fake rank walk exercises the
-    # report, and a fake mu names the fraction at each Farey position.
-    values = {F(0): F(0), F(1): F(1, 2), F(1, 3): F(3, 5), F(1, 4): F(2, 5),
-              F(2, 5): F(5, 13), F(3, 5): F(3, 2), F(2, 3): F(4, 5)}
-
-    def fake_walk(depth, step=markov._flips):
-        # The residues of the fake numbers are the numbers, so they repeat
-        # too and the exact path runs.
-        assert depth == 3
-        for a, b, q in ((1, 3, 5), (1, 4, 5), (2, 5, 13), (3, 5, 2), (2, 3, 5)):
-            yield (1, 2, q), (a - 1, b - 1, 1, 1), 0
-
-    def fake_mu(x):
-        return MarkovFraction._of_vertex(values[x], None)
-
-    monkeypatch.setattr(markov, "_rank_walk", fake_walk)
-    monkeypatch.setattr(markov, "mu", fake_mu)
-    report = unicity_scan(3)
-    assert report.vertex_count == 7
-    assert report.distinct_denominators == 4
-    assert report.duplicates == (
-        (2, (F(1, 2), F(3, 2))),
-        (5, (F(2, 5), F(3, 5), F(4, 5))),
-    )
-    assert not report.all_unique
-
-
 P61 = (1 << 61) - 1
 
 
@@ -1224,7 +1199,7 @@ def _exact_unicity(depth):
 
 
 def _spy_rank_walk(monkeypatch):
-    """Record the step of every _rank_walk call: _flips only on the exact path."""
+    """Record the step of every _rank_walk call."""
     steps = []
     real = markov._rank_walk
 
@@ -1255,39 +1230,27 @@ def test_unicity_scan_decides_on_residues_alone(monkeypatch):
     assert steps == [markov._residue_flips] * 15
 
 
-@pytest.mark.parametrize("modulus, depths", [(7, range(1, 13)), (101, range(2, 13))])
-def test_unicity_scan_on_repeated_residues_takes_the_exact_path(monkeypatch, modulus, depths):
-    expected = {depth: unicity_scan(depth) for depth in depths}
-    steps = _spy_rank_walk(monkeypatch)
+def test_unicity_scan_decides_depth_19_and_refuses_depth_20():
+    # Every accepted depth walks a subset of these vertices, so no accepted
+    # depth repeats a residue: about 1 s and 96 MB.
+    assert unicity_scan(19) == markov.UnicityReport(19, 1048577, 1048577, ())
+    with pytest.raises(ValueError, match="vertex budget"):
+        unicity_scan(20)
+
+
+@pytest.mark.parametrize("modulus, first_repeat", [(7, 1), (101, 2)])
+def test_unicity_scan_refuses_repeated_residues(monkeypatch, modulus, first_repeat):
+    # Negative control: mod 7, 29 repeats the seed 1 at depth 1; mod 101,
+    # 433 repeats 29 at depth 2.  Repeated residues prove nothing, so the
+    # scan must raise there and below give the unpatched report.
+    expected = {depth: unicity_scan(depth) for depth in range(first_repeat)}
     monkeypatch.setattr(markov, "_RESIDUE_MODULUS", modulus)
-    for depth in depths:
-        steps.clear()
-        report = unicity_scan(depth)
-        assert markov._flips in steps, f"depth {depth} stayed on residues mod {modulus}"
-        assert report == expected[depth]
-
-
-def test_unicity_scan_reports_a_duplicate_of_the_exact_path(monkeypatch):
-    # Negative control: residues mod 7 repeat, and the exact walk, faked to
-    # give its last vertex the Markov number 13, must be what is reported.
-    real = markov._rank_walk
-    last = list(real(6))[-1]
-
-    def walk_with_a_duplicate(depth, prune=None, start=markov._RANK_ROOT, step=markov._flips):
-        items = real(depth, prune, start, step)
-        if step is not markov._flips:
-            return items
-        (q1, q2, _), farey, level = last
-        return (((q1, q2, 13), farey, level) if item == last else item for item in items)
-
-    monkeypatch.setattr(markov, "_rank_walk", walk_with_a_duplicate)
-    monkeypatch.setattr(markov, "_RESIDUE_MODULUS", 7)
-    report = unicity_scan(6)
-    (a1, b1, a2, b2) = last[1]
-    assert report.vertex_count == 129
-    assert report.distinct_denominators == 128
-    assert report.duplicates == ((13, tuple(sorted([F(5, 13), mu(F(a1 + a2, b1 + b2)).value]))),)
-    assert not report.all_unique
+    for depth in range(13):
+        if depth < first_repeat:
+            assert unicity_scan(depth) == expected[depth]
+        else:
+            with pytest.raises(ArithmeticError, match=f"unicity_scan\\({depth}\\).* mod {modulus} "):
+                unicity_scan(depth)
 
 
 # -- generalized equations ---------------------------------------------------------

@@ -46,7 +46,7 @@ def expected_suites(d):
         return 2 ** (c + 1) - 1
 
     v = vertices(d)
-    c6, c8, c10, c15, c19 = (min(d, cap) for cap in (6, 8, 10, 15, 19))
+    c6, c8, c10, c15 = (min(d, cap) for cap in (6, 8, 10, 15))
     return [
         ("tree_relations", v, ""),
         ("tree_walk", v, ""),
@@ -62,7 +62,7 @@ def expected_suites(d):
         ("interval_geometry", 2 * vertices(c8) - 1, f"depth {c8}"),
         ("interval_freeness", 63, "bound 1000000"),
         ("length_series", 3 * (c15 + 1), f"depth {c15}, gap above {_gaps(d)}"),
-        ("unicity", 2 ** (c19 + 1) + 1, f"depth {c19}, {2 ** (c19 + 1) + 1} denominators"),
+        ("unicity", 2 ** (d + 1) + 1, f"depth {d}, {2 ** (d + 1) + 1} denominators"),
         ("congruence", 15, ""),
         ("generalized_equations", 7 * 2 ** c10 - 2, f"depth {c10}"),
         ("vieta_involution", 3 * vertices(c6), f"depth {c6}"),
